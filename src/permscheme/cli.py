@@ -30,6 +30,10 @@ from .scheme import (
 )
 
 SCHEMA_VERSION = 1
+# Largest size layer, in table keys, that count, sequence and guess build.
+# In 64-bit CPython a key held about 0.4 KiB at L=100 on {1234,1243,1324},
+# so the largest accepted layer stays near 0.4 GiB.
+KEY_BUDGET = 1_000_000
 
 
 @dataclass
@@ -67,6 +71,14 @@ def _load_scheme(path: str) -> Scheme:
         return deserialize(text)
     except SchemeFormatError as exc:
         raise click.UsageError(f"malformed scheme document {path}: {exc}")
+
+
+def _check_budget(loaded: Scheme, n: int) -> None:
+    keys = counting.layer_keys(loaded, n)
+    if keys > KEY_BUDGET:
+        raise click.UsageError(
+            f"size {n} needs {keys} keys in its largest layer, over the budget of {KEY_BUDGET}"
+        )
 
 
 def _emit_json(payload: dict) -> None:
@@ -158,9 +170,9 @@ def scheme_verify(ctx: click.Context, scheme_path: str, check_n: int) -> None:
         raise click.UsageError("--check-n must be >= 0")
     loaded = _load_scheme(scheme_path)
     click.echo("structure: ok")
-    for n in range(1, check_n + 1):
+    terms = counting.sequence(loaded, check_n) if check_n else []
+    for n, got in enumerate(terms, start=1):
         expected = oracle.count_avoiders(n, loaded.patterns)
-        got = counting.count(loaded, n)
         if got != expected:
             click.echo(f"mismatch at n={n}: scheme {got}, brute force {expected}")
             ctx.exit(1)
@@ -176,6 +188,7 @@ def count_cmd(scheme_path: str, size: int, fmt: str) -> None:
     if size < 0:
         raise click.UsageError("-n must be >= 0")
     loaded = _load_scheme(scheme_path)
+    _check_budget(loaded, size)
     value = counting.count(loaded, size)
     if fmt == "json":
         _emit_json({"n": size, "count": value})
@@ -192,6 +205,7 @@ def sequence_cmd(scheme_path: str, length: int, fmt: str) -> None:
     if length < 1:
         raise click.UsageError("-L must be >= 1")
     loaded = _load_scheme(scheme_path)
+    _check_budget(loaded, length)
     terms = counting.sequence(loaded, length)
     if fmt == "json":
         _emit_json({"length": length, "terms": terms})
@@ -250,7 +264,9 @@ def guess_cmd(
             raise click.UsageError("--scheme requires -L to choose how many terms to compute")
         if length < 1:
             raise click.UsageError("-L must be >= 1")
-        terms = counting.sequence(_load_scheme(scheme_path), length)
+        loaded = _load_scheme(scheme_path)
+        _check_budget(loaded, length)
+        terms = counting.sequence(loaded, length)
     else:
         terms = _read_terms_file(terms_file)
     try:

@@ -1,28 +1,51 @@
 """Evaluate a scheme as an exact counting algorithm.
 
-A class value a(sigma, n, values) is defined by structural recursion:
+A class value a(sigma, n, values) counts the avoiders of size n whose first
+k = len(sigma) entries take the values i_1 < ... < i_k in the arrangement
+sigma. The scheme defines it by structural recursion:
 
 * 0 if sigma is a zero class, or if the value tuple breaks one of the
   class's forced gaps (sentinels i_0 = 0, i_{k+1} = n+1);
-* 1 when the prefix is the whole permutation (n = k): the class then holds
-  exactly the arrangement sigma itself, which avoids the patterns because
-  non-zero classes do;
-* for an expanded class, the sum over every way to insert one more prefix
-  value into an open slot, handing off to the matching refinement at the
-  same n -- a partition of the class by its next entry, which exists
-  because n > k here;
+* 1 when n = k: the class then holds exactly the arrangement sigma itself;
+* for an expanded class, the sum over every value r that fits into an open
+  slot j of the tuple, of refinement j at the same n with r inserted;
 * for a reduced class, the value of the one-shorter class at n-1 on the
   tuple with the deleted value removed and larger values shifted down.
 
-Expansion grows the prefix (bounded by the scheme depth) and reduction
-shrinks n, so the recursion terminates; all arithmetic is exact Python
-integers. ``sequence`` runs bottom-up in n keeping only two adjacent
-layers alive, which bounds memory by the per-size key count.
+The recursion is compiled once per ``Scheme`` instance into a flat plan.
+Each chain of reductions is followed to the expanded class it ends in (or
+to a zero class), which gives its size drop m, where every surviving value
+lands in the target's tuple, and every forced gap met on the way as the
+equality i_p - i_q = p - q on the root's extended tuple (i_0, ..., i_{k+1}).
+A chain through a class the scheme does not define raises
+``SchemeIntegrityError`` while the plan is compiled. Each insertion slot of
+an expanded class is then one of three forms:
+
+* r is pinned by a gap of the child's chain: one lookup;
+* r is deleted by the chain: the slot's width times one lookup;
+* r survives into coordinate s of the target: a range sum, read as the
+  difference of two prefix sums along s of the target table at n-m.
+
+Gaps that do not involve r are checked once per key. Each expanded class's
+loop over its keys is generated as Python source from its slots and
+compiled; classes of the same shape share that code.
+
+The layers run bottom-up in n and tabulate the expanded classes only,
+longest first, so layer n holds sum over expanded sigma of C(n, len(sigma))
+keys, and only the last (longest chain + 1) layers are kept. ``count_class``
+follows its class's chain and reads one key of the same tables at n - m, so
+no evaluation recurses. All arithmetic is exact Python integers. The plan is
+built on first use and kept on the ``Scheme`` instance; it holds no counts,
+so every call computes its own.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
+from typing import Callable
 
 from .perms import Perm, delete_rank
 from .scheme import Scheme
@@ -30,6 +53,248 @@ from .scheme import Scheme
 
 class SchemeIntegrityError(Exception):
     """A count referenced a class the scheme does not define."""
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """A class followed through its reductions to the class they end in.
+
+    Indices refer to the root's extended tuple (0, i_1, ..., i_k, n+1).
+    """
+
+    target: "Perm | None"  # the expanded class reached; None for a zero class
+    drop: int  # values deleted on the way, so the target is read at n - drop
+    coords: tuple[tuple[int, int], ...]  # per target value: (index, shift down)
+    gaps: tuple[tuple[int, int], ...]  # (q, p): i_p - i_q must equal p - q
+
+
+def _follow(scheme: Scheme, sigma: Perm) -> _Chain:
+    k = len(sigma)
+    alive = list(range(1, k + 1))
+    gaps: list[tuple[int, int]] = []
+    cur = sigma
+    while cur not in scheme.zero and cur not in scheme.expa:
+        entry = scheme.redu.get(cur)
+        if entry is None:
+            raise SchemeIntegrityError(f"class {cur} absent from scheme")
+        ext = [0] + alive + [k + 1]
+        # Every index strictly between two neighbours here was deleted
+        # earlier, so adjacency now means p - q consecutive values then.
+        gaps.extend((ext[g], ext[g + 1]) for g in entry.gaps.sorted_list())
+        del alive[entry.rank - 1]
+        cur = delete_rank(cur, entry.rank)
+    target = None if cur in scheme.zero else cur
+    coords = tuple((a, a - 1 - pos) for pos, a in enumerate(alive))
+    return _Chain(target, k - len(alive), coords, tuple(gaps))
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """Insertion slot j of an expanded class, in the parent's indices.
+
+    The inserted value r lies strictly between i_{j-1} and i_j. ``before``
+    and ``after`` give the target coordinates around r's as (index, shift);
+    ``r_shift`` is None when the chain deletes r.
+    """
+
+    j: int
+    static: tuple[tuple[int, int, int], ...]  # (p, q, c): i_p - i_q == c
+    pins: tuple[tuple[int, int], ...]  # (a, c): r == i_a + c
+    target: Perm
+    drop: int
+    before: tuple[tuple[int, int], ...]
+    r_shift: "int | None"
+    after: tuple[tuple[int, int], ...]
+
+    @property
+    def read(self) -> tuple[int, int, object]:
+        """Where the slot's table sits in a layer: (drop, part, key).
+
+        Part 0 holds the tables by class; part 1 the prefix sums by (class,
+        coordinate), which a slot reads when r runs over its whole range.
+        """
+        if self.r_shift is not None and not self.pins:
+            return self.drop, 1, (self.target, len(self.before))
+        return self.drop, 0, self.target
+
+
+def _slot(j: int, chain: _Chain) -> _Slot:
+    def parent(i: int) -> int:
+        return i if i < j else i - 1
+
+    static, pins = [], []
+    for q, p in chain.gaps:
+        if p == j:
+            pins.append((q, p - q))
+        elif q == j:
+            pins.append((p - 1, q - p))
+        else:
+            static.append((parent(p), parent(q), p - q))
+    return _Slot(
+        j,
+        tuple(static),
+        tuple(pins),
+        chain.target,
+        chain.drop,
+        tuple((a, sh) for a, sh in chain.coords if a < j),
+        next((sh for a, sh in chain.coords if a == j), None),
+        tuple((parent(a), sh) for a, sh in chain.coords if a > j),
+    )
+
+
+def _source(k: int, forced: tuple[int, ...], slots: tuple[_Slot, ...]) -> str:
+    """Python source of one expanded class's table at a size n >= k + 2.
+
+    The key (i_1, ..., i_k) is unpacked into locals and every slot becomes
+    one guarded sum term; slot t reads the table passed as argument t.
+    """
+    names = ["0", *(f"i{a}" for a in range(1, k + 1)), "top"]
+
+    def at(a: int, c: int = 0) -> str:  # i_a + c
+        if a == 0:
+            return str(c)
+        return names[a] + (f" + {c}" if c > 0 else f" - {-c}" if c < 0 else "")
+
+    def key(*parts: "list[str]") -> str:
+        items = [x for part in parts for x in part]
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    params = "".join(f", t{t}" for t in range(len(slots)))
+    lines = [
+        f"def tabulate(n{params}):",
+        "    table = {}",
+        "    top = n + 1",
+        f"    for key in combinations(range(1, top), {k}):",
+    ]
+    if k:
+        lines.append(f"        {', '.join(names[1:k + 1])}, = key")
+    if forced:
+        broken = " or ".join(f"{at(j + 1)} != {at(j, 1)}" for j in forced)
+        lines += [f"        if {broken}:", "            table[key] = 0", "            continue"]
+    lines.append("        total = 0")
+    for t, s in enumerate(slots):
+        j = s.j
+        head = [at(a, -sh) for a, sh in s.before]
+        tail = [at(a, -sh) for a, sh in s.after]
+        static = [f"{at(p)} - {at(q)} == {c}" for p, q, c in s.static]
+        if s.pins:
+            (a, c), *others = s.pins
+            lines.append(f"        r = {at(a, c)}")
+            guard = [f"{at(j - 1)} < r < {at(j)}", *static, *(f"r == {at(b, d)}" for b, d in others)]
+            mid = [] if s.r_shift is None else [f"r - {s.r_shift}" if s.r_shift else "r"]
+            term = f"t{t}[{key(head, mid, tail)}]"
+        else:
+            guard = [f"{at(j - 1, 1)} < {at(j)}", *static]
+            if s.r_shift is None:
+                term = f"t{t}[{key(head, tail)}] * ({at(j, -1)} - {at(j - 1)})"
+            else:
+                term = f"t{t}[{key(head, [at(j, -1 - s.r_shift)], tail)}]"
+                if (s.before[-1][0] if s.before else 0) != j - 1:
+                    # r's lower neighbour was deleted, so its range starts
+                    # above the lowest value of the target coordinate.
+                    term += f" - t{t}.get({key(head, [at(j - 1, -s.r_shift)], tail)}, 0)"
+        lines += [f"        if {' and '.join(guard)}:", f"            total += {term}"]
+    lines += ["        table[key] = total", "    return table"]
+    return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=1024)
+def _table_function(source: str):
+    # Keyed by source, so schemes that share a class shape share its code.
+    namespace = {"combinations": combinations}
+    exec(compile(source, "<scheme table>", "exec"), namespace)
+    return namespace.pop("tabulate")
+
+
+@dataclass(frozen=True)
+class _Expa:
+    """One expanded class as the layer step runs it."""
+
+    sigma: Perm
+    forced: tuple[int, ...]
+    live: tuple[bool, ...]  # refinement j is not a zero class
+    tabulate: Callable[..., dict]  # the table at a size n >= k + 2
+    reads: tuple[tuple[int, int, object], ...]  # per slot, as _Slot.read
+
+
+class _Plan:
+    """The compiled form of one scheme; it holds no counts."""
+
+    def __init__(self, scheme: Scheme) -> None:
+        for sigma in scheme.redu:
+            _follow(scheme, sigma)  # an absent class fails here, not mid-count
+        expa, reads = [], []
+        for sigma in sorted(scheme.expa, key=lambda s: (-len(s), s)):
+            entry = scheme.expa[sigma]
+            own = []
+            for j, child in enumerate(entry.children, start=1):
+                chain = _follow(scheme, child)
+                if chain.target is not None:
+                    own.append(_slot(j, chain))
+            forced = tuple(entry.gaps.sorted_list())
+            live = tuple(child not in scheme.zero for child in entry.children)
+            own_reads = tuple(s.read for s in own)
+            tabulate = _table_function(_source(len(sigma), forced, tuple(own)))
+            expa.append(_Expa(sigma, forced, live, tabulate, own_reads))
+            reads += own_reads
+        self.expa = tuple(expa)
+        self.keep = 1 + max((drop for drop, _, _ in reads), default=0)
+        summed = {key for _, part, key in reads if part}
+        self.prefixed = {e.sigma: sorted(c for t, c in summed if t == e.sigma) for e in expa}
+
+
+def _plan(scheme: Scheme) -> _Plan:
+    # Compiled on first use and kept on the instance, which the frozen
+    # dataclass allows through its __dict__.
+    plan = scheme.__dict__.get("_plan")
+    if plan is None:
+        plan = _Plan(scheme)
+        object.__setattr__(scheme, "_plan", plan)
+    return plan
+
+
+def _tabulate(e: _Expa, n: int, window: list) -> dict:
+    k = len(e.sigma)
+    if n >= k + 2:
+        return e.tabulate(n, *[window[drop][part][key] for drop, part, key in e.reads])
+    if n < k:
+        return {}
+    if n == k:
+        return {tuple(range(1, k + 1)): 1}
+    # n == k + 1: one value is missing, and inserting it fills the tuple.
+    table = {}
+    for values in combinations(range(1, n + 1), k):
+        ext = (0, *values, n + 1)
+        if any(ext[j + 1] != ext[j] + 1 for j in e.forced):
+            table[values] = 0
+        else:
+            table[values] = int(e.live[n * (n + 1) // 2 - sum(values) - 1])
+    return table
+
+
+def _prefix_sums(table: dict, s: int) -> dict:
+    # Keys arrive in lexicographic order, so a key's predecessor along
+    # coordinate s is already summed; a missing one is below the range.
+    out: dict = {}
+    for key, value in table.items():
+        below = key[:s] + (key[s] - 1,) + key[s + 1:]
+        out[key] = value + out.get(below, 0)
+    return out
+
+
+def _layers(plan: _Plan, upto: int):
+    """Yield (n, tables) for n = 0..upto; tables maps each expanded class
+    to its value table at size n."""
+    window: list = []  # window[m] holds the tables and prefix sums of layer n - m
+    for n in range(upto + 1):
+        tables: dict = {}
+        sums: dict = {}
+        window = [(tables, sums)] + window[: plan.keep - 1]
+        for e in plan.expa:
+            table = tables[e.sigma] = _tabulate(e, n, window)
+            for s in plan.prefixed[e.sigma]:
+                sums[e.sigma, s] = _prefix_sums(table, s)
+        yield n, tables
 
 
 def _check_key(sigma: Perm, n: int, values: tuple[int, ...]) -> None:
@@ -42,120 +307,50 @@ def _check_key(sigma: Perm, n: int, values: tuple[int, ...]) -> None:
 
 
 def count_class(scheme: Scheme, sigma: Perm, n: int, values: "tuple[int, ...] | list[int]") -> int:
-    """Exact size of one prefix class, by memoized top-down recursion."""
+    """Exact size of one prefix class: its chain's target key at n - drop."""
     sigma = tuple(sigma)
     vals = tuple(values)
     _check_key(sigma, n, vals)
-    return _eval_recursive(scheme, sigma, n, vals, {})
+    return _class_value(scheme, sigma, n, vals)
 
 
-def _eval_recursive(
-    scheme: Scheme, sigma: Perm, n: int, values: tuple[int, ...], memo: dict
-) -> int:
-    key = (sigma, n, values)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+def _class_value(scheme: Scheme, sigma: Perm, n: int, values: tuple[int, ...]) -> int:
     if sigma in scheme.zero:
-        result = 0
-    else:
-        entry = scheme.expa.get(sigma)
-        rentry = scheme.redu.get(sigma) if entry is None else None
-        if entry is None and rentry is None:
-            raise SchemeIntegrityError(f"class {sigma} absent from scheme")
-        gaps = entry.gaps if entry is not None else rentry.gaps
-        if gaps.violated(values, n):
-            result = 0
-        elif n == len(sigma):
-            result = 1
-        elif entry is not None:
-            ext = (0,) + values + (n + 1,)
-            total = 0
-            for j in range(1, len(sigma) + 2):
-                child = entry.children[j - 1]
-                before, after = values[: j - 1], values[j - 1 :]
-                for r in range(ext[j - 1] + 1, ext[j]):
-                    total += _eval_recursive(scheme, child, n, before + (r,) + after, memo)
-            result = total
-        else:
-            rank = rentry.rank
-            reduced = values[: rank - 1] + tuple(v - 1 for v in values[rank:])
-            result = _eval_recursive(
-                scheme, delete_rank(sigma, rank), n - 1, reduced, memo
-            )
-    memo[key] = result
-    return result
-
-
-def _eval_in_layer(
-    scheme: Scheme,
-    sigma: Perm,
-    n: int,
-    values: tuple[int, ...],
-    cur: dict,
-    prev: dict,
-) -> int:
-    entry = scheme.expa.get(sigma)
-    rentry = scheme.redu.get(sigma) if entry is None else None
-    gaps = entry.gaps if entry is not None else rentry.gaps
-    if gaps.violated(values, n):
+        return 0
+    plan = _plan(scheme)
+    chain = _follow(scheme, sigma)
+    ext = (0, *values, n + 1)
+    if any(ext[p] - ext[q] != p - q for q, p in chain.gaps):
         return 0
     if n == len(sigma):
         return 1
-    if entry is not None:
-        ext = (0,) + values + (n + 1,)
-        total = 0
-        for j in range(1, len(sigma) + 2):
-            child = entry.children[j - 1]
-            if child in scheme.zero:
-                continue
-            if child not in scheme.expa and child not in scheme.redu:
-                raise SchemeIntegrityError(f"class {child} absent from scheme")
-            before, after = values[: j - 1], values[j - 1 :]
-            for r in range(ext[j - 1] + 1, ext[j]):
-                total += cur[(child, before + (r,) + after)]
-        return total
-    rank = rentry.rank
-    smaller = delete_rank(sigma, rank)
-    reduced = values[: rank - 1] + tuple(v - 1 for v in values[rank:])
-    if smaller in scheme.zero:
+    if chain.target is None:
         return 0
-    if smaller not in scheme.expa and smaller not in scheme.redu:
-        raise SchemeIntegrityError(f"class {smaller} absent from scheme")
-    return prev[(smaller, reduced)]
-
-
-def _layer_roots(scheme: Scheme, upto: int):
-    # Longer prefixes first: expansion references same-n tuples of the
-    # refinements, reduction references the completed previous layer.
-    classes = sorted(set(scheme.expa) | set(scheme.redu), key=lambda s: (-len(s), s))
-    prev: dict = {}
-    for n in range(0, upto + 1):
-        cur: dict = {}
-        for sigma in classes:
-            for values in combinations(range(1, n + 1), len(sigma)):
-                cur[(sigma, values)] = _eval_in_layer(scheme, sigma, n, values, cur, prev)
-        yield n, cur[((), ())], len(cur)
-        prev = cur
+    tables: dict = {}
+    for _, tables in _layers(plan, n - chain.drop):
+        pass
+    return tables[chain.target][tuple([ext[a] - sh for a, sh in chain.coords])]
 
 
 def count(scheme: Scheme, n: int) -> int:
     """Number of avoiders of size n according to the scheme."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    for m, root, _ in _layer_roots(scheme, n):
-        if m == n:
-            return root
-    raise AssertionError("unreachable")
+    return _class_value(scheme, (), n, ())
 
 
 def sequence(scheme: Scheme, length: int) -> list[int]:
     """The counts for n = 1..length, computed bottom-up with layer reuse."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    return [root for m, root, _ in _layer_roots(scheme, length) if m >= 1]
+    return [tables[()][()] for n, tables in _layers(_plan(scheme), length) if n >= 1]
 
 
 def layer_key_counts(scheme: Scheme, length: int) -> list[int]:
-    """Number of memo keys per size layer; exposes the polynomial growth."""
-    return [keys for _, _, keys in _layer_roots(scheme, length)]
+    """Keys tabulated per size layer n = 0..length; exposes the polynomial growth."""
+    return [sum(map(len, tables.values())) for _, tables in _layers(_plan(scheme), length)]
+
+
+def layer_keys(scheme: Scheme, n: int) -> int:
+    """Closed-form key count of layer n: sum of C(n, len(sigma)) over expanded sigma."""
+    return sum(comb(n, len(sigma)) for sigma in scheme.expa)

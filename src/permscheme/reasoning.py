@@ -52,8 +52,13 @@ class GapSet:
 
     def violated(self, values: tuple[int, ...], n: int) -> bool:
         """True if a concrete value tuple breaks some forced adjacency."""
-        ext = (0,) + tuple(values) + (n + 1,)
-        return any(ext[j + 1] != ext[j] + 1 for j in self.forced)
+        k = self.k
+        for j in self.forced:
+            below = values[j - 1] if j else 0
+            above = values[j] if j < k else n + 1
+            if above != below + 1:
+                return True
+        return False
 
     def sorted_list(self) -> list[int]:
         return sorted(self.forced)
@@ -289,7 +294,7 @@ def find_bailout(
     return None
 
 
-def certify_gap(sigma: Perm, patterns: PatternSet, j: int, gaps_so_far: GapSet) -> bool:
+def certify_gap(sigma: Perm, patterns: PatternSet, j: int) -> bool:
     """Certify that gap j is forced: i_{j+1} = i_j + 1 in every class member.
 
     Single-witness test: a symbolic value u strictly between i_j and i_{j+1}
@@ -333,23 +338,15 @@ def _gap_witness(sigma: Perm, patterns: PatternSet, j: int) -> tuple[Perm, tuple
 
 
 def compute_gap_set(sigma: Perm, patterns: PatternSet) -> GapSet:
-    """All gaps certifiable as forced, iterated to a fixed point.
+    """All gaps certifiable as forced, each tested once.
 
-    The caller guarantees sigma itself avoids the patterns (classes whose
-    prefix already contains a pattern are empty and handled elsewhere).
+    The witness test of ``certify_gap`` reads no other gap, so one pass over
+    j = 0..k finds every gap it can certify. The caller guarantees sigma
+    itself avoids the patterns (classes whose prefix already contains a
+    pattern are empty and handled elsewhere).
     """
     k = len(sigma)
-    forced: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for j in range(k + 1):
-            if j in forced:
-                continue
-            if certify_gap(sigma, patterns, j, GapSet(k, frozenset(forced))):
-                forced.add(j)
-                changed = True
-    return GapSet(k, frozenset(forced))
+    return GapSet(k, frozenset(j for j in range(k + 1) if certify_gap(sigma, patterns, j)))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import catalan
-from permscheme.cli import main
+from permscheme.cli import KEY_BUDGET, main
 from permscheme.scheme import deserialize
 
 
@@ -93,6 +93,13 @@ class TestSchemeVerify:
         assert result.exit_code == 0
         assert "counts match brute force" in result.stdout
 
+    def test_check_n_zero_still_reports(self, runner, tmp_path):
+        path = tmp_path / "c123.json"
+        invoke(runner, ["scheme", "find", "-p", "123", "--max-depth", "2", "-o", str(path)])
+        result = invoke(runner, ["scheme", "verify", "--scheme", str(path), "--check-n", "0"])
+        assert result.exit_code == 0
+        assert "counts match brute force for n <= 0" in result.stdout
+
     def test_corrupted_document_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{}")
@@ -130,6 +137,16 @@ class TestSequenceAndCount:
         doc = json.loads(as_json.stdout)
         assert doc["schema_version"] == 1
         assert doc["terms"] == [catalan(n) for n in range(1, 9)]
+
+    def test_key_budget_is_usage_error(self, runner, tmp_path):
+        # The {123} scheme tabulates 1 + n keys at size n.
+        path = tmp_path / "c123.json"
+        invoke(runner, ["scheme", "find", "-p", "123", "--max-depth", "2", "-o", str(path)])
+        n = str(KEY_BUDGET)
+        for args in (["count", "-n", n], ["sequence", "-L", n], ["guess", "-L", n]):
+            result = runner.invoke(main, [args[0], "--scheme", str(path), *args[1:]])
+            assert result.exit_code == 2
+            assert f"needs {KEY_BUDGET + 1} keys" in result.output
 
     def test_count_json(self, runner, tmp_path):
         path = tmp_path / "c123.json"

@@ -1,18 +1,20 @@
 import math
+from itertools import combinations
 
 import pytest
 
-from conftest import PBOTH, catalan
+from conftest import PBOTH, catalan, random_pattern_sets
 from permscheme import oracle
 from permscheme.counting import (
     SchemeIntegrityError,
     count,
     count_class,
     layer_key_counts,
+    layer_keys,
     sequence,
 )
 from permscheme.reasoning import GapSet
-from permscheme.scheme import ExpaEntry, ReduEntry, Scheme
+from permscheme.scheme import ExpaEntry, ReduEntry, Scheme, search
 
 
 def reference_count(scheme, sigma, n, values):
@@ -89,6 +91,21 @@ class TestCountClass:
         with pytest.raises(SchemeIntegrityError):
             count_class(scheme123, (3, 1, 2), 4, (1, 2, 3))
 
+    def test_chain_into_absent_class_is_integrity_error(self, scheme_three):
+        # 2314 reduces to 213, which only the reduction chain reaches.
+        assert scheme_three.redu[(2, 3, 1, 4)].rank == 2
+        redu = {s: e for s, e in scheme_three.redu.items() if s != (2, 1, 3)}
+        broken = Scheme(scheme_three.patterns, scheme_three.expa, redu, scheme_three.zero, "certified")
+        with pytest.raises(SchemeIntegrityError, match=r"\(2, 1, 3\)"):
+            sequence(broken, 5)
+        with pytest.raises(SchemeIntegrityError):
+            count_class(broken, (1,), 5, (2,))
+
+    def test_deep_class_is_iterative(self, scheme123):
+        n, i = 1000, 5
+        expect = math.comb(n + i - 2, n - 1) - math.comb(n + i - 2, n)
+        assert count_class(scheme123, (1,), n, (i,)) == expect
+
     def test_malformed_keys_rejected(self, scheme123):
         with pytest.raises(ValueError):
             count_class(scheme123, (1, 2), 4, (3,))
@@ -111,14 +128,58 @@ class TestEvaluatorAgreement:
         seq = sequence(scheme_three, 8)
         assert seq == [oracle.count_avoiders(n, scheme_three.patterns) for n in range(1, 9)]
 
+    def test_every_key_of_the_corpus_matches_reference(self):
+        # The soundness corpus covers reduction chains such as 2413 -> 312
+        # -> 12 under {1234} and chains that carry forced gaps.
+        for pats in random_pattern_sets(97103, 50):
+            scheme = search(pats, 4)
+            if scheme is None:
+                continue
+            for sigma in (*scheme.expa, *scheme.redu, *scheme.zero):
+                for n in range(len(sigma), 9):
+                    for values in combinations(range(1, n + 1), len(sigma)):
+                        got = count_class(scheme, sigma, n, values)
+                        assert got == reference_count(scheme, sigma, n, values), (pats, sigma, n, values)
+
 
 class TestPolynomialGrowth:
     def test_key_count_is_quadratic_for_123(self, scheme123):
         for n, keys in enumerate(layer_key_counts(scheme123, 30)):
             assert keys <= 2 * max(n, 1) ** 2
 
+    def test_layers_hold_expanded_classes_only(self, scheme_three):
+        for n, keys in enumerate(layer_key_counts(scheme_three, 30)):
+            closed_form = sum(math.comb(n, len(sigma)) for sigma in scheme_three.expa)
+            assert keys == closed_form == layer_keys(scheme_three, n)
+
 
 class TestZeroClasses:
+    def test_chain_into_zero_class_matches_reference(self):
+        # Hand-built, so not a valid scheme: 312 reduces into the zero class
+        # 12, and 213 carries the forced gap 0 along its chain.
+        def gaps(k, *forced):
+            return GapSet(k, frozenset(forced))
+
+        scheme = Scheme(
+            patterns=((1, 2),),
+            expa={
+                (): ExpaEntry(gaps(0), ((1,),)),
+                (1,): ExpaEntry(gaps(1), ((2, 1), (1, 2))),
+                (2, 1): ExpaEntry(gaps(2, 1), ((3, 2, 1), (3, 1, 2), (2, 1, 3))),
+            },
+            redu={
+                (3, 2, 1): ReduEntry(1, gaps(3)),
+                (3, 1, 2): ReduEntry(3, gaps(3, 3)),
+                (2, 1, 3): ReduEntry(3, gaps(3, 0)),
+            },
+            zero=frozenset({(1, 2)}),
+            mode="certified",
+        )
+        for sigma in (*scheme.expa, *scheme.redu, *scheme.zero):
+            for n in range(len(sigma), 8):
+                for values in combinations(range(1, n + 1), len(sigma)):
+                    assert count_class(scheme, sigma, n, values) == reference_count(scheme, sigma, n, values)
+
     def test_zero_class_counts_zero(self):
         # Hand-built scheme for the single-point pattern: every class of
         # length >= 1 is empty.

@@ -111,18 +111,18 @@ class TestBailout:
 
 class TestCertifyGap:
     def test_increasing_prefix(self):
-        assert certify_gap((1, 2), P123, 2, NO_GAPS_2)
-        assert not certify_gap((1, 2), P123, 1, NO_GAPS_2)
+        assert certify_gap((1, 2), P123, 2)
+        assert not certify_gap((1, 2), P123, 1)
 
     def test_middle_gap_for_132(self):
-        assert certify_gap((1, 2), P132, 1, NO_GAPS_2)
+        assert certify_gap((1, 2), P132, 1)
 
     def test_class_2413_top_gap(self):
-        assert certify_gap((2, 4, 1, 3), PTHREE, 4, GapSet(4, frozenset()))
+        assert certify_gap((2, 4, 1, 3), PTHREE, 4)
 
     def test_gap_out_of_range(self):
         with pytest.raises(ValueError):
-            certify_gap((1, 2), P123, 3, NO_GAPS_2)
+            certify_gap((1, 2), P123, 3)
 
 
 class TestComputeGapSet:
