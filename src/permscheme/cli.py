@@ -9,9 +9,6 @@ cross-check), 2 usage or input error.
 from __future__ import annotations
 
 import json
-import os
-import sys
-from dataclasses import dataclass
 
 import click
 
@@ -34,24 +31,6 @@ SCHEMA_VERSION = 1
 # In 64-bit CPython a key held about 0.4 KiB at L=100 on {1234,1243,1324},
 # so the largest accepted layer stays near 0.4 GiB.
 KEY_BUDGET = 1_000_000
-
-
-@dataclass
-class RunConfig:
-    threads: int
-
-
-def _read_threads() -> int:
-    raw = os.environ.get("WILF_THREADS")
-    if raw is None:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise click.UsageError(f"WILF_THREADS must be a positive integer, got {raw!r}")
-    if threads < 1:
-        raise click.UsageError(f"WILF_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 def _patterns_arg(text: str) -> PatternSet:
@@ -86,10 +65,8 @@ def _emit_json(payload: dict) -> None:
 
 
 @click.group()
-@click.pass_context
-def main(ctx: click.Context) -> None:
+def main() -> None:
     """Discover and run prefix enumeration schemes for forbidden patterns."""
-    ctx.obj = RunConfig(threads=_read_threads())
 
 
 @main.group("scheme")

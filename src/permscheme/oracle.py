@@ -1,11 +1,15 @@
 """Brute-force ground truth for pattern avoidance on small sizes.
 
-Everything here enumerates: avoiders are generated by depth-first prefix
-extension, pruning any prefix that already contains a forbidden pattern
-(containment is hereditary, so a bad prefix can never recover). That makes
-these routines exact but exponential; they exist to cross-check the
-certified machinery up to n around 10, and to drive the empirical
-(uncertified) variant of the scheme search.
+Everything here enumerates along one depth-first search, ``_iter_avoiders``.
+It extends a prefix one value at a time, in increasing order, and keeps a
+value only if ``perms.ends_occurrence`` finds no forbidden pattern ending
+at it; containment is hereditary, so a pruned prefix could never recover.
+Positions can be pinned to given values, which restricts the search to one
+prefix class. Counting, listing, class membership and the empirical probes
+all read the leaves of that search. The routines are exact but
+exponential; they exist to cross-check the certified machinery up to n
+around 10, and to drive the empirical (uncertified) variant of the scheme
+search.
 """
 
 from __future__ import annotations
@@ -13,69 +17,47 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .perms import PatternSet, Perm, delete_rank, normalize_patterns
+from .perms import PatternSet, Perm, delete_rank, ends_occurrence, normalize_patterns
 from .reasoning import GapSet
 from .scheme import MODE_EMPIRICAL, Scheme, _search_core
 
 DEFAULT_HORIZON = 8
 
 
-def _ends_occurrence(prefix: list[int], last: int, q: Perm) -> bool:
-    # Does appending ``last`` create an occurrence of q ending at it?
-    m = len(q)
-    if m == 1:
-        return True
-    need = m - 1
-    if need > len(prefix):
-        return False
-    q_last = q[m - 1]
-    chosen: list[int] = []
-
-    def rec(start: int, s: int) -> bool:
-        if s == need:
-            return True
-        for idx in range(start, len(prefix) - (need - s) + 1):
-            v = prefix[idx]
-            if (q[s] < q_last) != (v < last):
-                continue
-            if all((q[s2] < q[s]) == (v2 < v) for s2, v2 in enumerate(chosen)):
-                chosen.append(v)
-                if rec(idx + 1, s + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return rec(0, 0)
-
-
-def _safe_extension(prefix: list[int], v: int, patterns: PatternSet) -> bool:
-    return not any(_ends_occurrence(prefix, v, q) for q in patterns)
-
-
 def _iter_avoiders(n: int, patterns: PatternSet, forced: "tuple[int, ...]" = ()) -> Iterator[Perm]:
-    # Lexicographic DFS; positions up to len(forced) take the given values.
+    # Lexicographic DFS with an explicit stack; position j < len(forced)
+    # takes the value forced[j].
     prefix: list[int] = []
     used = [False] * (n + 1)
-
-    def rec() -> Iterator[Perm]:
+    start = 1
+    while True:
         depth = len(prefix)
         if depth == n:
             yield tuple(prefix)
-            return
-        if depth < len(forced):
-            candidates: Iterable[int] = (forced[depth],)
         else:
-            candidates = range(1, n + 1)
-        for v in candidates:
-            if used[v] or not _safe_extension(prefix, v, patterns):
+            if depth < len(forced):
+                top = forced[depth]
+                start = max(start, top)
+            else:
+                top = n
+            for v in range(start, top + 1):
+                if used[v]:
+                    continue
+                for q in patterns:
+                    if ends_occurrence(prefix, v, q):
+                        break
+                else:
+                    used[v] = True
+                    prefix.append(v)
+                    start = 1
+                    break
+            if len(prefix) > depth:  # extended by v
                 continue
-            used[v] = True
-            prefix.append(v)
-            yield from rec()
-            prefix.pop()
-            used[v] = False
-
-    return rec()
+        if not prefix:
+            return
+        v = prefix.pop()
+        used[v] = False
+        start = v + 1
 
 
 def enumerate_avoiders(n: int, patterns: Iterable[Perm]) -> list[Perm]:
@@ -90,33 +72,15 @@ def enumerate_avoiders(n: int, patterns: Iterable[Perm]) -> list[Perm]:
 
 
 def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
-    """Number of avoiders of size n, counted along the pruned search tree."""
+    """Number of avoiders of size n: the leaves of the pruned search tree."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    pats = normalize_patterns(patterns)
-    prefix: list[int] = []
-    used = [False] * (n + 1)
-
-    def rec(depth: int) -> int:
-        if depth == n:
-            return 1
-        total = 0
-        for v in range(1, n + 1):
-            if used[v] or not _safe_extension(prefix, v, pats):
-                continue
-            used[v] = True
-            prefix.append(v)
-            total += rec(depth + 1)
-            prefix.pop()
-            used[v] = False
-        return total
-
-    return rec(0)
+    return sum(1 for _ in _iter_avoiders(n, normalize_patterns(patterns)))
 
 
-def _forced_prefix(sigma: Perm, values: tuple[int, ...]) -> tuple[int, ...]:
+def _class_members(n: int, patterns: PatternSet, sigma: Perm, values: tuple[int, ...]) -> Iterator[Perm]:
     # Position j of a class member holds the sigma_j-th smallest prefix value.
-    return tuple(values[s - 1] for s in sigma)
+    return _iter_avoiders(n, patterns, tuple(values[s - 1] for s in sigma))
 
 
 def prefix_class_members(
@@ -133,13 +97,7 @@ def prefix_class_members(
     if list(vals) != sorted(set(vals)) or any(not 1 <= v <= n for v in vals):
         raise ValueError(f"values must be strictly increasing within 1..{n}: {vals}")
     pats = normalize_patterns(patterns)
-    return set(_iter_avoiders(n, pats, _forced_prefix(sigma, vals)))
-
-
-def _class_nonempty(n: int, patterns: PatternSet, sigma: Perm, values: tuple[int, ...]) -> bool:
-    for _ in _iter_avoiders(n, patterns, _forced_prefix(sigma, values)):
-        return True
-    return False
+    return set(_class_members(n, pats, sigma, vals))
 
 
 def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm], max_n: int = DEFAULT_HORIZON) -> GapSet:
@@ -158,7 +116,7 @@ def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm], max_n: int = DEFAUL
         for values in combinations(range(1, n + 1), k):
             ext = (0,) + values + (n + 1,)
             open_gaps = {j for j in candidates if ext[j + 1] > ext[j] + 1}
-            if open_gaps and _class_nonempty(n, pats, sigma, values):
+            if open_gaps and next(_class_members(n, pats, sigma, values), None) is not None:
                 candidates -= open_gaps
                 if not candidates:
                     return GapSet(k, frozenset())
@@ -188,9 +146,9 @@ def empirical_deletable(
         for values in combinations(range(1, n + 1), k):
             if gaps.violated(values, n):
                 continue
-            left = len(prefix_class_members(n, pats, sigma, values))
+            left = sum(1 for _ in _class_members(n, pats, sigma, values))
             reduced = values[: rank - 1] + tuple(v - 1 for v in values[rank:])
-            right = len(prefix_class_members(n - 1, pats, smaller, reduced))
+            right = sum(1 for _ in _class_members(n - 1, pats, smaller, reduced))
             if left != right:
                 return False
     return True

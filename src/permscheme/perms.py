@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from math import inf
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -50,24 +51,53 @@ def reduce_word(word: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in seq)
 
 
-def _embeds(host: Perm, q: Perm) -> bool:
-    # Backtracking over host positions, pruning on pairwise order consistency.
-    m = len(q)
+def ends_occurrence(prefix: Sequence[int], last: int, q: Sequence[int]) -> bool:
+    """True if appending ``last`` to ``prefix`` creates an occurrence of q ending at it.
+
+    The entries of ``prefix`` and ``last`` must be distinct, and q must be
+    nonempty. Every pattern of length 1 ends at ``last``; a pattern longer
+    than ``prefix`` plus one never does.
+
+    >>> ends_occurrence((2, 5, 1), 4, (1, 3, 2))
+    True
+    >>> ends_occurrence((2, 5, 1), 4, (1, 2, 3))
+    False
+    >>> ends_occurrence((), 5, (1,))
+    True
+    >>> ends_occurrence((), 1, (2, 1))
+    False
+    >>> ends_occurrence((2, 1), 3, (1, 2, 3, 4))
+    False
+    """
+    need = len(q) - 1
+    size = len(prefix)
+    q_last = q[need]
+    # Backtracking with an explicit stack of the prefix indices matched to
+    # q[0], q[1], ...; a candidate for q[s] must lie strictly between the
+    # matched values (``last`` included) nearest to q[s] in the pattern.
     chosen: list[int] = []
-
-    def rec(start: int, s: int) -> bool:
-        if s == m:
-            return True
-        for idx in range(start, len(host) - (m - s) + 1):
-            v = host[idx]
-            if all((q[s2] < q[s]) == (v2 < v) for s2, v2 in enumerate(chosen)):
-                chosen.append(v)
-                if rec(idx + 1, s + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return rec(0, 0)
+    idx = 0
+    while len(chosen) < need:
+        s = len(chosen)
+        q_s = q[s]
+        lo, hi = (-inf, last) if q_s < q_last else (last, inf)
+        for t in range(s):
+            v = prefix[chosen[t]]
+            if q[t] < q_s:
+                if v > lo:
+                    lo = v
+            elif v < hi:
+                hi = v
+        for idx in range(idx, size - need + s + 1):
+            if lo < prefix[idx] < hi:
+                chosen.append(idx)
+                idx += 1
+                break
+        else:
+            if not chosen:
+                return False
+            idx = chosen.pop() + 1
+    return True
 
 
 def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -77,14 +107,16 @@ def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
     True
     >>> contains((3, 2, 1), (1, 2))
     False
+    >>> contains((2, 1), (1, 2, 3))
+    False
     """
     host_t = tuple(host)
-    pattern_t = tuple(pattern)
-    if len(pattern_t) == 0:
+    if not pattern:
         return True
-    if len(pattern_t) > len(host_t):
-        return False
-    return _embeds(host_t, pattern_t)
+    return any(
+        ends_occurrence(host_t[:e], host_t[e], pattern)
+        for e in range(len(pattern) - 1, len(host_t))
+    )
 
 
 def avoids_all(host: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:

@@ -64,10 +64,6 @@ class GapSet:
         return sorted(self.forced)
 
 
-def empty_gaps(k: int) -> GapSet:
-    return GapSet(k, frozenset())
-
-
 @dataclass(frozen=True)
 class PrefixPlace:
     """A position 1..k inside the prefix."""

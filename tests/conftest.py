@@ -1,10 +1,10 @@
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
-from permscheme import normalize_patterns
+from permscheme import normalize_patterns, reduce_word
 from permscheme.scheme import search
 
 P123 = ((1, 2, 3),)
@@ -16,6 +16,16 @@ PTHREE = ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4))
 
 def catalan(n: int) -> int:
     return math.factorial(2 * n) // (math.factorial(n) * math.factorial(n + 1))
+
+
+def order_types(host, m: int) -> set:
+    """The reduced forms of every length-m subsequence of host."""
+    return {reduce_word([host[i] for i in idx]) for idx in combinations(range(len(host)), m)}
+
+
+def naive_contains(host, pattern) -> bool:
+    # Independent of perms.contains: scan every subsequence of the right length.
+    return tuple(pattern) in order_types(host, len(pattern))
 
 
 def random_pattern_sets(seed: int, how_many: int) -> list:

@@ -218,11 +218,3 @@ class TestCompare:
         doc = json.loads(result.stdout)
         assert doc["agree"] is True
         assert doc["a"]["terms"] == doc["b"]["terms"]
-
-
-class TestEnvironment:
-    def test_threads_env_validated(self, runner):
-        result = runner.invoke(main, ["oracle", "count", "-p", "12", "-n", "3"], env={"WILF_THREADS": "bogus"})
-        assert result.exit_code == 2
-        good = runner.invoke(main, ["oracle", "count", "-p", "12", "-n", "3"], env={"WILF_THREADS": "4"})
-        assert good.exit_code == 0

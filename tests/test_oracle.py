@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import P12, P123, PBOTH, PTHREE, catalan
+from conftest import P12, P123, PBOTH, PTHREE, catalan, naive_contains, order_types, random_pattern_sets
 from permscheme.oracle import (
     count_avoiders,
     empirical_deletable,
@@ -12,7 +12,7 @@ from permscheme.oracle import (
     enumerate_avoiders,
     prefix_class_members,
 )
-from permscheme.perms import avoids_all, normalize_patterns
+from permscheme.perms import normalize_patterns
 from permscheme.reasoning import GapSet
 
 
@@ -32,8 +32,21 @@ class TestEnumerate:
     @pytest.mark.parametrize("pats", [P123, PBOTH, ((2, 1, 3),)])
     def test_pruning_matches_filter(self, pats):
         for n in range(0, 7):
-            expect = [p for p in permutations(range(1, n + 1)) if avoids_all(p, pats)]
+            expect = [
+                p for p in permutations(range(1, n + 1)) if not any(naive_contains(p, q) for q in pats)
+            ]
             assert enumerate_avoiders(n, pats) == expect
+
+    def test_corpus_matches_naive_filter(self):
+        # The corpus patterns have length 3 or 4, so each host's order types
+        # of those lengths decide every set at once.
+        corpus = random_pattern_sets(97103, 50)
+        for n in range(0, 8):
+            hosts = list(permutations(range(1, n + 1)))
+            types = [order_types(p, 3) | order_types(p, 4) for p in hosts]
+            for pats in corpus:
+                expect = [p for p, seen in zip(hosts, types) if seen.isdisjoint(pats)]
+                assert enumerate_avoiders(n, pats) == expect, (n, pats)
 
 
 class TestCount:

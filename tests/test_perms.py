@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import naive_contains
 from permscheme.perms import (
     avoids_all,
     complement,
     contains,
     delete_rank,
+    ends_occurrence,
     format_permutation,
     inverse,
     normalize_patterns,
@@ -20,17 +22,6 @@ from permscheme.perms import (
     symmetry_closure,
     symmetry_images,
 )
-
-
-def naive_contains(host, pattern):
-    # Independent route: scan every subsequence of the right length.
-    m = len(pattern)
-    if m > len(host):
-        return False
-    return any(
-        reduce_word([host[i] for i in idx]) == tuple(pattern)
-        for idx in combinations(range(len(host)), m)
-    )
 
 
 perms_up_to = lambda k: st.integers(1, k).flatmap(
@@ -77,6 +68,16 @@ class TestContains:
     @settings(max_examples=150)
     def test_matches_naive_scan(self, host, pattern):
         assert contains(host, pattern) == naive_contains(host, pattern)
+
+    @given(perms_up_to(8), perms_up_to(4))
+    @settings(max_examples=200)
+    def test_end_anchored_matches_subsequence_scan(self, host, pattern):
+        prefix, last = host[:-1], host[-1]
+        expect = any(
+            reduce_word(sub + (last,)) == pattern
+            for sub in combinations(prefix, len(pattern) - 1)
+        )
+        assert ends_occurrence(prefix, last, pattern) == expect
 
     @given(perms_up_to(7))
     def test_contains_own_reduction(self, p):
