@@ -101,6 +101,8 @@ def scheme_find(
         raise click.UsageError("--explain requires --mode certified")
     if mode == MODE_EMPIRICAL and symmetries:
         raise click.UsageError("--symmetries requires --mode certified")
+    if symmetries and explain:
+        raise click.UsageError("--explain cannot be combined with --symmetries")
     log: "list[dict] | None" = [] if explain else None
     label = "identity"
     if mode == MODE_EMPIRICAL:
@@ -114,7 +116,7 @@ def scheme_find(
             label = hit[1]
     else:
         found = search(patterns, max_depth, log)
-    if explain and log is not None:
+    if log is not None:
         for record in log:
             click.echo(json.dumps(record, separators=(",", ":")), err=True)
     if found is None:

@@ -23,11 +23,26 @@ forced gaps) or by a *bail-out*: an occurrence of some forbidden pattern,
 fully implied by the event's order facts, that avoids the examined place.
 The logic is deliberately incomplete: anything it cannot prove is simply not
 certified, so failures cost search depth, never correctness.
+
+Both certificates rest on one search for an implied embedding. Per event,
+the implied order is a table over the available prefix places and the
+event's symbols: two places compare by their ranks in sigma, a place and a
+symbol by the place's rank against the symbol's bounds, and two symbols by
+the event's pattern (or a prefix value between their bounds). The place
+rows depend on sigma alone and are built once per analysis. A pruned
+depth-first search assigns the pattern's slots in order, places first and
+then symbols, each at a larger index than the one before, and checks each
+new slot only against the slots already chosen. Complete assignments come
+out in the order in which ``combinations`` over places and then symbols
+would list the candidates, so the first hit is the one an exhaustive scan
+finds. A gap witness is the same search, on one symbol bounded by i_j and
+i_{j+1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Union
 
@@ -153,15 +168,6 @@ class OrderFacts:
         return self.upper[a] <= self.lower[b]
 
 
-def _places_consistent(sigma: Perm, q: Perm, places: tuple[int, ...]) -> bool:
-    # The prefix values are totally ordered by rank, so the pattern's demand
-    # on each pair of prefix-matched slots is decidable outright.
-    for (x, px), (y, py) in combinations(enumerate(places), 2):
-        if (q[x] < q[y]) != (sigma[px - 1] < sigma[py - 1]):
-            return False
-    return True
-
-
 def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
     """Derive what the event forces about its suffix symbols.
 
@@ -169,6 +175,10 @@ def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
     known order of the prefix values, or some symbol's admissible region
     (the open gaps between its rank bounds, excluding forced ones) is empty,
     so no concrete values can realize the event in any member of the class.
+
+    Each bound is read off the prefix slots alone and needs no propagation
+    along ``less``: the pattern orders all its slots totally, so every
+    prefix slot below a symbol is also below each symbol above it.
     """
     k = len(sigma)
     q = event.pattern
@@ -176,46 +186,39 @@ def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
     d = len(places)
     if d > len(q) or d > k:
         raise ValueError(f"event maps {d} slots onto a length-{min(len(q), k)} space")
-    if any(not 1 <= p <= k for p in places) or list(places) != sorted(set(places)):
+    if list(places) != sorted(set(places)) or (places and not 1 <= places[0] <= places[-1] <= k):
         raise ValueError(f"places must be strictly increasing within 1..{k}: {places}")
 
-    if not _places_consistent(sigma, q, places):
+    # The prefix values are totally ordered by rank, so the pattern's demand
+    # on the prefix-matched slots is decided outright: their ranks must be in
+    # the same relative order as the slots' pattern values.
+    ranks = [sigma[p - 1] for p in places]
+    if d > 1 and sorted(range(d), key=ranks.__getitem__) != sorted(range(d), key=q.__getitem__):
         return None
 
-    s = len(q) - d
-    lower = [0] * s
-    upper = [k + 1] * s
-    for sym_slot in range(d, len(q)):
-        u = sym_slot - d
-        for pre_slot in range(d):
-            rank = sigma[places[pre_slot] - 1]
-            if q[pre_slot] < q[sym_slot]:
-                lower[u] = max(lower[u], rank)
-            else:
-                upper[u] = min(upper[u], rank)
-
-    less = frozenset(
-        (a, b) for a in range(s) for b in range(s) if a != b and q[d + a] < q[d + b]
-    )
-
-    # Propagate bounds along the symbol order until stable.
-    changed = True
-    while changed:
-        changed = False
-        for a, b in less:
-            if lower[a] > lower[b]:
-                lower[b] = lower[a]
-                changed = True
-            if upper[b] < upper[a]:
-                upper[a] = upper[b]
-                changed = True
-
-    for u in range(s):
-        region = (g for g in range(lower[u], upper[u]))
-        if not any(g not in gaps.forced for g in region):
+    forced = gaps.forced
+    lower = []
+    upper = []
+    for value in q[d:]:
+        floor, ceiling = 0, k + 1
+        for slot in range(d):
+            rank = ranks[slot]
+            if q[slot] < value:
+                if rank > floor:
+                    floor = rank
+            elif rank < ceiling:
+                ceiling = rank
+        # More gaps than forced ones always leave one open.
+        if ceiling - floor <= len(forced) and all(g in forced for g in range(floor, ceiling)):
             return None
+        lower.append(floor)
+        upper.append(ceiling)
+    return OrderFacts(k, tuple(lower), tuple(upper), _suffix_order(q[d:]))
 
-    return OrderFacts(k, tuple(lower), tuple(upper), less)
+
+@lru_cache(maxsize=1024)
+def _suffix_order(values: Perm) -> frozenset[tuple[int, int]]:
+    return frozenset((a, b) for a, x in enumerate(values) for b, y in enumerate(values) if x < y)
 
 
 def _relation_implied(
@@ -248,12 +251,113 @@ def embedding_implied(
     """Check that every value relation q demands holds necessarily.
 
     ``descriptors`` assigns q's slots, in order, to prefix places followed by
-    suffix symbols of the event that produced ``facts``.
+    suffix symbols of the event that produced ``facts``. The searches below
+    do not call it; it is the slot-by-slot statement of what they find.
     """
     for x, y in combinations(range(len(q)), 2):
         if not _relation_implied(sigma, facts, q, x, y, descriptors[x], descriptors[y]):
             return False
     return True
+
+
+# The relation table of one event: node x < len(avail) is prefix place
+# avail[x], node len(avail) + u is suffix symbol u (0-based). Row x is a
+# pair of bit masks over the nodes: ``above[x]`` has bit y when x < y is
+# implied, ``below[x]`` has bit y when y < x is. The place rows come from
+# sigma alone, so one analysis builds them once for all its events.
+PlaceRows = tuple[list[int], list[int], list[int]]  # ranks of avail, above, below
+
+
+def _place_rows(sigma: Perm, avail: list[int]) -> PlaceRows:
+    """The place-place part of the table: prefix values compare by rank."""
+    ranks = [sigma[p - 1] for p in avail]
+    below = [0] * len(ranks)
+    seen = 0
+    for x in sorted(range(len(ranks)), key=ranks.__getitem__):
+        below[x] = seen
+        seen |= 1 << x
+    above = [seen ^ mask ^ (1 << x) for x, mask in enumerate(below)]
+    return ranks, above, below
+
+
+def _relation_rows(rows: PlaceRows, facts: OrderFacts) -> tuple[list[int], list[int]]:
+    """The whole table: the place rows plus one row per symbol of ``facts``."""
+    ranks = rows[0]
+    n_places = len(ranks)
+    n_syms = len(facts.lower)
+    above = rows[1] + [0] * n_syms
+    below = rows[2] + [0] * n_syms
+    for u, (floor, ceiling) in enumerate(zip(facts.lower, facts.upper)):
+        node = n_places + u
+        bit = 1 << node
+        for x, rank in enumerate(ranks):
+            if rank <= floor:
+                above[x] |= bit
+                below[node] |= 1 << x
+            elif rank >= ceiling:
+                below[x] |= bit
+                above[node] |= 1 << x
+        for b in range(n_syms):
+            if b != u and facts.implies_less(u, b):
+                above[node] |= 1 << (n_places + b)
+                below[n_places + b] |= bit
+    return above, below
+
+
+@lru_cache(maxsize=1024)
+def _slot_tests(q: Perm) -> tuple[tuple[tuple[int, bool], ...], ...]:
+    """Per slot of q: (earlier slot, is it below this one) for each earlier slot."""
+    return tuple(tuple((j, q[j] < q[i]) for j in range(i)) for i in range(len(q)))
+
+
+def _first_embedding(
+    above: list[int], below: list[int], n_places: int, q: Perm, d: int
+) -> tuple[int, ...] | None:
+    """First implied embedding of q with d slots on places, in table order.
+
+    Slots are assigned in order, each at a larger node than the one before
+    (places precede symbols among the nodes) and leaving enough nodes of its
+    kind for the slots after it; a slot's candidate mask keeps only the
+    nodes that relate as q demands to every slot already chosen. So
+    complete assignments come out in the order of ``combinations`` over the
+    places and then over the symbols, minus those the table refutes.
+    """
+    m = len(q)
+    tests = _slot_tests(q)
+    chosen: list[int] = []
+    untried: list[int] = []  # the candidates left for each chosen slot
+    while True:
+        i = len(chosen)
+        if i == m:
+            return tuple(chosen)
+        first, last = (i, n_places - d + i) if i < d else (n_places + i - d, len(above) - m + i)
+        if chosen and chosen[-1] >= first:
+            first = chosen[-1] + 1
+        mask = (1 << (last + 1)) - (1 << first) if first <= last else 0
+        for j, is_below in tests[i]:
+            mask &= above[chosen[j]] if is_below else below[chosen[j]]
+        while not mask:
+            if not chosen:
+                return None
+            chosen.pop()
+            mask = untried.pop()
+        low = mask & -mask
+        untried.append(mask ^ low)
+        chosen.append(low.bit_length() - 1)
+
+
+def _bailout(avail: list[int], rows: PlaceRows, facts: OrderFacts, patterns: PatternSet) -> Bailout | None:
+    above, below = _relation_rows(rows, facts)
+    n_places = len(avail)
+    n_syms = len(facts.lower)
+    for q in patterns:
+        m = len(q)
+        for d in range(min(m, n_places), max(m - n_syms, 0) - 1, -1):
+            nodes = _first_embedding(above, below, n_places, q, d)
+            if nodes is not None:
+                places = tuple(avail[x] for x in nodes[:d])
+                return Bailout(q, places, tuple(x - n_places + 1 for x in nodes[d:]))
+    return None
 
 
 def find_bailout(
@@ -268,26 +372,24 @@ def find_bailout(
     Candidate occurrences draw their entries from the remaining prefix places
     and from the event's own suffix symbols (any subset, kept in index
     order). A hit certifies that the event cannot be the only violation.
+
+    Candidates are tried pattern by pattern in the set's order; within a
+    pattern, by the number of prefix places d, largest first; within d, by
+    the places in lexicographic order, then by the symbols in lexicographic
+    order. The first candidate whose every relation is implied is returned.
+    For the class 2413 of {1234,1243,1324} and the event that puts the 1 of
+    1234 on place 1, the smallest prefix value starts an occurrence on the
+    three symbols:
+
+    >>> find_bailout((2, 4, 1, 3), GapSet(4, frozenset({4})), Event((1, 2, 3, 4), (1,)), 1,
+    ...              ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4)))
+    Bailout(pattern=(1, 2, 3, 4), places=(3,), symbols=(1, 2, 3))
     """
     facts = order_facts(sigma, gaps, event)
     if facts is None:
         raise ValueError("event is vacuous; nothing to bail out")
-    k = len(sigma)
-    avail = [p for p in range(1, k + 1) if p != excluded_place]
-    n_syms = event.num_symbols
-    for q in patterns:
-        m = len(q)
-        for d in range(min(m, len(avail)), -1, -1):
-            if m - d > n_syms:
-                continue
-            for places in combinations(avail, d):
-                if not _places_consistent(sigma, q, places):
-                    continue
-                for syms in combinations(range(1, n_syms + 1), m - d):
-                    cand = Bailout(q, places, syms)
-                    if embedding_implied(sigma, facts, q, cand.descriptors()):
-                        return cand
-    return None
+    avail = [p for p in range(1, len(sigma) + 1) if p != excluded_place]
+    return _bailout(avail, _place_rows(sigma, avail), facts, patterns)
 
 
 def certify_gap(sigma: Perm, patterns: PatternSet, j: int) -> bool:
@@ -303,46 +405,34 @@ def certify_gap(sigma: Perm, patterns: PatternSet, j: int) -> bool:
     k = len(sigma)
     if not 0 <= j <= k:
         raise ValueError(f"gap index {j} outside 0..{k}")
-    return _gap_witness(sigma, patterns, j) is not None
+    return _gap_witnessed(_place_rows(sigma, list(range(1, k + 1))), patterns, j)
 
 
-def _gap_witness(sigma: Perm, patterns: PatternSet, j: int) -> tuple[Perm, tuple[int, ...]] | None:
-    k = len(sigma)
-    for q in patterns:
-        m = len(q)
-        d = m - 1
-        if d > k:
-            continue
-        for places in combinations(range(1, k + 1), d):
-            if not _places_consistent(sigma, q, places):
-                continue
-            ok = True
-            for slot in range(d):
-                rank = sigma[places[slot] - 1]
-                if q[slot] < q[m - 1]:
-                    # u must exceed this prefix value: known since u > i_j.
-                    if rank > j:
-                        ok = False
-                        break
-                else:
-                    if rank < j + 1:
-                        ok = False
-                        break
-            if ok:
-                return q, places
-    return None
+def _gap_witnessed(rows: PlaceRows, patterns: PatternSet, j: int) -> bool:
+    # The witness u is one symbol with rank bounds (j, j+1) that ends the
+    # pattern after m-1 prefix places: the bail-out question, asked of the
+    # whole prefix.
+    k = len(rows[0])
+    # u needs q[-1]-1 places below it, of the j with rank <= j, and the
+    # rest above it, of the k-j others.
+    fits = [q for q in patterns if q[-1] - 1 <= j <= k - len(q) + q[-1]]
+    if not fits:
+        return False
+    above, below = _relation_rows(rows, OrderFacts(k, (j,), (j + 1,), frozenset()))
+    return any(_first_embedding(above, below, k, q, len(q) - 1) is not None for q in fits)
 
 
 def compute_gap_set(sigma: Perm, patterns: PatternSet) -> GapSet:
     """All gaps certifiable as forced, each tested once.
 
     The witness test of ``certify_gap`` reads no other gap, so one pass over
-    j = 0..k finds every gap it can certify. The caller guarantees sigma
-    itself avoids the patterns (classes whose prefix already contains a
-    pattern are empty and handled elsewhere).
+    j = 0..k finds every gap it can certify, on place rows built once. The
+    caller guarantees sigma itself avoids the patterns (classes whose prefix
+    already contains a pattern are empty and handled elsewhere).
     """
     k = len(sigma)
-    return GapSet(k, frozenset(j for j in range(k + 1) if certify_gap(sigma, patterns, j)))
+    rows = _place_rows(sigma, list(range(1, k + 1)))
+    return GapSet(k, frozenset(j for j in range(k + 1) if _gap_witnessed(rows, patterns, j)))
 
 
 @dataclass(frozen=True)
@@ -366,13 +456,14 @@ class DeletionAnalysis:
 
 
 def _events_at_place(sigma: Perm, patterns: PatternSet, t: int) -> Iterator[Event]:
-    k = len(sigma)
+    # Adding t to two (d-1)-sets of the other places leaves their symmetric
+    # difference alone, so the events come in the lexicographic order of
+    # their place tuples, as if every d-tuple were listed and filtered.
+    others = [p for p in range(1, len(sigma) + 1) if p != t]
     for q in patterns:
-        m = len(q)
-        for d in range(1, min(m, k) + 1):
-            for places in combinations(range(1, k + 1), d):
-                if t in places:
-                    yield Event(q, places)
+        for d in range(1, min(len(q), len(sigma)) + 1):
+            for rest in combinations(others, d - 1):
+                yield Event(q, tuple(sorted((*rest, t))))
 
 
 def analyze_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int) -> DeletionAnalysis:
@@ -386,6 +477,8 @@ def analyze_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int
     if not 1 <= rank <= len(sigma):
         raise ValueError(f"rank {rank} out of range for length {len(sigma)}")
     t = sigma.index(rank) + 1
+    avail = [p for p in range(1, len(sigma) + 1) if p != t]
+    rows = _place_rows(sigma, avail)
     outcomes: list[EventOutcome] = []
     certified = True
     for event in _events_at_place(sigma, patterns, t):
@@ -393,7 +486,7 @@ def analyze_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int
         if facts is None:
             outcomes.append(EventOutcome(event, "vacuous", None))
             continue
-        bailout = find_bailout(sigma, gaps, event, t, patterns)
+        bailout = _bailout(avail, rows, facts, patterns)
         if bailout is None:
             outcomes.append(EventOutcome(event, "unresolved", None))
             certified = False

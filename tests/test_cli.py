@@ -80,6 +80,12 @@ class TestSchemeFind:
         result = runner.invoke(main, ["scheme", "find", "-p", "123", "--max-depth", "2", "--mode", "empirical", "--explain"])
         assert result.exit_code == 2
 
+    def test_explain_with_symmetries_is_usage_error(self, runner):
+        # The symmetric search keeps no log, so the pair would print none.
+        result = runner.invoke(main, ["scheme", "find", "-p", "321", "--max-depth", "2", "--symmetries", "--explain"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
     def test_byte_identical_outputs(self, runner):
         args = ["scheme", "find", "-p", "1234,1243,1324", "--max-depth", "4"]
         assert invoke(runner, args).stdout == invoke(runner, args).stdout

@@ -1,13 +1,17 @@
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import P12, P123, P132, PTHREE, random_pattern_sets
 from permscheme.oracle import empirical_deletable, empirical_gap_set, prefix_class_members
 from permscheme.perms import avoids_all, reduce_word
 from permscheme.reasoning import (
+    Bailout,
     Event,
     GapSet,
+    OrderFacts,
     analyze_deletable,
     certify_deletable,
     certify_gap,
@@ -70,6 +74,24 @@ class TestOrderFacts:
             assert first == second
 
 
+    @given(
+        st.integers(1, 6).flatmap(lambda k: st.permutations(list(range(1, k + 1))).map(tuple)),
+        st.integers(1, 5).flatmap(lambda m: st.permutations(list(range(1, m + 1))).map(tuple)),
+        st.data(),
+    )
+    @settings(max_examples=200)
+    def test_bounds_closed_along_symbol_order(self, sigma, q, data):
+        # A propagation pass along ``less`` would have nothing to move.
+        d = data.draw(st.integers(0, min(len(q), len(sigma))))
+        places = data.draw(st.sets(st.integers(1, len(sigma)), min_size=d, max_size=d))
+        facts = order_facts(sigma, GapSet(len(sigma), frozenset()), Event(q, tuple(sorted(places))))
+        if facts is None:
+            return
+        for a, b in facts.less:
+            assert facts.lower[a] <= facts.lower[b]
+            assert facts.upper[a] <= facts.upper[b]
+
+
 class TestBailout:
     def test_event_one_bails_via_smallest_prefix_value(self):
         gaps = GapSet(4, frozenset({4}))
@@ -107,6 +129,73 @@ class TestBailout:
     def test_vacuous_event_rejected(self):
         with pytest.raises(ValueError):
             find_bailout((2, 1), NO_GAPS_2, Event((1, 3, 2), (1, 2)), 1, P132)
+
+
+def reference_bailout(sigma, gaps, event, excluded_place, patterns):
+    # Every candidate in the documented order, each checked by embedding_implied.
+    facts = order_facts(sigma, gaps, event)
+    avail = [p for p in range(1, len(sigma) + 1) if p != excluded_place]
+    for q in patterns:
+        m = len(q)
+        for d in range(min(m, len(avail)), -1, -1):
+            for places in combinations(avail, d):
+                for symbols in combinations(range(1, event.num_symbols + 1), m - d):
+                    candidate = Bailout(q, places, symbols)
+                    if embedding_implied(sigma, facts, q, candidate.descriptors()):
+                        return candidate
+    return None
+
+
+def reference_gap(sigma, patterns, j):
+    # One symbol strictly between i_j and i_{j+1}, after every prefix place.
+    k = len(sigma)
+    facts = OrderFacts(k, (j,), (j + 1,), frozenset())
+    return any(
+        embedding_implied(sigma, facts, q, Bailout(q, places, (1,)).descriptors())
+        for q in patterns
+        if len(q) - 1 <= k
+        for places in combinations(range(1, k + 1), len(q) - 1)
+    )
+
+
+class TestSearchAgainstReference:
+    SIGMAS = [s for k in range(1, 5) for s in permutations(range(1, k + 1))]
+
+    @pytest.mark.parametrize("seed", [97103, 4207])
+    def test_bailouts_and_events_match_exhaustive_scan(self, seed):
+        for pats in random_pattern_sets(seed, 6):
+            for sigma in self.SIGMAS:
+                if not avoids_all(sigma, pats):
+                    continue
+                k = len(sigma)
+                gaps = compute_gap_set(sigma, pats)
+                for t in range(1, k + 1):
+                    # Every event through place t, listed by filtering all place tuples.
+                    events = [
+                        Event(q, places)
+                        for q in pats
+                        for d in range(1, min(len(q), k) + 1)
+                        for places in combinations(range(1, k + 1), d)
+                        if t in places
+                    ]
+                    analysis = analyze_deletable(sigma, pats, gaps, sigma[t - 1])
+                    assert [o.event for o in analysis.outcomes] == events[: len(analysis.outcomes)]
+                    if analysis.certified:
+                        assert len(analysis.outcomes) == len(events)
+                    for event in events:
+                        if order_facts(sigma, gaps, event) is None:
+                            continue
+                        expect = reference_bailout(sigma, gaps, event, t, pats)
+                        assert find_bailout(sigma, gaps, event, t, pats) == expect, (pats, sigma, event)
+
+    @pytest.mark.parametrize("seed", [97103, 4207])
+    def test_gaps_match_witness_scan(self, seed):
+        for pats in random_pattern_sets(seed, 8):
+            for sigma in self.SIGMAS:
+                if not avoids_all(sigma, pats):
+                    continue
+                for j in range(len(sigma) + 1):
+                    assert certify_gap(sigma, pats, j) == reference_gap(sigma, pats, j), (pats, sigma, j)
 
 
 class TestCertifyGap:
