@@ -2,22 +2,28 @@
 
 Everything here enumerates along one depth-first search, ``_iter_avoiders``.
 It extends a prefix one value at a time, in increasing order, and keeps a
-value only if ``perms.ends_occurrence`` finds no forbidden pattern ending
-at it; containment is hereditary, so a pruned prefix could never recover.
+value only if no forbidden pattern ends at it; containment is hereditary,
+so a pruned prefix could never recover. The test is
+``perms.ends_with_bounds`` on slot bounds that ``perms.slot_bounds``
+compiles once per pattern; each search fetches them before its loop.
 Positions can be pinned to given values, which restricts the search to one
-prefix class. Counting, listing, class membership and the empirical probes
-all read the leaves of that search. The routines are exact but
-exponential; they exist to cross-check the certified machinery up to n
-around 10, and to drive the empirical (uncertified) variant of the scheme
-search.
+prefix class. Counting, listing and class membership read the leaves of
+that search. The empirical probes read class sizes from per-size prefix
+tallies (``_PrefixTally``): one search per size, whose avoiders are counted
+by their first k entries. A tally lives for one ``empirical_scheme_search``
+call, or for one call of ``empirical_gap_set`` or ``empirical_deletable``;
+nothing is kept across calls. The routines are exact but exponential; they
+exist to cross-check the certified machinery up to n around 10, and to
+drive the empirical (uncertified) variant of the scheme search.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .perms import PatternSet, Perm, delete_rank, ends_occurrence, normalize_patterns
+from .perms import PatternSet, Perm, delete_rank, ends_with_bounds, normalize_patterns, slot_bounds
 from .reasoning import GapSet
 from .scheme import MODE_EMPIRICAL, Scheme, _search_core
 
@@ -27,36 +33,41 @@ DEFAULT_HORIZON = 8
 def _iter_avoiders(n: int, patterns: PatternSet, forced: "tuple[int, ...]" = ()) -> Iterator[Perm]:
     # Lexicographic DFS with an explicit stack; position j < len(forced)
     # takes the value forced[j].
+    plans = [slot_bounds(q) for q in patterns]
+    pinned = len(forced)
     prefix: list[int] = []
     used = [False] * (n + 1)
     start = 1
+    depth = 0
     while True:
-        depth = len(prefix)
         if depth == n:
             yield tuple(prefix)
         else:
-            if depth < len(forced):
+            if depth < pinned:
                 top = forced[depth]
                 start = max(start, top)
             else:
                 top = n
             for v in range(start, top + 1):
-                if used[v]:
-                    continue
-                for q in patterns:
-                    if ends_occurrence(prefix, v, q):
+                if not used[v]:
+                    for bounds in plans:
+                        if ends_with_bounds(prefix, v, bounds):
+                            break
+                    else:
                         break
-                else:
-                    used[v] = True
-                    prefix.append(v)
-                    start = 1
-                    break
-            if len(prefix) > depth:  # extended by v
+            else:
+                v = 0  # no value extends the prefix
+            if v:
+                used[v] = True
+                prefix.append(v)
+                depth += 1
+                start = 1
                 continue
-        if not prefix:
+        if not depth:
             return
         v = prefix.pop()
         used[v] = False
+        depth -= 1
         start = v + 1
 
 
@@ -78,11 +89,6 @@ def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
     return sum(1 for _ in _iter_avoiders(n, normalize_patterns(patterns)))
 
 
-def _class_members(n: int, patterns: PatternSet, sigma: Perm, values: tuple[int, ...]) -> Iterator[Perm]:
-    # Position j of a class member holds the sigma_j-th smallest prefix value.
-    return _iter_avoiders(n, patterns, tuple(values[s - 1] for s in sigma))
-
-
 def prefix_class_members(
     n: int, patterns: Iterable[Perm], sigma: Perm, values: Iterable[int]
 ) -> set[Perm]:
@@ -97,7 +103,65 @@ def prefix_class_members(
     if list(vals) != sorted(set(vals)) or any(not 1 <= v <= n for v in vals):
         raise ValueError(f"values must be strictly increasing within 1..{n}: {vals}")
     pats = normalize_patterns(patterns)
-    return set(_class_members(n, pats, sigma, vals))
+    # Position j of a class member holds the sigma_j-th smallest prefix value.
+    return set(_iter_avoiders(n, pats, tuple(vals[s - 1] for s in sigma)))
+
+
+class _PrefixTally:
+    """Prefix-class sizes of one pattern set, counted from one DFS per size.
+
+    The class (sigma, values) at size n holds the avoiders p of size n with
+    p[:k] == (values[sigma_1 - 1], ..., values[sigma_k - 1]). So one pass
+    over the avoiders of size n, counted by p[:k] for every k <= depth,
+    sizes every class of length at most depth at that size. A size is
+    tallied on its first probe, and the tallies live as long as the object.
+    """
+
+    def __init__(self, patterns: PatternSet, depth: int) -> None:
+        self.patterns = patterns
+        self.depth = depth
+        self._by_size: dict[int, Counter[Perm]] = {}
+
+    def size(self, n: int, sigma: Perm, values: tuple[int, ...]) -> int:
+        tally = self._by_size.get(n)
+        if tally is None:
+            ks = range(min(self.depth, n) + 1)
+            tally = Counter(p[:k] for p in _iter_avoiders(n, self.patterns) for k in ks)
+            self._by_size[n] = tally
+        return tally[tuple(values[s - 1] for s in sigma)]
+
+
+def _gap_set(sigma: Perm, tally: _PrefixTally, max_n: int) -> GapSet:
+    k = len(sigma)
+    if max_n < k:
+        raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
+    candidates = set(range(k + 1))
+    for n in range(k, max_n + 1):
+        for values in combinations(range(1, n + 1), k):
+            ext = (0,) + values + (n + 1,)
+            open_gaps = {j for j in candidates if ext[j + 1] > ext[j] + 1}
+            if open_gaps and tally.size(n, sigma, values):
+                candidates -= open_gaps
+                if not candidates:
+                    return GapSet(k, frozenset())
+    return GapSet(k, frozenset(candidates))
+
+
+def _deletable(sigma: Perm, tally: _PrefixTally, gaps: GapSet, rank: int, max_n: int) -> bool:
+    k = len(sigma)
+    if not 1 <= rank <= k:
+        raise ValueError(f"rank {rank} out of range for length {k}")
+    if max_n < k:
+        raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
+    smaller = delete_rank(sigma, rank)
+    for n in range(k, max_n + 1):
+        for values in combinations(range(1, n + 1), k):
+            if gaps.violated(values, n):
+                continue
+            reduced = values[: rank - 1] + tuple(v - 1 for v in values[rank:])
+            if tally.size(n, sigma, values) != tally.size(n - 1, smaller, reduced):
+                return False
+    return True
 
 
 def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm], max_n: int = DEFAULT_HORIZON) -> GapSet:
@@ -107,20 +171,7 @@ def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm], max_n: int = DEFAUL
     i_j and i_{j+1} non-adjacent (sentinels i_0 = 0, i_{k+1} = n+1). Unlike
     the certified gap set this is evidence, not proof.
     """
-    k = len(sigma)
-    if max_n < k:
-        raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
-    pats = normalize_patterns(patterns)
-    candidates = set(range(k + 1))
-    for n in range(k, max_n + 1):
-        for values in combinations(range(1, n + 1), k):
-            ext = (0,) + values + (n + 1,)
-            open_gaps = {j for j in candidates if ext[j + 1] > ext[j] + 1}
-            if open_gaps and next(_class_members(n, pats, sigma, values), None) is not None:
-                candidates -= open_gaps
-                if not candidates:
-                    return GapSet(k, frozenset())
-    return GapSet(k, frozenset(candidates))
+    return _gap_set(sigma, _PrefixTally(normalize_patterns(patterns), len(sigma)), max_n)
 
 
 def empirical_deletable(
@@ -135,23 +186,10 @@ def empirical_deletable(
     For every tested size and every value tuple obeying the forced gaps, the
     class must have exactly as many members as the reduced class one size
     down. Deletion always injects into the reduced class, so equal
-    cardinality is equivalent to the deletion being onto.
+    cardinality is equivalent to the deletion being onto. ``max_n`` must be
+    at least the length of sigma, as for ``empirical_gap_set``.
     """
-    k = len(sigma)
-    if not 1 <= rank <= k:
-        raise ValueError(f"rank {rank} out of range for length {k}")
-    pats = normalize_patterns(patterns)
-    smaller = delete_rank(sigma, rank)
-    for n in range(k, max_n + 1):
-        for values in combinations(range(1, n + 1), k):
-            if gaps.violated(values, n):
-                continue
-            left = sum(1 for _ in _class_members(n, pats, sigma, values))
-            reduced = values[: rank - 1] + tuple(v - 1 for v in values[rank:])
-            right = sum(1 for _ in _class_members(n - 1, pats, smaller, reduced))
-            if left != right:
-                return False
-    return True
+    return _deletable(sigma, _PrefixTally(normalize_patterns(patterns), len(sigma)), gaps, rank, max_n)
 
 
 def empirical_scheme_search(
@@ -164,13 +202,14 @@ def empirical_scheme_search(
     ``max_n``. The resulting scheme is marked empirical and may be wrong.
     """
     pats = normalize_patterns(patterns)
+    tally = _PrefixTally(pats, max_depth)
 
     def gap_fn(sigma: Perm) -> GapSet:
-        return empirical_gap_set(sigma, pats, max_n)
+        return _gap_set(sigma, tally, max_n)
 
     def rank_fn(sigma: Perm, gaps: GapSet) -> int | None:
         for rank in range(1, len(sigma) + 1):
-            if empirical_deletable(sigma, pats, gaps, rank, max_n):
+            if _deletable(sigma, tally, gaps, rank, max_n):
                 return rank
         return None
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from functools import lru_cache
 from math import inf
 from typing import Iterable, Sequence
 
@@ -51,12 +52,98 @@ def reduce_word(word: Sequence[int]) -> Perm:
     return tuple(rank[v] for v in seq)
 
 
+# Positions in the row of matched values that ``ends_with_bounds`` reads a
+# bound from, besides the slots 0, 1, ... themselves.
+_NO_LOWER, _NO_UPPER, _LAST = -3, -2, -1
+
+
+@lru_cache(maxsize=1024)
+def slot_bounds(q: Perm) -> tuple[tuple[int, int], ...]:
+    """For each slot of q but the last, where its lower and upper bound come from.
+
+    A match of q ending at ``last`` fills slots 0, 1, ... of q in order. The
+    values matched so far are order-isomorphic to their part of q, so a
+    candidate for slot s only has to lie between two of them: the one
+    holding the largest q-value below q[s], and the one holding the smallest
+    q-value above it. Entry s names those two as a slot index t < s, as -1
+    for ``last``, or as -3 (below) and -2 (above) when there is none.
+
+    >>> slot_bounds((1, 3, 2, 4))
+    ((-3, -1), (0, -1), (0, 1))
+    >>> slot_bounds((1,))
+    ()
+    """
+    need = len(q) - 1
+    plan = []
+    for s in range(need):
+        matched = [(q[t], t) for t in range(s)] + [(q[need], _LAST)]
+        below = [m for m in matched if m[0] < q[s]]
+        above = [m for m in matched if m[0] > q[s]]
+        plan.append((max(below)[1] if below else _NO_LOWER, min(above)[1] if above else _NO_UPPER))
+    return tuple(plan)
+
+
+def ends_with_bounds(prefix: Sequence[int], last: int, bounds: tuple[tuple[int, int], ...]) -> bool:
+    """``ends_occurrence`` for the pattern whose ``slot_bounds`` are given."""
+    need = len(bounds)
+    if need == 0:
+        return True
+    # Slot s may take prefix indices below stop + s, which leaves room for
+    # the slots after it.
+    stop = len(prefix) - need + 1
+    if stop <= 0:
+        return False
+    # Slot 0 is bounded by ``last`` alone; the deeper slots are matched by
+    # backtracking over an explicit stack, where row[s] is the value matched
+    # to slot s, chosen[s] its prefix index, and row[-3:] the sentinels and
+    # ``last``. The stack is built on the first candidate for slot 0.
+    lo_at, hi_at = bounds[0]
+    ends = (-inf, inf, last)
+    lo0 = ends[lo_at]
+    hi0 = ends[hi_at]
+    row = None
+    for first in range(stop):
+        v = prefix[first]
+        if not lo0 < v < hi0:
+            continue
+        if need == 1:
+            return True
+        if row is None:
+            row = [0] * need + [*ends]
+            chosen = [0] * need
+        row[0] = v
+        depth = 1
+        idx = first + 1
+        while True:
+            lo_at, hi_at = bounds[depth]
+            lo = row[lo_at]
+            hi = row[hi_at]
+            for idx in range(idx, stop + depth):
+                v = prefix[idx]
+                if lo < v < hi:
+                    break
+            else:
+                depth -= 1
+                if not depth:
+                    break
+                idx = chosen[depth] + 1
+                continue
+            row[depth] = v
+            chosen[depth] = idx
+            depth += 1
+            if depth == need:
+                return True
+            idx += 1
+    return False
+
+
 def ends_occurrence(prefix: Sequence[int], last: int, q: Sequence[int]) -> bool:
     """True if appending ``last`` to ``prefix`` creates an occurrence of q ending at it.
 
     The entries of ``prefix`` and ``last`` must be distinct, and q must be
     nonempty. Every pattern of length 1 ends at ``last``; a pattern longer
-    than ``prefix`` plus one never does.
+    than ``prefix`` plus one never does. Each slot of q is bounded by one
+    value matched before it, or by ``last``, as ``slot_bounds`` compiles.
 
     >>> ends_occurrence((2, 5, 1), 4, (1, 3, 2))
     True
@@ -69,35 +156,7 @@ def ends_occurrence(prefix: Sequence[int], last: int, q: Sequence[int]) -> bool:
     >>> ends_occurrence((2, 1), 3, (1, 2, 3, 4))
     False
     """
-    need = len(q) - 1
-    size = len(prefix)
-    q_last = q[need]
-    # Backtracking with an explicit stack of the prefix indices matched to
-    # q[0], q[1], ...; a candidate for q[s] must lie strictly between the
-    # matched values (``last`` included) nearest to q[s] in the pattern.
-    chosen: list[int] = []
-    idx = 0
-    while len(chosen) < need:
-        s = len(chosen)
-        q_s = q[s]
-        lo, hi = (-inf, last) if q_s < q_last else (last, inf)
-        for t in range(s):
-            v = prefix[chosen[t]]
-            if q[t] < q_s:
-                if v > lo:
-                    lo = v
-            elif v < hi:
-                hi = v
-        for idx in range(idx, size - need + s + 1):
-            if lo < prefix[idx] < hi:
-                chosen.append(idx)
-                idx += 1
-                break
-        else:
-            if not chosen:
-                return False
-            idx = chosen.pop() + 1
-    return True
+    return ends_with_bounds(prefix, last, slot_bounds(tuple(q)))
 
 
 def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -113,8 +172,9 @@ def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
     host_t = tuple(host)
     if not pattern:
         return True
+    bounds = slot_bounds(tuple(pattern))
     return any(
-        ends_occurrence(host_t[:e], host_t[e], pattern)
+        ends_with_bounds(host_t[:e], host_t[e], bounds)
         for e in range(len(pattern) - 1, len(host_t))
     )
 

@@ -23,6 +23,12 @@ def order_types(host, m: int) -> set:
     return {reduce_word([host[i] for i in idx]) for idx in combinations(range(len(host)), m)}
 
 
+def end_order_types(host, m: int) -> set:
+    """The reduced forms of every length-m subsequence of host that ends at its last entry."""
+    *prefix, last = host
+    return {reduce_word(list(sub) + [last]) for sub in combinations(prefix, m - 1)}
+
+
 def naive_contains(host, pattern) -> bool:
     # Independent of perms.contains: scan every subsequence of the right length.
     return tuple(pattern) in order_types(host, len(pattern))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import P12, P123, PBOTH, PTHREE, catalan, naive_contains, order_types, random_pattern_sets
 from permscheme.oracle import (
+    _PrefixTally,
     count_avoiders,
     empirical_deletable,
     empirical_gap_set,
@@ -12,7 +13,7 @@ from permscheme.oracle import (
     enumerate_avoiders,
     prefix_class_members,
 )
-from permscheme.perms import normalize_patterns
+from permscheme.perms import avoids_all, delete_rank, normalize_patterns
 from permscheme.reasoning import GapSet
 
 
@@ -133,6 +134,54 @@ class TestEmpiricalDeletable:
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             empirical_deletable((2, 1), P123, GapSet(2, frozenset()), 3, 6)
+
+    def test_horizon_validation(self):
+        # A horizon below the prefix length tests no size at all.
+        with pytest.raises(ValueError):
+            empirical_deletable((1, 2, 3), P12, GapSet(3, frozenset()), 1, 2)
+
+
+class TestEmpiricalAgainstClassMembers:
+    """The empirical probes read class sizes from per-size prefix tallies;
+    here every size comes from ``prefix_class_members`` instead."""
+
+    HORIZON = 6
+
+    @pytest.mark.parametrize("pats", random_pattern_sets(97103, 50)[:6], ids=str)
+    def test_gap_sets_and_verdicts(self, pats):
+        sizes = {}
+
+        def size(n, sigma, values):
+            key = (n, sigma, values)
+            if key not in sizes:
+                sizes[key] = len(prefix_class_members(n, pats, sigma, values))
+            return sizes[key]
+
+        sigmas = [s for k in range(4) for s in permutations(range(1, k + 1)) if avoids_all(s, pats)]
+        for sigma in sigmas:
+            k = len(sigma)
+            forced = set(range(k + 1))
+            for n in range(k, self.HORIZON + 1):
+                for values in combinations(range(1, n + 1), k):
+                    if size(n, sigma, values):
+                        ext = (0,) + values + (n + 1,)
+                        forced -= {j for j in range(k + 1) if ext[j + 1] > ext[j] + 1}
+            gaps = empirical_gap_set(sigma, pats, self.HORIZON)
+            assert gaps.forced == forced, sigma
+            for rank in range(1, k + 1):
+                smaller = delete_rank(sigma, rank)
+                expect = all(
+                    size(n, sigma, values)
+                    == size(n - 1, smaller, values[: rank - 1] + tuple(v - 1 for v in values[rank:]))
+                    for n in range(k, self.HORIZON + 1)
+                    for values in combinations(range(1, n + 1), k)
+                    if not gaps.violated(values, n)
+                )
+                assert empirical_deletable(sigma, pats, gaps, rank, self.HORIZON) == expect, (sigma, rank)
+        # The search shares one tally over every prefix length up to its depth.
+        shared = _PrefixTally(normalize_patterns(pats), 3)
+        for (n, sigma, values), expect in sizes.items():
+            assert shared.size(n, sigma, values) == expect, (n, sigma, values)
 
 
 class TestEmpiricalSearch:

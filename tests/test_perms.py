@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_contains
+from conftest import end_order_types, naive_contains
 from permscheme.perms import (
     avoids_all,
     complement,
@@ -78,6 +78,15 @@ class TestContains:
             for sub in combinations(prefix, len(pattern) - 1)
         )
         assert ends_occurrence(prefix, last, pattern) == expect
+
+    def test_end_anchored_exhaustive(self):
+        # Every pattern of length 1-4 against every host of length <= 6.
+        patterns = [q for m in range(1, 5) for q in permutations(range(1, m + 1))]
+        for h in range(1, 7):
+            for host in permutations(range(1, h + 1)):
+                ending = set().union(*(end_order_types(host, m) for m in range(1, min(h, 4) + 1)))
+                for q in patterns:
+                    assert ends_occurrence(host[:-1], host[-1], q) == (q in ending), (host, q)
 
     @given(perms_up_to(7))
     def test_contains_own_reduction(self, p):
