@@ -143,7 +143,7 @@ def _slot(j: int, chain: _Chain) -> _Slot:
 
 
 def _source(k: int, forced: tuple[int, ...], slots: tuple[_Slot, ...]) -> str:
-    """Python source of one expanded class's table at a size n >= k + 2.
+    """Python source of one expanded class's table at a size n >= k + 1.
 
     The key (i_1, ..., i_k) is unpacked into locals and every slot becomes
     one guarded sum term; slot t reads the table passed as argument t.
@@ -211,9 +211,7 @@ class _Expa:
     """One expanded class as the layer step runs it."""
 
     sigma: Perm
-    forced: tuple[int, ...]
-    live: tuple[bool, ...]  # refinement j is not a zero class
-    tabulate: Callable[..., dict]  # the table at a size n >= k + 2
+    tabulate: Callable[..., dict]  # the table at a size n >= k + 1
     reads: tuple[tuple[int, int, object], ...]  # per slot, as _Slot.read
 
 
@@ -232,10 +230,9 @@ class _Plan:
                 if chain.target is not None:
                     own.append(_slot(j, chain))
             forced = tuple(entry.gaps.sorted_list())
-            live = tuple(child not in scheme.zero for child in entry.children)
             own_reads = tuple(s.read for s in own)
             tabulate = _table_function(_source(len(sigma), forced, tuple(own)))
-            expa.append(_Expa(sigma, forced, live, tabulate, own_reads))
+            expa.append(_Expa(sigma, tabulate, own_reads))
             reads += own_reads
         self.expa = tuple(expa)
         self.keep = 1 + max((drop for drop, _, _ in reads), default=0)
@@ -255,21 +252,13 @@ def _plan(scheme: Scheme) -> _Plan:
 
 def _tabulate(e: _Expa, n: int, window: list) -> dict:
     k = len(e.sigma)
-    if n >= k + 2:
-        return e.tabulate(n, *[window[drop][part][key] for drop, part, key in e.reads])
     if n < k:
         return {}
     if n == k:
         return {tuple(range(1, k + 1)): 1}
-    # n == k + 1: one value is missing, and inserting it fills the tuple.
-    table = {}
-    for values in combinations(range(1, n + 1), k):
-        ext = (0, *values, n + 1)
-        if any(ext[j + 1] != ext[j] + 1 for j in e.forced):
-            table[values] = 0
-        else:
-            table[values] = int(e.live[n * (n + 1) // 2 - sum(values) - 1])
-    return table
+    # From n = k + 1 on, every slot's key lies within its target's layer;
+    # at k + 1 that layer is the target's one-key identity table.
+    return e.tabulate(n, *[window[drop][part][key] for drop, part, key in e.reads])
 
 
 def _prefix_sums(table: dict, s: int) -> dict:

@@ -8,13 +8,16 @@ so a pruned prefix could never recover. The test is
 compiles once per pattern; each search fetches them before its loop.
 Positions can be pinned to given values, which restricts the search to one
 prefix class. Counting, listing and class membership read the leaves of
-that search. The empirical probes read class sizes from per-size prefix
-tallies (``_PrefixTally``): one search per size, whose avoiders are counted
-by their first k entries. A tally lives for one ``empirical_scheme_search``
-call, or for one call of ``empirical_gap_set`` or ``empirical_deletable``;
-nothing is kept across calls. The routines are exact but exponential; they
-exist to cross-check the certified machinery up to n around 10, and to
-drive the empirical (uncertified) variant of the scheme search.
+that search. The empirical deletion probes read class sizes from per-size
+prefix tallies (``_PrefixTally``): one search per size, whose avoiders are
+counted by their first k entries. A tally lives for one
+``empirical_scheme_search`` or ``empirical_deletable`` call; nothing is
+kept across calls. Empirical gaps need no tally: sizes up to any n past k
+show exactly the open gaps that size k+1 shows, which
+``reasoning.compute_gap_set`` decides on one permutation per gap. The
+routines are exact but exponential; they exist to cross-check the certified
+machinery up to n around 10, and to drive the empirical (uncertified)
+variant of the scheme search.
 """
 
 from __future__ import annotations
@@ -23,8 +26,16 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .perms import PatternSet, Perm, delete_rank, ends_with_bounds, normalize_patterns, slot_bounds
-from .reasoning import GapSet
+from .perms import (
+    PatternSet,
+    Perm,
+    avoids_all,
+    delete_rank,
+    ends_with_bounds,
+    normalize_patterns,
+    slot_bounds,
+)
+from .reasoning import GapSet, compute_gap_set
 from .scheme import MODE_EMPIRICAL, Scheme, _search_core
 
 DEFAULT_HORIZON = 8
@@ -131,20 +142,14 @@ class _PrefixTally:
         return tally[tuple(values[s - 1] for s in sigma)]
 
 
-def _gap_set(sigma: Perm, tally: _PrefixTally, max_n: int) -> GapSet:
+def _gap_set(sigma: Perm, patterns: PatternSet, max_n: int) -> GapSet:
     k = len(sigma)
     if max_n < k:
         raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
-    candidates = set(range(k + 1))
-    for n in range(k, max_n + 1):
-        for values in combinations(range(1, n + 1), k):
-            ext = (0,) + values + (n + 1,)
-            open_gaps = {j for j in candidates if ext[j + 1] > ext[j] + 1}
-            if open_gaps and tally.size(n, sigma, values):
-                candidates -= open_gaps
-                if not candidates:
-                    return GapSet(k, frozenset())
-    return GapSet(k, frozenset(candidates))
+    if max_n == k or not avoids_all(sigma, patterns):
+        # No tested size holds a member with a gap open.
+        return GapSet(k, frozenset(range(k + 1)))
+    return compute_gap_set(sigma, patterns)
 
 
 def _deletable(sigma: Perm, tally: _PrefixTally, gaps: GapSet, rank: int, max_n: int) -> bool:
@@ -168,10 +173,13 @@ def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm], max_n: int = DEFAUL
     """Gaps observed to be forced on every tested size up to ``max_n``.
 
     Gap j survives if no nonempty class was found whose value tuple leaves
-    i_j and i_{j+1} non-adjacent (sentinels i_0 = 0, i_{k+1} = n+1). Unlike
-    the certified gap set this is evidence, not proof.
+    i_j and i_{j+1} non-adjacent (sentinels i_0 = 0, i_{k+1} = n+1). A
+    member with a gap open keeps it open when cut down to its prefix and
+    one value inside the gap, so every ``max_n`` above k gives the answer
+    of size k+1: all gaps if sigma contains a pattern, else the exact gap
+    set of ``compute_gap_set``.
     """
-    return _gap_set(sigma, _PrefixTally(normalize_patterns(patterns), len(sigma)), max_n)
+    return _gap_set(sigma, normalize_patterns(patterns), max_n)
 
 
 def empirical_deletable(
@@ -205,7 +213,7 @@ def empirical_scheme_search(
     tally = _PrefixTally(pats, max_depth)
 
     def gap_fn(sigma: Perm) -> GapSet:
-        return _gap_set(sigma, tally, max_n)
+        return _gap_set(sigma, pats, max_n)
 
     def rank_fn(sigma: Perm, gaps: GapSet) -> int | None:
         for rank in range(1, len(sigma) + 1):

@@ -24,19 +24,20 @@ fully implied by the event's order facts, that avoids the examined place.
 The logic is deliberately incomplete: anything it cannot prove is simply not
 certified, so failures cost search depth, never correctness.
 
-Both certificates rest on one search for an implied embedding. Per event,
-the implied order is a table over the available prefix places and the
-event's symbols: two places compare by their ranks in sigma, a place and a
-symbol by the place's rank against the symbol's bounds, and two symbols by
-the event's pattern (or a prefix value between their bounds). The place
-rows depend on sigma alone and are built once per analysis. A pruned
-depth-first search assigns the pattern's slots in order, places first and
-then symbols, each at a larger index than the one before, and checks each
-new slot only against the slots already chosen. Complete assignments come
-out in the order in which ``combinations`` over places and then symbols
-would list the candidates, so the first hit is the one an exhaustive scan
-finds. A gap witness is the same search, on one symbol bounded by i_j and
-i_{j+1}.
+A gap needs no symbols: whether it is forced is decided exactly, on one
+concrete permutation, the refinement of sigma that opens it (see
+``certify_gap``). A bail-out is a search for an implied embedding. Per
+event, the implied order is a table over the available prefix places and
+the event's symbols: two places compare by their ranks in sigma, a place
+and a symbol by the place's rank against the symbol's bounds, and two
+symbols by the event's pattern (or a prefix value between their bounds).
+The place rows depend on sigma alone and are built once per analysis. A
+pruned depth-first search assigns the pattern's slots in order, places
+first and then symbols, each at a larger index than the one before, and
+checks each new slot only against the slots already chosen. Complete
+assignments come out in the order in which ``combinations`` over places
+and then symbols would list the candidates, so the first hit is the one an
+exhaustive scan finds.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Union
 
-from .perms import PatternSet, Perm
+from .perms import PatternSet, Perm, ends_with_bounds, slot_bounds
 
 
 @dataclass(frozen=True)
@@ -320,7 +321,8 @@ def _first_embedding(
     kind for the slots after it; a slot's candidate mask keeps only the
     nodes that relate as q demands to every slot already chosen. So
     complete assignments come out in the order of ``combinations`` over the
-    places and then over the symbols, minus those the table refutes.
+    places and then over the symbols, minus those the table refutes. Only
+    the bail-out search uses it; gaps are decided on a concrete refinement.
     """
     m = len(q)
     tests = _slot_tests(q)
@@ -393,46 +395,40 @@ def find_bailout(
 
 
 def certify_gap(sigma: Perm, patterns: PatternSet, j: int) -> bool:
-    """Certify that gap j is forced: i_{j+1} = i_j + 1 in every class member.
+    """Decide whether gap j is forced: i_{j+1} = i_j + 1 in every class member.
 
-    Single-witness test: a symbolic value u strictly between i_j and i_{j+1}
-    sits somewhere after the prefix; if some forbidden pattern embeds into
-    prefix places plus u with every value relation already decided, then any
-    witness value completes a forbidden pattern, so the gap must be closed.
+    Let rho be the refinement of sigma whose last entry j+1 lies in gap j:
+    sigma with its values above j raised by one, then j+1. If a member has
+    a value v strictly between i_j and i_{j+1}, it comes after the prefix,
+    and keeping only the prefix and v leaves an avoider that reduces to rho.
+    Conversely, if rho avoids every pattern, it is itself a member of size
+    k+1 with gap j open. So for a sigma that avoids the patterns, the gap is
+    forced exactly when some pattern ends at rho's last entry, and that is
+    the test. The answer is exact, not just sound.
 
-    True is sound; False only means this test could not prove it.
+    >>> certify_gap((1, 2), ((1, 2, 3),), 2), certify_gap((1, 2), ((1, 2, 3),), 1)
+    (True, False)
     """
     k = len(sigma)
     if not 0 <= j <= k:
         raise ValueError(f"gap index {j} outside 0..{k}")
-    return _gap_witnessed(_place_rows(sigma, list(range(1, k + 1))), patterns, j)
+    return _gap_forced(sigma, [slot_bounds(q) for q in patterns], j)
 
 
-def _gap_witnessed(rows: PlaceRows, patterns: PatternSet, j: int) -> bool:
-    # The witness u is one symbol with rank bounds (j, j+1) that ends the
-    # pattern after m-1 prefix places: the bail-out question, asked of the
-    # whole prefix.
-    k = len(rows[0])
-    # u needs q[-1]-1 places below it, of the j with rank <= j, and the
-    # rest above it, of the k-j others.
-    fits = [q for q in patterns if q[-1] - 1 <= j <= k - len(q) + q[-1]]
-    if not fits:
-        return False
-    above, below = _relation_rows(rows, OrderFacts(k, (j,), (j + 1,), frozenset()))
-    return any(_first_embedding(above, below, k, q, len(q) - 1) is not None for q in fits)
+def _gap_forced(sigma: Perm, plans: list, j: int) -> bool:
+    bumped = [v + 1 if v > j else v for v in sigma]
+    return any(ends_with_bounds(bumped, j + 1, bounds) for bounds in plans)
 
 
 def compute_gap_set(sigma: Perm, patterns: PatternSet) -> GapSet:
-    """All gaps certifiable as forced, each tested once.
+    """Every forced gap of sigma, each decided by ``certify_gap``'s test.
 
-    The witness test of ``certify_gap`` reads no other gap, so one pass over
-    j = 0..k finds every gap it can certify, on place rows built once. The
-    caller guarantees sigma itself avoids the patterns (classes whose prefix
-    already contains a pattern are empty and handled elsewhere).
+    The caller guarantees sigma itself avoids the patterns (classes whose
+    prefix already contains a pattern are empty and handled elsewhere).
     """
     k = len(sigma)
-    rows = _place_rows(sigma, list(range(1, k + 1)))
-    return GapSet(k, frozenset(j for j in range(k + 1) if _gap_witnessed(rows, patterns, j)))
+    plans = [slot_bounds(q) for q in patterns]
+    return GapSet(k, frozenset(j for j in range(k + 1) if _gap_forced(sigma, plans, j)))
 
 
 @dataclass(frozen=True)

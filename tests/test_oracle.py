@@ -116,6 +116,11 @@ class TestEmpiricalGaps:
     def test_nothing_forced_without_patterns(self):
         assert empirical_gap_set((1,), (), 6).forced == set()
 
+    def test_empty_class_forces_every_gap(self):
+        # No member at any size, so no gap is ever seen open.
+        assert empirical_gap_set((1, 2, 3), P123, 8).forced == {0, 1, 2, 3}
+        assert empirical_gap_set((1, 2), P123, 2).forced == {0, 1, 2}
+
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
             empirical_gap_set((1, 2), P123, 1)
@@ -142,8 +147,8 @@ class TestEmpiricalDeletable:
 
 
 class TestEmpiricalAgainstClassMembers:
-    """The empirical probes read class sizes from per-size prefix tallies;
-    here every size comes from ``prefix_class_members`` instead."""
+    """The empirical deletion probes read class sizes from per-size prefix
+    tallies; here every size comes from ``prefix_class_members`` instead."""
 
     HORIZON = 6
 

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P12, P123, P132, PTHREE, random_pattern_sets
-from permscheme.oracle import empirical_deletable, empirical_gap_set, prefix_class_members
-from permscheme.perms import avoids_all, reduce_word
+from permscheme.oracle import empirical_deletable, empirical_gap_set, enumerate_avoiders, prefix_class_members
+from permscheme.perms import avoids_all, reduce_word, symmetry_closure
 from permscheme.reasoning import (
     Bailout,
     Event,
@@ -228,6 +228,24 @@ class TestComputeGapSet:
     )
     def test_known_sets(self, sigma, pats, expect):
         assert compute_gap_set(sigma, pats).forced == expect
+
+    SINGLETONS = sorted({symmetry_closure([q])[0] for q in permutations(range(1, 5))})
+
+    @pytest.mark.parametrize("pats", random_pattern_sets(97103, 50) + SINGLETONS, ids=str)
+    def test_matches_enumerated_members(self, pats):
+        # Read every class member straight off the avoiders of sizes k+1..k+3:
+        # a gap is forced when no member leaves it open.
+        avoiders = {n: enumerate_avoiders(n, pats) for n in range(1, 7)}
+        sigmas = [s for k in range(4) for s in permutations(range(1, k + 1)) if avoids_all(s, pats)]
+        for sigma in sigmas:
+            k = len(sigma)
+            forced = set(range(k + 1))
+            for n in range(k + 1, k + 4):
+                for p in avoiders[n]:
+                    if reduce_word(p[:k]) == sigma:
+                        ext = (0, *sorted(p[:k]), n + 1)
+                        forced -= {j for j in range(k + 1) if ext[j + 1] > ext[j] + 1}
+            assert compute_gap_set(sigma, pats).forced == forced, sigma
 
 
 class TestCertifyDeletable:
