@@ -13,7 +13,7 @@ import json
 import click
 
 from . import counting, oracle, recurrence
-from .perms import PatternSet, format_permutation, parse_pattern_set
+from .perms import PatternSet, format_permutation, is_int, parse_pattern_set
 from .scheme import (
     MODE_CERTIFIED,
     MODE_EMPIRICAL,
@@ -78,7 +78,7 @@ def scheme_group() -> None:
 @click.option("-p", "--patterns", "patterns_text", required=True, help='Pattern set, e.g. "123,132" or "[[1,2,3]]".')
 @click.option("--max-depth", default=4, show_default=True, type=int, help="Largest prefix length to expand to.")
 @click.option("--mode", default=MODE_CERTIFIED, show_default=True, type=click.Choice([MODE_CERTIFIED, MODE_EMPIRICAL]))
-@click.option("--empirical-n", default=oracle.DEFAULT_HORIZON, show_default=True, type=int, help="Largest size checked in empirical mode.")
+@click.option("--empirical-n", default=oracle.DEFAULT_HORIZON, show_default=True, type=int, help="Largest size checked in empirical mode; must exceed --max-depth.")
 @click.option("--symmetries", is_flag=True, help="Also try reverse/inverse images of the pattern set.")
 @click.option("--explain", is_flag=True, help="Emit the certification log as JSON lines on stderr.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), help="Write the scheme document here instead of stdout.")
@@ -106,9 +106,10 @@ def scheme_find(
     log: "list[dict] | None" = [] if explain else None
     label = "identity"
     if mode == MODE_EMPIRICAL:
-        if empirical_n < 1:
-            raise click.UsageError("--empirical-n must be >= 1")
-        found = oracle.empirical_scheme_search(patterns, max_depth, empirical_n)
+        try:
+            found = oracle.empirical_scheme_search(patterns, max_depth, empirical_n)
+        except ValueError as exc:
+            raise click.UsageError(f"--empirical-n: {exc}")
     elif symmetries:
         hit = search_with_symmetries(patterns, max_depth)
         found = None if hit is None else hit[0]
@@ -207,7 +208,7 @@ def _read_terms_file(path: str) -> list[int]:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise click.UsageError(f"terms file {path}: {exc}")
-        if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+        if not isinstance(data, list) or not all(is_int(v) for v in data):
             raise click.UsageError(f"terms file {path} must hold integers")
         return data
     try:

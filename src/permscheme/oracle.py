@@ -12,10 +12,14 @@ that search. The empirical deletion probes read class sizes from per-size
 prefix tallies (``_PrefixTally``): one search per size, whose avoiders are
 counted by their first k entries. A tally lives for one
 ``empirical_scheme_search`` or ``empirical_deletable`` call; nothing is
-kept across calls. Empirical gaps need no tally: sizes up to any n past k
-show exactly the open gaps that size k+1 shows, which
-``reasoning.compute_gap_set`` decides on one permutation per gap. The
-routines are exact but exponential; they exist to cross-check the certified
+kept across calls. A deletion probe of a length-k prefix stops at size
+k+m-1, m the longest pattern length, since a miss at any size cuts down to
+a miss at most that large (see ``_deletable``). Empirical gaps need no
+tally: sizes up to any n past k show exactly the open gaps that size k+1
+shows, which ``reasoning.compute_gap_set`` decides on one permutation per
+gap. So the empirical search finds the same scheme at every horizon from
+depth + m - 1 on; a horizon at or below its depth is rejected. The routines
+are exact but exponential; they exist to cross-check the certified
 machinery up to n around 10, and to drive the empirical (uncertified)
 variant of the scheme search.
 """
@@ -142,24 +146,31 @@ class _PrefixTally:
         return tally[tuple(values[s - 1] for s in sigma)]
 
 
-def _gap_set(sigma: Perm, patterns: PatternSet, max_n: int) -> GapSet:
-    k = len(sigma)
-    if max_n < k:
-        raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
-    if max_n == k or not avoids_all(sigma, patterns):
-        # No tested size holds a member with a gap open.
-        return GapSet(k, frozenset(range(k + 1)))
-    return compute_gap_set(sigma, patterns)
+def _longest(patterns: PatternSet) -> int:
+    # 1 for no patterns, so that a deletion probe still tests size k.
+    return max((len(q) for q in patterns), default=1)
 
 
 def _deletable(sigma: Perm, tally: _PrefixTally, gaps: GapSet, rank: int, max_n: int) -> bool:
+    """Probe sizes k..min(max_n, k+m-1), m the longest pattern length.
+
+    Deleting the rank always injects a class into the reduced class one
+    size down, so a miss is a reduced member whose re-insertion contains
+    some pattern q, in an occurrence that uses the re-inserted entry. Keep
+    the prefix and the occurrence's entries after it, at most m-1 of them:
+    the re-insertion of what is left still contains q, and what is left
+    still avoids, so that is a miss at size at most k+m-1. Removing entries
+    after the prefix only narrows its gaps, so its values still obey the
+    forced ones. Conversely a miss at a smaller size is a miss. So larger
+    sizes cannot change the answer; with no patterns only size k is probed.
+    """
     k = len(sigma)
     if not 1 <= rank <= k:
         raise ValueError(f"rank {rank} out of range for length {k}")
     if max_n < k:
         raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
     smaller = delete_rank(sigma, rank)
-    for n in range(k, max_n + 1):
+    for n in range(k, min(max_n, k + _longest(tally.patterns) - 1) + 1):
         for values in combinations(range(1, n + 1), k):
             if gaps.violated(values, n):
                 continue
@@ -179,7 +190,14 @@ def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm], max_n: int = DEFAUL
     of size k+1: all gaps if sigma contains a pattern, else the exact gap
     set of ``compute_gap_set``.
     """
-    return _gap_set(sigma, normalize_patterns(patterns), max_n)
+    pats = normalize_patterns(patterns)
+    k = len(sigma)
+    if max_n < k:
+        raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
+    if max_n == k or not avoids_all(sigma, pats):
+        # No tested size holds a member with a gap open.
+        return GapSet(k, frozenset(range(k + 1)))
+    return compute_gap_set(sigma, pats)
 
 
 def empirical_deletable(
@@ -195,7 +213,9 @@ def empirical_deletable(
     class must have exactly as many members as the reduced class one size
     down. Deletion always injects into the reduced class, so equal
     cardinality is equivalent to the deletion being onto. ``max_n`` must be
-    at least the length of sigma, as for ``empirical_gap_set``.
+    at least the length of sigma, as for ``empirical_gap_set``; sizes past
+    k+m-1, m the longest pattern length, are not probed, as they cannot
+    change the answer.
     """
     return _deletable(sigma, _PrefixTally(normalize_patterns(patterns), len(sigma)), gaps, rank, max_n)
 
@@ -208,12 +228,23 @@ def empirical_scheme_search(
     Same breadth-first skeleton as the rigorous search, but forced gaps and
     deletable ranks are accepted on the evidence of every size up to
     ``max_n``. The resulting scheme is marked empirical and may be wrong.
+    ``max_n`` must exceed ``max_depth``: at size k a class holds at most
+    sigma itself, so a horizon of k tests a length-k class on nothing.
+    Every horizon from ``max_depth`` + m - 1 on gives the same answer.
     """
     pats = normalize_patterns(patterns)
+    if max_n <= max_depth:
+        stable = max_depth + max(_longest(pats) - 1, 1)
+        raise ValueError(
+            f"horizon {max_n} must exceed the depth {max_depth}; "
+            f"results stop changing from horizon {stable} on"
+        )
     tally = _PrefixTally(pats, max_depth)
 
     def gap_fn(sigma: Perm) -> GapSet:
-        return _gap_set(sigma, pats, max_n)
+        # Every class the search examines avoids the patterns and is
+        # shorter than the horizon.
+        return compute_gap_set(sigma, pats)
 
     def rank_fn(sigma: Perm, gaps: GapSet) -> int | None:
         for rank in range(1, len(sigma) + 1):

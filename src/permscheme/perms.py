@@ -22,6 +22,15 @@ Perm = tuple[int, ...]
 PatternSet = tuple[Perm, ...]
 
 
+def is_int(value: object) -> bool:
+    """True for an int that is not a bool (JSON ``true`` loads as one).
+
+    >>> is_int(1), is_int(True)
+    (True, False)
+    """
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_permutation(entries: Iterable[int]) -> Perm:
     """Validate one-line notation: entries must be exactly 1..k in some order.
 
@@ -29,7 +38,7 @@ def check_permutation(entries: Iterable[int]) -> Perm:
     (2, 1, 3)
     """
     perm = tuple(entries)
-    if sorted(perm) != list(range(1, len(perm) + 1)):
+    if not all(is_int(v) for v in perm) or sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"not a permutation of 1..{len(perm)}: {perm!r}")
     return perm
 
@@ -332,7 +341,7 @@ def parse_permutation(text: str) -> Perm:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad permutation syntax: {text!r}") from exc
-        if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+        if not isinstance(data, list):
             raise ValueError(f"bad permutation syntax: {text!r}")
         return check_permutation(data)
     if not text.isdigit() or "0" in text:
@@ -357,7 +366,7 @@ def parse_pattern_set(text: str) -> PatternSet:
             raise ValueError(f"bad pattern set syntax: {text!r}") from exc
         if not isinstance(data, list):
             raise ValueError(f"bad pattern set syntax: {text!r}")
-        if all(isinstance(v, int) for v in data) and data:
+        if all(is_int(v) for v in data) and data:
             return normalize_patterns([data])
         if all(isinstance(q, list) for q in data):
             return normalize_patterns(data)

@@ -28,9 +28,14 @@ A gap needs no symbols: whether it is forced is decided exactly, on one
 concrete permutation, the refinement of sigma that opens it (see
 ``certify_gap``). A bail-out is a search for an implied embedding. Per
 event, the implied order is a table over the available prefix places and
-the event's symbols: two places compare by their ranks in sigma, a place
+the event's symbols, built from the symbols' rank bounds and the pattern's
+order (``OrderFacts``): two places compare by their ranks in sigma, a place
 and a symbol by the place's rank against the symbol's bounds, and two
-symbols by the event's pattern (or a prefix value between their bounds).
+symbols by the event's pattern. A relation is implied when it holds in both
+extreme realizations of the event, every symbol just above its lower bound
+or every symbol just below its upper bound, symbols that share a bound
+ordered as the pattern orders them. The tests decide "implied" on exactly
+those two concrete rows, with code that shares nothing with the table.
 The place rows depend on sigma alone and are built once per analysis. A
 pruned depth-first search assigns the pattern's slots in order, places
 first and then symbols, each at a larger index than the one before, and
@@ -45,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Union
+from typing import Iterator
 
 from .perms import PatternSet, Perm, ends_with_bounds, slot_bounds
 
@@ -81,23 +86,6 @@ class GapSet:
 
 
 @dataclass(frozen=True)
-class PrefixPlace:
-    """A position 1..k inside the prefix."""
-
-    place: int
-
-
-@dataclass(frozen=True)
-class SuffixSymbol:
-    """The index-th symbolic entry after the prefix; indices order positions."""
-
-    index: int
-
-
-Descriptor = Union[PrefixPlace, SuffixSymbol]
-
-
-@dataclass(frozen=True)
 class Event:
     """A hypothetical occurrence of ``pattern`` in a class member.
 
@@ -115,10 +103,6 @@ class Event:
     def num_symbols(self) -> int:
         return len(self.pattern) - len(self.places)
 
-    def descriptors(self) -> tuple[Descriptor, ...]:
-        pre: tuple[Descriptor, ...] = tuple(PrefixPlace(p) for p in self.places)
-        return pre + tuple(SuffixSymbol(i + 1) for i in range(self.num_symbols))
-
 
 @dataclass(frozen=True)
 class Bailout:
@@ -133,40 +117,27 @@ class Bailout:
     places: tuple[int, ...]
     symbols: tuple[int, ...]
 
-    def descriptors(self) -> tuple[Descriptor, ...]:
-        pre: tuple[Descriptor, ...] = tuple(PrefixPlace(p) for p in self.places)
-        return pre + tuple(SuffixSymbol(i) for i in self.symbols)
-
 
 @dataclass(frozen=True)
 class OrderFacts:
-    """Implied order relations for an event's suffix symbols.
+    """What an event implies about its suffix symbols.
 
     ``lower[u]``/``upper[u]`` are rank bounds: symbol u is greater than
     i_lower (0 meaning no bound) and smaller than i_upper (k+1 meaning no
-    bound). ``less`` holds the symbol-symbol order required by the event's
-    pattern, as 0-based index pairs (a, b) meaning u_a < u_b.
+    bound). ``order[u]`` is the event pattern's value on symbol u, so u_a <
+    u_b is implied exactly when order[a] < order[b].
+
+    No prefix value adds a symbol-symbol relation: u_a < i_c <= i_c' < u_b
+    needs upper[a] <= lower[b]. The facts of a non-vacuous event have
+    lower[u] < upper[u], and both bounds only rise along the pattern's
+    order. So order[b] < order[a] would give lower[b] <= lower[a] <
+    upper[a] <= lower[b], and such a bridge only ever joins symbols that
+    the pattern already puts in that order.
     """
 
-    k: int
     lower: tuple[int, ...]
     upper: tuple[int, ...]
-    less: frozenset[tuple[int, int]]
-
-    def implies_above(self, sym: int, rank: int) -> bool:
-        """Is ``u_sym > i_rank`` implied?"""
-        return rank <= self.lower[sym]
-
-    def implies_below(self, sym: int, rank: int) -> bool:
-        """Is ``u_sym < i_rank`` implied?"""
-        return rank >= self.upper[sym]
-
-    def implies_less(self, a: int, b: int) -> bool:
-        """Is ``u_a < u_b`` implied?"""
-        if (a, b) in self.less:
-            return True
-        # u_a < i_c <= i_{c'} < u_b bridges through any shared prefix bound.
-        return self.upper[a] <= self.lower[b]
+    order: tuple[int, ...]
 
 
 def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
@@ -178,7 +149,7 @@ def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
     so no concrete values can realize the event in any member of the class.
 
     Each bound is read off the prefix slots alone and needs no propagation
-    along ``less``: the pattern orders all its slots totally, so every
+    along ``order``: the pattern orders all its slots totally, so every
     prefix slot below a symbol is also below each symbol above it.
     """
     k = len(sigma)
@@ -214,51 +185,7 @@ def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
             return None
         lower.append(floor)
         upper.append(ceiling)
-    return OrderFacts(k, tuple(lower), tuple(upper), _suffix_order(q[d:]))
-
-
-@lru_cache(maxsize=1024)
-def _suffix_order(values: Perm) -> frozenset[tuple[int, int]]:
-    return frozenset((a, b) for a, x in enumerate(values) for b, y in enumerate(values) if x < y)
-
-
-def _relation_implied(
-    sigma: Perm,
-    facts: OrderFacts,
-    q: Perm,
-    slot_x: int,
-    slot_y: int,
-    desc_x: Descriptor,
-    desc_y: Descriptor,
-) -> bool:
-    want_less = q[slot_x] < q[slot_y]
-    if isinstance(desc_x, PrefixPlace) and isinstance(desc_y, PrefixPlace):
-        return (sigma[desc_x.place - 1] < sigma[desc_y.place - 1]) == want_less
-    if isinstance(desc_x, PrefixPlace):
-        rank = sigma[desc_x.place - 1]
-        sym = desc_y.index - 1
-        return facts.implies_above(sym, rank) if want_less else facts.implies_below(sym, rank)
-    if isinstance(desc_y, PrefixPlace):
-        rank = sigma[desc_y.place - 1]
-        sym = desc_x.index - 1
-        return facts.implies_below(sym, rank) if want_less else facts.implies_above(sym, rank)
-    a, b = desc_x.index - 1, desc_y.index - 1
-    return facts.implies_less(a, b) if want_less else facts.implies_less(b, a)
-
-
-def embedding_implied(
-    sigma: Perm, facts: OrderFacts, q: Perm, descriptors: tuple[Descriptor, ...]
-) -> bool:
-    """Check that every value relation q demands holds necessarily.
-
-    ``descriptors`` assigns q's slots, in order, to prefix places followed by
-    suffix symbols of the event that produced ``facts``. The searches below
-    do not call it; it is the slot-by-slot statement of what they find.
-    """
-    for x, y in combinations(range(len(q)), 2):
-        if not _relation_implied(sigma, facts, q, x, y, descriptors[x], descriptors[y]):
-            return False
-    return True
+    return OrderFacts(tuple(lower), tuple(upper), q[d:])
 
 
 # The relation table of one event: node x < len(avail) is prefix place
@@ -282,10 +209,18 @@ def _place_rows(sigma: Perm, avail: list[int]) -> PlaceRows:
 
 
 def _relation_rows(rows: PlaceRows, facts: OrderFacts) -> tuple[list[int], list[int]]:
-    """The whole table: the place rows plus one row per symbol of ``facts``."""
+    """The whole table: the place rows plus one row per symbol of ``facts``.
+
+    A place lies below symbol u when its rank is at most ``lower[u]`` and
+    above it when its rank is at least ``upper[u]``; two symbols compare as
+    ``order`` does. These are the relations true both when every symbol
+    sits just above its lower bound and when every symbol sits just below
+    its upper bound.
+    """
     ranks = rows[0]
     n_places = len(ranks)
-    n_syms = len(facts.lower)
+    order = facts.order
+    n_syms = len(order)
     above = rows[1] + [0] * n_syms
     below = rows[2] + [0] * n_syms
     for u, (floor, ceiling) in enumerate(zip(facts.lower, facts.upper)):
@@ -298,8 +233,8 @@ def _relation_rows(rows: PlaceRows, facts: OrderFacts) -> tuple[list[int], list[
             elif rank >= ceiling:
                 below[x] |= bit
                 above[node] |= 1 << x
-        for b in range(n_syms):
-            if b != u and facts.implies_less(u, b):
+        for b, value in enumerate(order):
+            if order[u] < value:
                 above[node] |= 1 << (n_places + b)
                 below[n_places + b] |= bit
     return above, below
@@ -351,7 +286,7 @@ def _first_embedding(
 def _bailout(avail: list[int], rows: PlaceRows, facts: OrderFacts, patterns: PatternSet) -> Bailout | None:
     above, below = _relation_rows(rows, facts)
     n_places = len(avail)
-    n_syms = len(facts.lower)
+    n_syms = len(facts.order)
     for q in patterns:
         m = len(q)
         for d in range(min(m, n_places), max(m - n_syms, 0) - 1, -1):

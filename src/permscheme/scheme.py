@@ -30,6 +30,7 @@ from .perms import (
     avoids_all,
     check_permutation,
     delete_rank,
+    is_int,
     normalize_patterns,
     refinements,
     symmetry_images,
@@ -254,7 +255,7 @@ def serialize(scheme: Scheme) -> str:
 
 
 def _perm_field(data: object, context: str) -> Perm:
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    if not isinstance(data, list):
         raise SchemeFormatError(f"{context}: expected a list of integers, got {data!r}")
     try:
         return check_permutation(data)
@@ -263,7 +264,7 @@ def _perm_field(data: object, context: str) -> Perm:
 
 
 def _gaps_field(data: object, k: int, context: str) -> GapSet:
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+    if not isinstance(data, list) or not all(is_int(v) for v in data):
         raise SchemeFormatError(f"{context}: expected a list of integers, got {data!r}")
     try:
         return GapSet(k, frozenset(data))
@@ -284,7 +285,7 @@ def deserialize(text: str) -> Scheme:
     if unknown:
         raise SchemeFormatError(f"unknown keys: {sorted(unknown)}")
     version = doc.get("schema_version", 1)
-    if version != 1:
+    if not is_int(version) or version != 1:
         raise SchemeFormatError(f"unsupported schema_version {version!r}")
     missing = {"patterns", "mode", "expa", "redu", "zero"} - set(doc)
     if missing:
@@ -306,6 +307,8 @@ def deserialize(text: str) -> Scheme:
         if not isinstance(item, dict) or set(item) != {"sigma", "gaps", "refinements"}:
             raise SchemeFormatError(f"bad expa entry: {item!r}")
         sigma = _perm_field(item["sigma"], "expa sigma")
+        if sigma in expa:
+            raise SchemeFormatError(f"expa lists {sigma} twice")
         gaps = _gaps_field(item["gaps"], len(sigma), f"expa[{sigma}] gaps")
         if not isinstance(item["refinements"], list):
             raise SchemeFormatError(f"expa[{sigma}] refinements must be a list")
@@ -317,14 +320,19 @@ def deserialize(text: str) -> Scheme:
         if not isinstance(item, dict) or set(item) != {"sigma", "delete_rank", "gaps"}:
             raise SchemeFormatError(f"bad redu entry: {item!r}")
         sigma = _perm_field(item["sigma"], "redu sigma")
+        if sigma in redu:
+            raise SchemeFormatError(f"redu lists {sigma} twice")
         rank = item["delete_rank"]
-        if not isinstance(rank, int):
+        if not is_int(rank):
             raise SchemeFormatError(f"redu[{sigma}] delete_rank must be an integer")
         gaps = _gaps_field(item["gaps"], len(sigma), f"redu[{sigma}] gaps")
         redu[sigma] = ReduEntry(rank, gaps)
     if not isinstance(doc["zero"], list):
         raise SchemeFormatError("zero must be a list")
-    zero = frozenset(_perm_field(s, "zero sigma") for s in doc["zero"])
+    zeros = [_perm_field(s, "zero sigma") for s in doc["zero"]]
+    zero = frozenset(zeros)
+    if len(zero) != len(zeros):
+        raise SchemeFormatError("zero lists a sigma twice")
     scheme = Scheme(patterns, expa, redu, zero, mode if isinstance(mode, str) else "")
     problems = validate(scheme)
     if problems:

@@ -80,6 +80,17 @@ class TestSchemeFind:
         result = runner.invoke(main, ["scheme", "find", "-p", "123", "--max-depth", "2", "--mode", "empirical", "--explain"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("horizon", ["2", "0"])
+    def test_empirical_horizon_at_depth_is_usage_error(self, runner, horizon):
+        args = ["scheme", "find", "-p", "123", "--max-depth", "2", "--mode", "empirical", "--empirical-n", horizon]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "results stop changing from horizon 4 on" in result.output
+
+    def test_boolean_pattern_entry_is_usage_error(self, runner):
+        result = runner.invoke(main, ["scheme", "find", "-p", "[[true,2,3]]", "--max-depth", "2"])
+        assert result.exit_code == 2
+
     def test_explain_with_symmetries_is_usage_error(self, runner):
         # The symmetric search keeps no log, so the pair would print none.
         result = runner.invoke(main, ["scheme", "find", "-p", "321", "--max-depth", "2", "--symmetries", "--explain"])
@@ -105,6 +116,16 @@ class TestSchemeVerify:
         result = invoke(runner, ["scheme", "verify", "--scheme", str(path), "--check-n", "0"])
         assert result.exit_code == 0
         assert "counts match brute force for n <= 0" in result.stdout
+
+    def test_sigma_listed_twice_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "c123.json"
+        invoke(runner, ["scheme", "find", "-p", "123", "--max-depth", "2", "-o", str(path)])
+        doc = json.loads(path.read_text())
+        doc["redu"].append({"sigma": [1, 2], "delete_rank": 1, "gaps": [2]})
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["scheme", "verify", "--scheme", str(path)])
+        assert result.exit_code == 2
+        assert "twice" in result.output
 
     def test_corrupted_document_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "bad.json"
@@ -190,6 +211,13 @@ class TestGuess:
         result = invoke(runner, ["guess", "--terms-file", str(terms), "--max-order", "1", "--max-degree", "1"])
         assert result.exit_code == 1
         assert "no recurrence" in result.stdout
+
+    def test_boolean_term_is_usage_error(self, runner, tmp_path):
+        terms = tmp_path / "terms.json"
+        terms.write_text("[true, 2]")
+        result = runner.invoke(main, ["guess", "--terms-file", str(terms)])
+        assert result.exit_code == 2
+        assert "must hold integers" in result.output
 
     def test_conflicting_sources(self, runner, tmp_path):
         result = runner.invoke(main, ["guess"])

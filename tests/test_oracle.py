@@ -145,6 +145,14 @@ class TestEmpiricalDeletable:
         with pytest.raises(ValueError):
             empirical_deletable((1, 2, 3), P12, GapSet(3, frozenset()), 1, 2)
 
+    def test_probe_bound_is_tight(self):
+        # Under {123} the first miss of (1,), rank 1, is 132 at size 3 =
+        # k + m - 1: a horizon one below the bound accepts the wrong rank.
+        gaps = GapSet(1, frozenset())
+        assert empirical_deletable((1,), P123, gaps, 1, 2)
+        assert not empirical_deletable((1,), P123, gaps, 1, 3)
+        assert not empirical_deletable((1,), P123, gaps, 1, 8)
+
 
 class TestEmpiricalAgainstClassMembers:
     """The empirical deletion probes read class sizes from per-size prefix
@@ -211,3 +219,16 @@ class TestEmpiricalSearch:
 
     def test_depth_failure(self):
         assert empirical_scheme_search(P123, 1, 8) is None
+
+    @pytest.mark.parametrize("pats,depth,stable", [(P123, 2, 4), (PTHREE, 4, 7), ((), 1, 2)])
+    def test_horizon_at_or_below_depth_rejected(self, pats, depth, stable):
+        # At size k a class holds at most sigma, so such a horizon would
+        # accept every rank of the deepest classes on no evidence.
+        for horizon in (depth - 1, depth):
+            with pytest.raises(ValueError, match=f"from horizon {stable} on"):
+                empirical_scheme_search(pats, depth, horizon)
+
+    def test_same_scheme_from_the_bound_on(self):
+        at_bound = empirical_scheme_search(PTHREE, 4, 7)
+        assert at_bound is not None
+        assert empirical_scheme_search(PTHREE, 4, 9) == at_bound

@@ -175,7 +175,7 @@ class TestTextForms:
         assert format_permutation(long) == "[1,2,3,4,5,6,7,8,9,10]"
         assert parse_permutation(format_permutation(long)) == long
 
-    @pytest.mark.parametrize("bad", ["12a", "0", "120", "[1,2", "[1,1]", "122"])
+    @pytest.mark.parametrize("bad", ["12a", "0", "120", "[1,2", "[1,1]", "122", "[true,2,3]"])
     def test_bad_permutations(self, bad):
         with pytest.raises(ValueError):
             parse_permutation(bad)
@@ -188,7 +188,7 @@ class TestTextForms:
         assert parse_pattern_set("[1,2,3]") == ((1, 2, 3),)
         assert parse_pattern_set("132,132") == ((1, 3, 2),)
 
-    @pytest.mark.parametrize("bad", ["123,,132", "[[1,2],3]", "[[]]"])
+    @pytest.mark.parametrize("bad", ["123,,132", "[[1,2],3]", "[[]]", "[[true,2,3]]", "[true,2,3]"])
     def test_bad_pattern_sets(self, bad):
         with pytest.raises(ValueError):
             parse_pattern_set(bad)

@@ -16,7 +16,6 @@ from permscheme.reasoning import (
     certify_deletable,
     certify_gap,
     compute_gap_set,
-    embedding_implied,
     find_bailout,
     find_deletable_rank,
     order_facts,
@@ -46,7 +45,7 @@ class TestOrderFacts:
         facts = order_facts((2, 4, 1, 3), gaps, Event((1, 2, 3, 4), (1,)))
         assert facts is not None
         assert all(lo >= 2 for lo in facts.lower)
-        assert facts.implies_less(0, 1) and facts.implies_less(1, 2)
+        assert facts.order == (2, 3, 4)
 
     def test_closed_gap_makes_vacuous(self):
         # Middle value of a 132 occurrence must sit inside the closed gap.
@@ -81,15 +80,19 @@ class TestOrderFacts:
     )
     @settings(max_examples=200)
     def test_bounds_closed_along_symbol_order(self, sigma, q, data):
-        # A propagation pass along ``less`` would have nothing to move.
+        # A propagation pass along the pattern's order would have nothing to
+        # move, and no prefix value bridges two symbols against that order
+        # (see ``OrderFacts``).
         d = data.draw(st.integers(0, min(len(q), len(sigma))))
         places = data.draw(st.sets(st.integers(1, len(sigma)), min_size=d, max_size=d))
         facts = order_facts(sigma, GapSet(len(sigma), frozenset()), Event(q, tuple(sorted(places))))
         if facts is None:
             return
-        for a, b in facts.less:
-            assert facts.lower[a] <= facts.lower[b]
-            assert facts.upper[a] <= facts.upper[b]
+        assert all(lo < hi for lo, hi in zip(facts.lower, facts.upper))
+        for a, b in permutations(range(len(facts.order)), 2):
+            if facts.order[a] < facts.order[b]:
+                assert facts.lower[a] <= facts.lower[b]
+                assert facts.upper[a] <= facts.upper[b]
 
 
 class TestBailout:
@@ -122,17 +125,30 @@ class TestBailout:
                     continue
                 witness = find_bailout((2, 4, 1, 3), gaps, event, 1, PTHREE)
                 assert witness is not None
-                assert embedding_implied(
-                    (2, 4, 1, 3), facts, witness.pattern, witness.descriptors()
-                )
+                assert implied((2, 4, 1, 3), facts, witness)
 
     def test_vacuous_event_rejected(self):
         with pytest.raises(ValueError):
             find_bailout((2, 1), NO_GAPS_2, Event((1, 3, 2), (1, 2)), 1, P132)
 
 
+def implied(sigma, facts, candidate):
+    # A concrete model of "implied": the candidate's entries reduce to its
+    # pattern in both extreme realizations of the event. Place p takes the
+    # value (sigma_p, 0). Symbol u takes (lower[u], 1 + order[u]) in one row,
+    # just above i_lower, and (upper[u] - 1, 1 + order[u]) in the other, just
+    # below i_upper; symbols next to the same prefix value keep the pattern's
+    # order.
+    for bounds in (facts.lower, [c - 1 for c in facts.upper]):
+        entries = [(sigma[p - 1], 0) for p in candidate.places]
+        entries += [(bounds[u - 1], 1 + facts.order[u - 1]) for u in candidate.symbols]
+        if reduce_word(entries) != candidate.pattern:
+            return False
+    return True
+
+
 def reference_bailout(sigma, gaps, event, excluded_place, patterns):
-    # Every candidate in the documented order, each checked by embedding_implied.
+    # Every candidate in the documented order, each checked by ``implied``.
     facts = order_facts(sigma, gaps, event)
     avail = [p for p in range(1, len(sigma) + 1) if p != excluded_place]
     for q in patterns:
@@ -141,7 +157,7 @@ def reference_bailout(sigma, gaps, event, excluded_place, patterns):
             for places in combinations(avail, d):
                 for symbols in combinations(range(1, event.num_symbols + 1), m - d):
                     candidate = Bailout(q, places, symbols)
-                    if embedding_implied(sigma, facts, q, candidate.descriptors()):
+                    if implied(sigma, facts, candidate):
                         return candidate
     return None
 
@@ -149,9 +165,9 @@ def reference_bailout(sigma, gaps, event, excluded_place, patterns):
 def reference_gap(sigma, patterns, j):
     # One symbol strictly between i_j and i_{j+1}, after every prefix place.
     k = len(sigma)
-    facts = OrderFacts(k, (j,), (j + 1,), frozenset())
+    facts = OrderFacts((j,), (j + 1,), (1,))
     return any(
-        embedding_implied(sigma, facts, q, Bailout(q, places, (1,)).descriptors())
+        implied(sigma, facts, Bailout(q, places, (1,)))
         for q in patterns
         if len(q) - 1 <= k
         for places in combinations(range(1, k + 1), len(q) - 1)

@@ -186,6 +186,16 @@ class TestSerialization:
             lambda d: d.update(schema_version=99),
             lambda d: d["expa"].clear(),
             lambda d: d.update(mode="guessed"),
+            # A sigma listed twice: the last entry would win, rank 2 -> 1.
+            lambda d: d["redu"].append({"sigma": [1, 2], "delete_rank": 1, "gaps": [2]}),
+            lambda d: d["expa"].append(dict(d["expa"][0])),
+            lambda d: d["zero"].extend([[1, 2, 3], [1, 2, 3]]),
+            # JSON true loads as Python True, which equals 1.
+            lambda d: d["redu"][0].update(delete_rank=True),
+            lambda d: d.update(schema_version=True),
+            lambda d: d["redu"][0].update(sigma=[True, 2]),
+            lambda d: d["redu"][0].update(gaps=[True]),
+            lambda d: d.update(patterns=[[True, 2, 3]]),
         ],
     )
     def test_bad_documents_rejected(self, scheme123, mangle):
