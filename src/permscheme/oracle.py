@@ -167,6 +167,8 @@ def _deletable(sigma: Perm, tally: _PrefixTally, gaps: GapSet, rank: int, max_n:
     k = len(sigma)
     if not 1 <= rank <= k:
         raise ValueError(f"rank {rank} out of range for length {k}")
+    if gaps.k != k:
+        raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {k}")
     if max_n < k:
         raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
     smaller = delete_rank(sigma, rank)
@@ -225,12 +227,14 @@ def empirical_scheme_search(
 ) -> Scheme | None:
     """Scheme discovery with small-n observation in place of certification.
 
-    Same breadth-first skeleton as the rigorous search, but forced gaps and
-    deletable ranks are accepted on the evidence of every size up to
-    ``max_n``. The resulting scheme is marked empirical and may be wrong.
-    ``max_n`` must exceed ``max_depth``: at size k a class holds at most
-    sigma itself, so a horizon of k tests a length-k class on nothing.
-    Every horizon from ``max_depth`` + m - 1 on gives the same answer.
+    Same breadth-first skeleton and exact forced gaps as the rigorous
+    search (``empirical_gap_set`` observes the same gaps at every horizon
+    allowed here), but deletable ranks are accepted on the evidence of
+    every size up to ``max_n``. The resulting scheme is marked empirical
+    and may be wrong. ``max_n`` must exceed ``max_depth``: at size k a
+    class holds at most sigma itself, so a horizon of k tests a length-k
+    class on nothing. Every horizon from ``max_depth`` + m - 1 on gives
+    the same answer.
     """
     pats = normalize_patterns(patterns)
     if max_n <= max_depth:
@@ -241,15 +245,10 @@ def empirical_scheme_search(
         )
     tally = _PrefixTally(pats, max_depth)
 
-    def gap_fn(sigma: Perm) -> GapSet:
-        # Every class the search examines avoids the patterns and is
-        # shorter than the horizon.
-        return compute_gap_set(sigma, pats)
-
-    def rank_fn(sigma: Perm, gaps: GapSet) -> int | None:
+    def rank_fn(sigma: Perm, patterns: PatternSet, gaps: GapSet) -> int | None:
         for rank in range(1, len(sigma) + 1):
             if _deletable(sigma, tally, gaps, rank, max_n):
                 return rank
         return None
 
-    return _search_core(pats, max_depth, gap_fn, rank_fn, MODE_EMPIRICAL)
+    return _search_core(pats, max_depth, rank_fn, MODE_EMPIRICAL)

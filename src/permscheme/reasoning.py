@@ -407,6 +407,8 @@ def analyze_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int
     """
     if not 1 <= rank <= len(sigma):
         raise ValueError(f"rank {rank} out of range for length {len(sigma)}")
+    if gaps.k != len(sigma):
+        raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {len(sigma)}")
     t = sigma.index(rank) + 1
     avail = [p for p in range(1, len(sigma) + 1) if p != t]
     rows = _place_rows(sigma, avail)

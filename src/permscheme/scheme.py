@@ -68,9 +68,6 @@ class Scheme:
     def classes(self) -> set[Perm]:
         return set(self.expa) | set(self.redu) | set(self.zero)
 
-    def depth(self) -> int:
-        return max((len(s) for s in self.classes()), default=0)
-
 
 def validate(scheme: Scheme) -> list[str]:
     """Structural well-formedness report; empty means well-formed.
@@ -104,6 +101,8 @@ def validate(scheme: Scheme) -> list[str]:
         k = len(sigma)
         if not 1 <= rentry.rank <= k:
             problems.append(f"redu[{sigma}] delete rank {rentry.rank} outside 1..{k}")
+        elif (target := delete_rank(sigma, rentry.rank)) not in all_classes:
+            problems.append(f"reduction target {target} of {sigma} not classified")
         if rentry.gaps.k != k:
             problems.append(f"redu[{sigma}] gap set sized for length {rentry.gaps.k}")
     for sigma in list(scheme.expa) + list(scheme.redu):
@@ -115,14 +114,12 @@ def validate(scheme: Scheme) -> list[str]:
     return problems
 
 
-GapFn = Callable[[Perm], GapSet]
-RankFn = Callable[[Perm, GapSet], "int | None"]
+RankFn = Callable[[Perm, PatternSet, GapSet], "int | None"]
 
 
 def _search_core(
     patterns: PatternSet,
     max_depth: int,
-    gap_fn: GapFn,
     rank_fn: RankFn,
     mode: str,
     log: "list[dict] | None" = None,
@@ -132,14 +129,10 @@ def _search_core(
     expa: dict[Perm, ExpaEntry] = {}
     redu: dict[Perm, ReduEntry] = {}
     zero: set[Perm] = set()
-    phi: Perm = ()
-    phi_gaps = gap_fn(phi)
-    phi_children = tuple(refinements(phi))
-    expa[phi] = ExpaEntry(phi_gaps, phi_children)
-    if log is not None:
-        log.append({"sigma": [], "disposition": "expa", "gaps": phi_gaps.sorted_list()})
-    queue: deque[Perm] = deque(phi_children)
-    scheduled: set[Perm] = {phi, *phi_children}
+    # The empty prefix avoids every pattern, has no rank to delete and is
+    # shorter than any legal depth, so the loop expands it like any class.
+    queue: deque[Perm] = deque([()])
+    scheduled: set[Perm] = {()}
 
     def schedule(sigma: Perm) -> None:
         if sigma not in scheduled:
@@ -148,15 +141,13 @@ def _search_core(
 
     while queue:
         sigma = queue.popleft()
-        if sigma in expa or sigma in redu or sigma in zero:
-            continue
         if not avoids_all(sigma, patterns):
             zero.add(sigma)
             if log is not None:
                 log.append({"sigma": list(sigma), "disposition": "zero"})
             continue
-        gaps = gap_fn(sigma)
-        rank = rank_fn(sigma, gaps)
+        gaps = compute_gap_set(sigma, patterns)
+        rank = rank_fn(sigma, patterns, gaps)
         if rank is not None:
             redu[sigma] = ReduEntry(rank, gaps)
             # The counting recurrence hands this class off to its deletion
@@ -194,14 +185,7 @@ def search(patterns: Iterable[Perm], max_depth: int, log: "list[dict] | None" = 
     while below the depth bound, and otherwise the whole search fails.
     """
     pats = normalize_patterns(patterns)
-
-    def gap_fn(sigma: Perm) -> GapSet:
-        return compute_gap_set(sigma, pats)
-
-    def rank_fn(sigma: Perm, gaps: GapSet) -> int | None:
-        return find_deletable_rank(sigma, pats, gaps)
-
-    return _search_core(pats, max_depth, gap_fn, rank_fn, MODE_CERTIFIED, log)
+    return _search_core(pats, max_depth, find_deletable_rank, MODE_CERTIFIED, log)
 
 
 def search_with_symmetries(
@@ -266,6 +250,8 @@ def _perm_field(data: object, context: str) -> Perm:
 def _gaps_field(data: object, k: int, context: str) -> GapSet:
     if not isinstance(data, list) or not all(is_int(v) for v in data):
         raise SchemeFormatError(f"{context}: expected a list of integers, got {data!r}")
+    if len(set(data)) != len(data):
+        raise SchemeFormatError(f"{context}: a gap is listed twice in {data!r}")
     try:
         return GapSet(k, frozenset(data))
     except ValueError as exc:

@@ -67,6 +67,22 @@ class TestSchemeFind:
         assert {"sigma": [1, 2], "disposition": "redu", "gaps": [2], "delete_rank": 2} in records
         json.loads(result.stdout)
 
+    def test_explain_records_zero_class(self, runner):
+        result = invoke(runner, ["scheme", "find", "-p", "1", "--max-depth", "1", "--explain"])
+        assert result.exit_code == 0
+        records = [json.loads(line) for line in result.stderr.splitlines()]
+        assert records == [
+            {"sigma": [], "disposition": "expa", "gaps": [0]},
+            {"sigma": [1], "disposition": "zero"},
+        ]
+
+    def test_explain_records_stuck_class(self, runner):
+        result = invoke(runner, ["scheme", "find", "-p", "123", "--max-depth", "1", "--explain"])
+        assert result.exit_code == 1
+        records = [json.loads(line) for line in result.stderr.splitlines()]
+        assert records[-1] == {"sigma": [1], "disposition": "stuck-at-depth"}
+        assert json.loads(result.stdout)["result"] == "failure"
+
     def test_empirical_mode(self, runner, tmp_path):
         path = tmp_path / "e123.json"
         result = invoke(
@@ -126,6 +142,18 @@ class TestSchemeVerify:
         result = runner.invoke(main, ["scheme", "verify", "--scheme", str(path)])
         assert result.exit_code == 2
         assert "twice" in result.output
+
+    @pytest.mark.parametrize("command", [["scheme", "verify"], ["count", "-n", "5"]])
+    def test_unclassified_reduction_target_is_usage_error(self, runner, tmp_path, command):
+        # Deleting rank 4 of 3214 leads to 321, which the document lacks.
+        path = tmp_path / "c123.json"
+        invoke(runner, ["scheme", "find", "-p", "123", "--max-depth", "2", "-o", str(path)])
+        doc = json.loads(path.read_text())
+        doc["redu"].append({"sigma": [3, 2, 1, 4], "delete_rank": 4, "gaps": []})
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [*command, "--scheme", str(path)])
+        assert result.exit_code == 2
+        assert "reduction target (3, 2, 1) of (3, 2, 1, 4) not classified" in result.output
 
     def test_corrupted_document_is_usage_error(self, runner, tmp_path):
         path = tmp_path / "bad.json"

@@ -18,8 +18,8 @@ from permscheme.scheme import ExpaEntry, ReduEntry, Scheme, search
 
 
 def reference_count(scheme, sigma, n, values):
-    # Plain unmemoized recursion, kept independent of the library's two
-    # evaluators on purpose.
+    # Plain unmemoized recursion, kept independent of the library's
+    # evaluator on purpose.
     if sigma in scheme.zero:
         return 0
     entry = scheme.expa.get(sigma)

@@ -140,6 +140,11 @@ class TestEmpiricalDeletable:
         with pytest.raises(ValueError):
             empirical_deletable((2, 1), P123, GapSet(2, frozenset()), 3, 6)
 
+    def test_gap_set_length_validation(self):
+        # A gap set sized for length 3 says nothing about a length-1 prefix.
+        with pytest.raises(ValueError, match="sized for length 3"):
+            empirical_deletable((1,), P123, GapSet(3, frozenset({3})), 1, 4)
+
     def test_horizon_validation(self):
         # A horizon below the prefix length tests no size at all.
         with pytest.raises(ValueError):

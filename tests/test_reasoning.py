@@ -294,6 +294,11 @@ class TestCertifyDeletable:
         with pytest.raises(ValueError):
             certify_deletable((2, 1), P123, NO_GAPS_2, 0)
 
+    def test_gap_set_length_validation(self):
+        # A gap set sized for another length is an error, not a refusal.
+        with pytest.raises(ValueError, match="sized for length 3"):
+            certify_deletable((1,), P123, GapSet(3, frozenset({3})), 1)
+
 
 class TestFindDeletableRank:
     @pytest.mark.parametrize(

@@ -64,6 +64,17 @@ class TestValidate:
         )
         assert any("avoids" in p for p in validate(broken))
 
+    def test_unclassified_refinement_reported(self, scheme123):
+        # (1,) refines into (1, 2), which this scheme drops.
+        broken = Scheme(
+            scheme123.patterns,
+            dict(scheme123.expa),
+            {s: e for s, e in scheme123.redu.items() if s != (1, 2)},
+            scheme123.zero,
+            scheme123.mode,
+        )
+        assert validate(broken) == ["refinement (1, 2) of (1,) not classified"]
+
 
 class TestSearch:
     def test_123_structure(self, scheme123):
@@ -196,6 +207,12 @@ class TestSerialization:
             lambda d: d["redu"][0].update(sigma=[True, 2]),
             lambda d: d["redu"][0].update(gaps=[True]),
             lambda d: d.update(patterns=[[True, 2, 3]]),
+            # 321 is not classified, so counting through 3214 would fail.
+            lambda d: d["redu"].append({"sigma": [3, 2, 1, 4], "delete_rank": 4, "gaps": []}),
+            # A repeated gap would load and re-serialize as [2].
+            lambda d: d["redu"][0].update(gaps=[2, 2]),
+            # 123 contains the pattern, so it cannot be reduced.
+            lambda d: d["redu"].append({"sigma": [1, 2, 3], "delete_rank": 3, "gaps": []}),
         ],
     )
     def test_bad_documents_rejected(self, scheme123, mangle):
