@@ -9,6 +9,7 @@ cross-check), 2 usage or input error.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 
 import click
 
@@ -27,7 +28,7 @@ from .scheme import (
 )
 
 SCHEMA_VERSION = 1
-# Largest size layer, in table keys, that count, sequence and guess build.
+# Largest size layer, in table keys, that any command builds.
 # In 64-bit CPython a key held about 0.4 KiB at L=100 on {1234,1243,1324},
 # so the largest accepted layer stays near 0.4 GiB.
 KEY_BUDGET = 1_000_000
@@ -60,8 +61,19 @@ def _check_budget(loaded: Scheme, n: int) -> None:
         )
 
 
-def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, separators=(",", ":")))
+def _sequence(loaded: Scheme, length: int) -> list[int]:
+    """The counts for n = 1..length, once the largest layer fits the budget."""
+    _check_budget(loaded, length)
+    return counting.sequence(loaded, length)
+
+
+def _emit(fmt: str, payload: dict, lines: Iterable[str]) -> None:
+    """Print one schema-versioned JSON record, or the plain lines."""
+    if fmt == "json":
+        click.echo(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, separators=(",", ":")))
+    else:
+        for line in lines:
+            click.echo(line)
 
 
 @click.group()
@@ -76,7 +88,7 @@ def scheme_group() -> None:
 
 @scheme_group.command("find")
 @click.option("-p", "--patterns", "patterns_text", required=True, help='Pattern set, e.g. "123,132" or "[[1,2,3]]".')
-@click.option("--max-depth", default=4, show_default=True, type=int, help="Largest prefix length to expand to.")
+@click.option("--max-depth", default=4, show_default=True, type=click.IntRange(min=1), help="Largest prefix length to expand to.")
 @click.option("--mode", default=MODE_CERTIFIED, show_default=True, type=click.Choice([MODE_CERTIFIED, MODE_EMPIRICAL]))
 @click.option("--empirical-n", default=oracle.DEFAULT_HORIZON, show_default=True, type=int, help="Largest size checked in empirical mode; must exceed --max-depth.")
 @click.option("--symmetries", is_flag=True, help="Also try reverse/inverse images of the pattern set.")
@@ -95,8 +107,6 @@ def scheme_find(
 ) -> None:
     """Search for a scheme and print its document."""
     patterns = _patterns_arg(patterns_text)
-    if max_depth < 1:
-        raise click.UsageError("--max-depth must be >= 1")
     if mode == MODE_EMPIRICAL and explain:
         raise click.UsageError("--explain requires --mode certified")
     if mode == MODE_EMPIRICAL and symmetries:
@@ -121,14 +131,8 @@ def scheme_find(
         for record in log:
             click.echo(json.dumps(record, separators=(",", ":")), err=True)
     if found is None:
-        _emit_json(
-            {
-                "result": "failure",
-                "reason": "no scheme within depth bound",
-                "patterns": [list(p) for p in patterns],
-                "max_depth": max_depth,
-            }
-        )
+        reason = "no scheme within depth bound"
+        _emit("json", {"result": "failure", "reason": reason, "patterns": patterns, "max_depth": max_depth}, ())
         ctx.exit(1)
     if symmetries:
         click.echo(f"symmetry: {label}", err=True)
@@ -142,15 +146,13 @@ def scheme_find(
 
 @scheme_group.command("verify")
 @click.option("--scheme", "scheme_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--check-n", default=oracle.DEFAULT_HORIZON, show_default=True, type=int, help="Cross-check counts against brute force up to this size.")
+@click.option("--check-n", default=oracle.DEFAULT_HORIZON, show_default=True, type=click.IntRange(min=0), help="Cross-check counts against brute force up to this size.")
 @click.pass_context
 def scheme_verify(ctx: click.Context, scheme_path: str, check_n: int) -> None:
     """Validate a scheme document and cross-check it against brute force."""
-    if check_n < 0:
-        raise click.UsageError("--check-n must be >= 0")
     loaded = _load_scheme(scheme_path)
     click.echo("structure: ok")
-    terms = counting.sequence(loaded, check_n) if check_n else []
+    terms = _sequence(loaded, check_n) if check_n else []
     for n, got in enumerate(terms, start=1):
         expected = oracle.count_avoiders(n, loaded.patterns)
         if got != expected:
@@ -161,37 +163,24 @@ def scheme_verify(ctx: click.Context, scheme_path: str, check_n: int) -> None:
 
 @main.command("count")
 @click.option("--scheme", "scheme_path", required=True, type=click.Path(dir_okay=False))
-@click.option("-n", "size", required=True, type=int)
+@click.option("-n", "size", required=True, type=click.IntRange(min=0))
 @click.option("--format", "fmt", default="lines", show_default=True, type=click.Choice(["lines", "json"]))
 def count_cmd(scheme_path: str, size: int, fmt: str) -> None:
     """Count avoiders of one size with a saved scheme."""
-    if size < 0:
-        raise click.UsageError("-n must be >= 0")
     loaded = _load_scheme(scheme_path)
     _check_budget(loaded, size)
     value = counting.count(loaded, size)
-    if fmt == "json":
-        _emit_json({"n": size, "count": value})
-    else:
-        click.echo(str(value))
+    _emit(fmt, {"n": size, "count": value}, [str(value)])
 
 
 @main.command("sequence")
 @click.option("--scheme", "scheme_path", required=True, type=click.Path(dir_okay=False))
-@click.option("-L", "--length", "length", required=True, type=int)
+@click.option("-L", "--length", "length", required=True, type=click.IntRange(min=1))
 @click.option("--format", "fmt", default="lines", show_default=True, type=click.Choice(["lines", "json"]))
 def sequence_cmd(scheme_path: str, length: int, fmt: str) -> None:
     """Print the counting sequence for n = 1..L."""
-    if length < 1:
-        raise click.UsageError("-L must be >= 1")
-    loaded = _load_scheme(scheme_path)
-    _check_budget(loaded, length)
-    terms = counting.sequence(loaded, length)
-    if fmt == "json":
-        _emit_json({"length": length, "terms": terms})
-    else:
-        for term in terms:
-            click.echo(str(term))
+    terms = _sequence(_load_scheme(scheme_path), length)
+    _emit(fmt, {"length": length, "terms": terms}, map(str, terms))
 
 
 def _read_terms_file(path: str) -> list[int]:
@@ -220,7 +209,7 @@ def _read_terms_file(path: str) -> list[int]:
 @main.command("guess")
 @click.option("--scheme", "scheme_path", type=click.Path(dir_okay=False), help="Compute terms from this scheme.")
 @click.option("--terms-file", type=click.Path(dir_okay=False), help="Read terms from a file instead.")
-@click.option("-L", "--length", "length", type=int, help="How many terms to compute from the scheme.")
+@click.option("-L", "--length", "length", type=click.IntRange(min=1), help="How many terms to compute from the scheme.")
 @click.option("--max-order", default=3, show_default=True, type=int)
 @click.option("--max-degree", default=2, show_default=True, type=int)
 @click.option("--guard", default=recurrence.DEFAULT_GUARD, show_default=True, type=int, help="Held-out terms a candidate must also annihilate.")
@@ -242,11 +231,7 @@ def guess_cmd(
     if scheme_path is not None:
         if length is None:
             raise click.UsageError("--scheme requires -L to choose how many terms to compute")
-        if length < 1:
-            raise click.UsageError("-L must be >= 1")
-        loaded = _load_scheme(scheme_path)
-        _check_budget(loaded, length)
-        terms = counting.sequence(loaded, length)
+        terms = _sequence(_load_scheme(scheme_path), length)
     else:
         terms = _read_terms_file(terms_file)
     try:
@@ -254,17 +239,13 @@ def guess_cmd(
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if candidate is None:
-        if fmt == "json":
-            _emit_json(
-                {"status": "no-recurrence", "max_order": max_order, "max_degree": max_degree}
-            )
-        else:
-            click.echo(f"no recurrence found (order <= {max_order}, degree <= {max_degree})")
+        _emit(
+            fmt,
+            {"status": "no-recurrence", "max_order": max_order, "max_degree": max_degree},
+            [f"no recurrence found (order <= {max_order}, degree <= {max_degree})"],
+        )
         ctx.exit(1)
-    if fmt == "json":
-        _emit_json(candidate.to_json())
-    else:
-        click.echo(f"CONJECTURE: {candidate.rendered()}")
+    _emit(fmt, candidate.to_json(), [f"CONJECTURE: {candidate.rendered()}"])
 
 
 @main.group("oracle")
@@ -274,49 +255,38 @@ def oracle_group() -> None:
 
 @oracle_group.command("count")
 @click.option("-p", "--patterns", "patterns_text", required=True)
-@click.option("-n", "size", required=True, type=int)
+@click.option("-n", "size", required=True, type=click.IntRange(min=0))
 @click.option("--format", "fmt", default="lines", show_default=True, type=click.Choice(["lines", "json"]))
 def oracle_count(patterns_text: str, size: int, fmt: str) -> None:
     """Count avoiders by exhaustive search."""
-    if size < 0:
-        raise click.UsageError("-n must be >= 0")
     patterns = _patterns_arg(patterns_text)
     value = oracle.count_avoiders(size, patterns)
-    if fmt == "json":
-        _emit_json({"n": size, "count": value})
-    else:
-        click.echo(str(value))
+    _emit(fmt, {"n": size, "count": value}, [str(value)])
 
 
 @oracle_group.command("members")
 @click.option("-p", "--patterns", "patterns_text", required=True)
-@click.option("-n", "size", required=True, type=int)
+@click.option("-n", "size", required=True, type=click.IntRange(min=0))
 @click.option("--format", "fmt", default="lines", show_default=True, type=click.Choice(["lines", "json"]))
 def oracle_members(patterns_text: str, size: int, fmt: str) -> None:
     """List every avoider of one size, lexicographically."""
-    if size < 0:
-        raise click.UsageError("-n must be >= 0")
     patterns = _patterns_arg(patterns_text)
     members = oracle.enumerate_avoiders(size, patterns)
-    if fmt == "json":
-        _emit_json({"n": size, "members": [list(p) for p in members]})
-    else:
-        for member in members:
-            click.echo(format_permutation(member))
+    _emit(fmt, {"n": size, "members": members}, map(format_permutation, members))
 
 
 def _sequence_for(patterns: PatternSet, length: int, max_depth: int) -> tuple[list[int], str]:
     found = search(patterns, max_depth)
     if found is not None:
-        return counting.sequence(found, length), "scheme"
+        return _sequence(found, length), "scheme"
     return [oracle.count_avoiders(n, patterns) for n in range(1, length + 1)], "brute-force"
 
 
 @main.command("compare")
 @click.option("-a", "patterns_a", required=True, help="First pattern set.")
 @click.option("-b", "patterns_b", required=True, help="Second pattern set.")
-@click.option("-L", "--length", "length", default=8, show_default=True, type=int)
-@click.option("--max-depth", default=4, show_default=True, type=int)
+@click.option("-L", "--length", "length", default=8, show_default=True, type=click.IntRange(min=1))
+@click.option("--max-depth", default=4, show_default=True, type=click.IntRange(min=1))
 @click.option("--format", "fmt", default="lines", show_default=True, type=click.Choice(["lines", "json"]))
 def compare_cmd(patterns_a: str, patterns_b: str, length: int, max_depth: int, fmt: str) -> None:
     """Compare two counting sequences: empirical Wilf-equivalence evidence.
@@ -324,33 +294,28 @@ def compare_cmd(patterns_a: str, patterns_b: str, length: int, max_depth: int, f
     Each side uses a discovered scheme when one exists and brute force
     otherwise. Agreement up to L is evidence, never a proof.
     """
-    if length < 1:
-        raise click.UsageError("-L must be >= 1")
-    if max_depth < 1:
-        raise click.UsageError("--max-depth must be >= 1")
     pats_a = _patterns_arg(patterns_a)
     pats_b = _patterns_arg(patterns_b)
     seq_a, method_a = _sequence_for(pats_a, length, max_depth)
     seq_b, method_b = _sequence_for(pats_b, length, max_depth)
     agree = seq_a == seq_b
     first_diff = next((n for n, (x, y) in enumerate(zip(seq_a, seq_b), start=1) if x != y), None)
-    if fmt == "json":
-        _emit_json(
-            {
-                "a": {"patterns": [list(p) for p in pats_a], "method": method_a, "terms": seq_a},
-                "b": {"patterns": [list(p) for p in pats_b], "method": method_b, "terms": seq_b},
-                "agree": agree,
-                "first_difference": first_diff,
-                "note": "empirical Wilf-equivalence evidence, not a proof",
-            }
-        )
-        return
-    click.echo("a: " + " ".join(str(t) for t in seq_a))
-    click.echo("b: " + " ".join(str(t) for t in seq_b))
-    if agree:
-        click.echo(f"sequences agree (n <= {length}) -- empirical Wilf-equivalence evidence, not a proof")
-    else:
-        click.echo(f"sequences differ first at n = {first_diff}")
+    verdict = (
+        f"sequences agree (n <= {length}) -- empirical Wilf-equivalence evidence, not a proof"
+        if agree
+        else f"sequences differ first at n = {first_diff}"
+    )
+    _emit(
+        fmt,
+        {
+            "a": {"patterns": pats_a, "method": method_a, "terms": seq_a},
+            "b": {"patterns": pats_b, "method": method_b, "terms": seq_b},
+            "agree": agree,
+            "first_difference": first_diff,
+            "note": "empirical Wilf-equivalence evidence, not a proof",
+        },
+        ["a: " + " ".join(map(str, seq_a)), "b: " + " ".join(map(str, seq_b)), verdict],
+    )
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from .perms import Perm, delete_rank
+from .perms import Perm, check_prefix_values, delete_rank
 from .scheme import Scheme
 
 
@@ -286,21 +286,12 @@ def _layers(plan: _Plan, upto: int):
         yield n, tables
 
 
-def _check_key(sigma: Perm, n: int, values: tuple[int, ...]) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if len(values) != len(sigma):
-        raise ValueError(f"{len(values)} values for a length-{len(sigma)} prefix")
-    if list(values) != sorted(set(values)) or any(not 1 <= v <= n for v in values):
-        raise ValueError(f"values must be strictly increasing within 1..{n}: {values}")
-
-
 def count_class(scheme: Scheme, sigma: Perm, n: int, values: "tuple[int, ...] | list[int]") -> int:
     """Exact size of one prefix class: its chain's target key at n - drop."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     sigma = tuple(sigma)
-    vals = tuple(values)
-    _check_key(sigma, n, vals)
-    return _class_value(scheme, sigma, n, vals)
+    return _class_value(scheme, sigma, n, check_prefix_values(sigma, values, n))
 
 
 def _class_value(scheme: Scheme, sigma: Perm, n: int, values: tuple[int, ...]) -> int:

@@ -34,6 +34,7 @@ from .perms import (
     PatternSet,
     Perm,
     avoids_all,
+    check_prefix_values,
     delete_rank,
     ends_with_bounds,
     normalize_patterns,
@@ -112,11 +113,7 @@ def prefix_class_members(
     ``values`` are the prefix values in increasing order; ``sigma`` says how
     they are arranged over the first positions.
     """
-    vals = tuple(values)
-    if len(vals) != len(sigma):
-        raise ValueError(f"{len(vals)} values for a length-{len(sigma)} prefix")
-    if list(vals) != sorted(set(vals)) or any(not 1 <= v <= n for v in vals):
-        raise ValueError(f"values must be strictly increasing within 1..{n}: {vals}")
+    vals = check_prefix_values(sigma, values, n)
     pats = normalize_patterns(patterns)
     # Position j of a class member holds the sigma_j-th smallest prefix value.
     return set(_iter_avoiders(n, pats, tuple(vals[s - 1] for s in sigma)))

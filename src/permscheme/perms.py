@@ -43,6 +43,21 @@ def check_permutation(entries: Iterable[int]) -> Perm:
     return perm
 
 
+def check_prefix_values(sigma: Perm, values: Iterable[int], n: int) -> tuple[int, ...]:
+    """Validate the values of a prefix class at size n: one per entry of
+    sigma, strictly increasing within 1..n.
+
+    >>> check_prefix_values((2, 1), [1, 3], 4)
+    (1, 3)
+    """
+    vals = tuple(values)
+    if len(vals) != len(sigma):
+        raise ValueError(f"{len(vals)} values for a length-{len(sigma)} prefix")
+    if list(vals) != sorted(set(vals)) or any(not 1 <= v <= n for v in vals):
+        raise ValueError(f"values must be strictly increasing within 1..{n}: {vals}")
+    return vals
+
+
 def reduce_word(word: Sequence[int]) -> Perm:
     """Replace each entry of a distinct-integer word by its rank.
 

@@ -198,8 +198,7 @@ def _try_shape(
     n_rows = total - d
     n_train = n_rows - guard
     cols = (d + 1) * (e + 1)
-    if n_train < cols:
-        return None
+    # guess_recurrence's required_terms leaves every shape n_train >= cols.
 
     def row(n: int) -> list[int]:
         return [n**s * terms[n - 1 + j] for j in range(d + 1) for s in range(e + 1)]

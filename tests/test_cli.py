@@ -18,6 +18,32 @@ def invoke(runner, args, **kw):
     return result
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["count", "--scheme", "c.json", "-n", "-1"],
+        ["oracle", "count", "-p", "123", "-n", "-1"],
+        ["oracle", "members", "-p", "123", "-n", "-1"],
+        ["scheme", "verify", "--scheme", "c.json", "--check-n", "-1"],
+        ["sequence", "--scheme", "c.json", "-L", "0"],
+        ["guess", "--scheme", "c.json", "-L", "0"],
+        ["compare", "-a", "123", "-b", "132", "-L", "0"],
+        ["scheme", "find", "-p", "123", "--max-depth", "0"],
+        ["compare", "-a", "123", "-b", "132", "--max-depth", "0"],
+    ],
+)
+def test_out_of_range_option_is_usage_error(runner, args):
+    # Click rejects the value before the command reads any file.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "is not in the range" in result.output
+    assert result.stdout == ""
+
+
+def test_help_shows_option_range(runner):
+    assert "x>=0" in invoke(runner, ["count", "--help"]).stdout
+
+
 class TestSchemeFind:
     def test_find_and_count(self, runner, tmp_path):
         path = tmp_path / "both.json"
@@ -198,8 +224,15 @@ class TestSequenceAndCount:
         path = tmp_path / "c123.json"
         invoke(runner, ["scheme", "find", "-p", "123", "--max-depth", "2", "-o", str(path)])
         n = str(KEY_BUDGET)
-        for args in (["count", "-n", n], ["sequence", "-L", n], ["guess", "-L", n]):
-            result = runner.invoke(main, [args[0], "--scheme", str(path), *args[1:]])
+        for args in (
+            ["count", "--scheme", str(path), "-n", n],
+            ["sequence", "--scheme", str(path), "-L", n],
+            ["guess", "--scheme", str(path), "-L", n],
+            ["scheme", "verify", "--scheme", str(path), "--check-n", n],
+            # The {123} side is counted first, by the same scheme.
+            ["compare", "-a", "123", "-b", "132", "-L", n],
+        ):
+            result = runner.invoke(main, args)
             assert result.exit_code == 2
             assert f"needs {KEY_BUDGET + 1} keys" in result.output
 
@@ -240,6 +273,33 @@ class TestGuess:
         assert result.exit_code == 1
         assert "no recurrence" in result.stdout
 
+    def test_terms_file_as_json_array(self, runner, tmp_path):
+        terms = tmp_path / "terms.json"
+        terms.write_text(json.dumps([catalan(n) for n in range(1, 31)]))
+        result = invoke(runner, ["guess", "--terms-file", str(terms)])
+        assert result.exit_code == 0
+        assert result.stdout == "CONJECTURE: (n+2)*a(n+1) - (4*n+2)*a(n) = 0\n"
+
+    def test_empty_terms_file_is_usage_error(self, runner, tmp_path):
+        terms = tmp_path / "terms.txt"
+        terms.write_text(" \n")
+        result = runner.invoke(main, ["guess", "--terms-file", str(terms)])
+        assert result.exit_code == 2
+        assert f"terms file {terms} is empty" in result.output
+
+    def test_unreadable_terms_file_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["guess", "--terms-file", str(tmp_path / "nope.txt")])
+        assert result.exit_code == 2
+        assert "cannot read terms file" in result.output
+
+    def test_no_recurrence_json(self, runner, tmp_path):
+        terms = tmp_path / "terms.txt"
+        terms.write_text("\n".join(str(n * n + 1 if n % 2 else n**3) for n in range(1, 26)))
+        args = ["guess", "--terms-file", str(terms), "--max-order", "1", "--max-degree", "1", "--format", "json"]
+        result = invoke(runner, args)
+        assert result.exit_code == 1
+        assert result.stdout == '{"schema_version":1,"status":"no-recurrence","max_order":1,"max_degree":1}\n'
+
     def test_boolean_term_is_usage_error(self, runner, tmp_path):
         terms = tmp_path / "terms.json"
         terms.write_text("[true, 2]")
@@ -256,6 +316,10 @@ class TestOracle:
     def test_count(self, runner):
         result = invoke(runner, ["oracle", "count", "-p", "123,132", "-n", "3"])
         assert result.stdout.strip() == "4"
+
+    def test_count_json(self, runner):
+        result = invoke(runner, ["oracle", "count", "-p", "123,132", "-n", "6", "--format", "json"])
+        assert result.stdout == '{"schema_version":1,"n":6,"count":32}\n'
 
     def test_members(self, runner):
         result = invoke(runner, ["oracle", "members", "-p", "12", "-n", "4"])
@@ -280,3 +344,13 @@ class TestCompare:
         doc = json.loads(result.stdout)
         assert doc["agree"] is True
         assert doc["a"]["terms"] == doc["b"]["terms"]
+
+    def test_brute_force_fallback(self, runner):
+        # Neither set has a scheme at depth 1, so both sides are brute-forced.
+        args = ["compare", "-a", "1324", "-b", "1234", "-L", "6", "--max-depth", "1"]
+        doc = json.loads(invoke(runner, [*args, "--format", "json"]).stdout)
+        terms = [1, 2, 6, 23, 103, 513]
+        assert doc["a"] == {"patterns": [[1, 3, 2, 4]], "method": "brute-force", "terms": terms}
+        assert doc["b"] == {"patterns": [[1, 2, 3, 4]], "method": "brute-force", "terms": terms}
+        assert doc["agree"] is True and doc["first_difference"] is None
+        assert invoke(runner, args).stdout.splitlines()[:2] == ["a: 1 2 6 23 103 513", "b: 1 2 6 23 103 513"]
