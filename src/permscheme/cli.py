@@ -32,6 +32,10 @@ SCHEMA_VERSION = 1
 # In 64-bit CPython a key held about 0.4 KiB at L=100 on {1234,1243,1324},
 # so the largest accepted layer stays near 0.4 GiB.
 KEY_BUDGET = 1_000_000
+# Largest size that a command brute-forces on its own (`scheme verify`'s
+# cross-check, `compare`'s fallback). The oracle's cost grows factorially:
+# {123} took 6.3 s at n = 11 and 36 s at n = 12 on a 2-core x86 box.
+BRUTE_FORCE_MAX_N = 10
 
 
 def _patterns_arg(text: str) -> PatternSet:
@@ -65,6 +69,14 @@ def _sequence(loaded: Scheme, length: int) -> list[int]:
     """The counts for n = 1..length, once the largest layer fits the budget."""
     _check_budget(loaded, length)
     return counting.sequence(loaded, length)
+
+
+def _check_brute_force(n: int) -> None:
+    if n > BRUTE_FORCE_MAX_N:
+        raise click.UsageError(
+            f"brute force up to n = {n} is over the cap of n <= {BRUTE_FORCE_MAX_N}; "
+            "count one size at a time with `permscheme oracle count`"
+        )
 
 
 def _emit(fmt: str, payload: dict, lines: Iterable[str]) -> None:
@@ -146,13 +158,14 @@ def scheme_find(
 
 @scheme_group.command("verify")
 @click.option("--scheme", "scheme_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--check-n", default=oracle.DEFAULT_HORIZON, show_default=True, type=click.IntRange(min=0), help="Cross-check counts against brute force up to this size.")
+@click.option("--check-n", default=oracle.DEFAULT_HORIZON, show_default=True, type=click.IntRange(min=0), help=f"Cross-check counts against brute force up to this size (at most {BRUTE_FORCE_MAX_N}).")
 @click.pass_context
 def scheme_verify(ctx: click.Context, scheme_path: str, check_n: int) -> None:
     """Validate a scheme document and cross-check it against brute force."""
     loaded = _load_scheme(scheme_path)
     click.echo("structure: ok")
     terms = _sequence(loaded, check_n) if check_n else []
+    _check_brute_force(check_n)
     for n, got in enumerate(terms, start=1):
         expected = oracle.count_avoiders(n, loaded.patterns)
         if got != expected:
@@ -279,6 +292,7 @@ def _sequence_for(patterns: PatternSet, length: int, max_depth: int) -> tuple[li
     found = search(patterns, max_depth)
     if found is not None:
         return _sequence(found, length), "scheme"
+    _check_brute_force(length)
     return [oracle.count_avoiders(n, patterns) for n in range(1, length + 1)], "brute-force"
 
 

@@ -224,7 +224,7 @@ def empirical_scheme_search(
 ) -> Scheme | None:
     """Scheme discovery with small-n observation in place of certification.
 
-    Same breadth-first skeleton and exact forced gaps as the rigorous
+    Same depth-first skeleton and exact forced gaps as the rigorous
     search (``empirical_gap_set`` observes the same gaps at every horizon
     allowed here), but deletable ranks are accepted on the evidence of
     every size up to ``max_n``. The resulting scheme is marked empirical

@@ -12,15 +12,15 @@ A scheme classifies prefix permutations into three dispositions:
 
 A scheme whose every refinement lands back in one of the three tables turns
 the class recurrences into a polynomial-time counting algorithm. Discovery
-is a breadth-first search from the empty prefix, bounded by a maximal prefix
+is a depth-first search from the empty prefix, bounded by a maximal prefix
 length; a class of maximal length that can neither be reduced nor zeroed
-makes the search fail.
+makes the search fail, so a failing search stops at the first such class it
+reaches instead of first classifying every shallower one.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -131,16 +131,18 @@ def _search_core(
     zero: set[Perm] = set()
     # The empty prefix avoids every pattern, has no rank to delete and is
     # shorter than any legal depth, so the loop expands it like any class.
-    queue: deque[Perm] = deque([()])
+    # A class's disposition depends on the class alone, so the visiting
+    # order changes only the log and which stuck class ends a failure.
+    stack: list[Perm] = [()]
     scheduled: set[Perm] = {()}
 
     def schedule(sigma: Perm) -> None:
         if sigma not in scheduled:
             scheduled.add(sigma)
-            queue.append(sigma)
+            stack.append(sigma)
 
-    while queue:
-        sigma = queue.popleft()
+    while stack:
+        sigma = stack.pop()
         if not avoids_all(sigma, patterns):
             zero.add(sigma)
             if log is not None:
@@ -166,7 +168,8 @@ def _search_core(
         elif len(sigma) < max_depth:
             children = tuple(refinements(sigma))
             expa[sigma] = ExpaEntry(gaps, children)
-            for child in children:
+            # Pushed last-first, so the first refinement is popped first.
+            for child in reversed(children):
                 schedule(child)
             if log is not None:
                 log.append({"sigma": list(sigma), "disposition": "expa", "gaps": gaps.sorted_list()})
@@ -178,11 +181,14 @@ def _search_core(
 
 
 def search(patterns: Iterable[Perm], max_depth: int, log: "list[dict] | None" = None) -> Scheme | None:
-    """Breadth-first discovery of a certified scheme, or None on failure.
+    """Depth-first discovery of a certified scheme, or None on failure.
 
-    Children are examined in refinement order; each is zeroed if its prefix
-    contains a pattern, reduced if a deletable rank certifies, expanded
-    while below the depth bound, and otherwise the whole search fails.
+    Classes are examined depth-first, the refinements of a class in
+    refinement order; each is zeroed if its prefix contains a pattern,
+    reduced if a deletable rank certifies, expanded while below the depth
+    bound, and otherwise the whole search fails at once. ``log`` receives
+    one record per class in that order, so on failure its last record is
+    the first stuck class found.
     """
     pats = normalize_patterns(patterns)
     return _search_core(pats, max_depth, find_deletable_rank, MODE_CERTIFIED, log)

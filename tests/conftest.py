@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from permscheme import normalize_patterns, reduce_word
+from permscheme.perms import symmetry_closure
 from permscheme.scheme import search
 
 P123 = ((1, 2, 3),)
@@ -12,6 +13,8 @@ P132 = ((1, 3, 2),)
 P12 = ((1, 2),)
 PBOTH = ((1, 2, 3), (1, 3, 2))
 PTHREE = ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4))
+# One length-4 pattern from each of the seven symmetry classes.
+SINGLETONS = sorted({symmetry_closure([q])[0] for q in permutations(range(1, 5))})
 
 
 def catalan(n: int) -> int:

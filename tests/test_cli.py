@@ -4,7 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import catalan
-from permscheme.cli import KEY_BUDGET, main
+from permscheme.cli import BRUTE_FORCE_MAX_N, KEY_BUDGET, main
 from permscheme.scheme import deserialize
 
 
@@ -235,6 +235,21 @@ class TestSequenceAndCount:
             result = runner.invoke(main, args)
             assert result.exit_code == 2
             assert f"needs {KEY_BUDGET + 1} keys" in result.output
+
+    def test_brute_force_over_cap_is_usage_error(self, runner, tmp_path):
+        # Both fit the key budget; past the cap the brute force takes minutes.
+        path = tmp_path / "c123.json"
+        invoke(runner, ["scheme", "find", "-p", "123", "--max-depth", "2", "-o", str(path)])
+        n = str(BRUTE_FORCE_MAX_N + 1)
+        for args in (
+            ["scheme", "verify", "--scheme", str(path), "--check-n", n],
+            # Neither set has a scheme at depth 1.
+            ["compare", "-a", "1324", "-b", "1234", "-L", n, "--max-depth", "1"],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2
+            assert f"brute force up to n = {n} is over the cap of n <= {BRUTE_FORCE_MAX_N}" in result.stderr
+            assert "permscheme oracle count" in result.stderr
 
     def test_count_json(self, runner, tmp_path):
         path = tmp_path / "c123.json"

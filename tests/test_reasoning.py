@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P12, P123, P132, PTHREE, random_pattern_sets
+from conftest import P12, P123, P132, PTHREE, SINGLETONS, random_pattern_sets
 from permscheme.oracle import empirical_deletable, empirical_gap_set, enumerate_avoiders, prefix_class_members
-from permscheme.perms import avoids_all, reduce_word, symmetry_closure
+from permscheme.perms import avoids_all, reduce_word
 from permscheme.reasoning import (
     Bailout,
     Event,
@@ -244,8 +244,6 @@ class TestComputeGapSet:
     )
     def test_known_sets(self, sigma, pats, expect):
         assert compute_gap_set(sigma, pats).forced == expect
-
-    SINGLETONS = sorted({symmetry_closure([q])[0] for q in permutations(range(1, 5))})
 
     @pytest.mark.parametrize("pats", random_pattern_sets(97103, 50) + SINGLETONS, ids=str)
     def test_matches_enumerated_members(self, pats):

@@ -1,11 +1,19 @@
 import json
+from collections import deque
 
 import pytest
 
-from conftest import P12, P123, P132, PBOTH, PTHREE, catalan, random_pattern_sets
+from conftest import P12, P123, P132, PBOTH, PTHREE, SINGLETONS, catalan, random_pattern_sets
 from permscheme import counting, oracle
-from permscheme.perms import contains, refinements
-from permscheme.reasoning import GapSet
+from permscheme.perms import (
+    avoids_all,
+    contains,
+    delete_rank,
+    normalize_patterns,
+    refinements,
+    symmetry_closure,
+)
+from permscheme.reasoning import GapSet, compute_gap_set, find_deletable_rank
 from permscheme.scheme import (
     ExpaEntry,
     ReduEntry,
@@ -126,6 +134,80 @@ class TestSearch:
         assert by_sigma[()]["disposition"] == "expa"
         assert by_sigma[(1, 2)]["disposition"] == "redu"
         assert by_sigma[(1, 2)]["delete_rank"] == 2
+
+
+    def test_failure_stops_at_first_stuck_class(self):
+        # Depth-first, the search reaches a stuck length-6 class after 10
+        # classes; visiting every shallower class first would take 38.
+        log = []
+        assert search(((1, 3, 2, 4),), 6, log) is None
+        assert len(log) == 10
+        assert log[-1] == {"sigma": [5, 6, 3, 4, 1, 2], "disposition": "stuck-at-depth"}
+
+
+def reference_search(patterns, max_depth):
+    """Breadth-first reference: the document and log records, or None and the records.
+
+    A class's disposition depends only on the class and the patterns, so any
+    visiting order reaches the same closure of the empty prefix and the same
+    dispositions, and fails exactly when that closure holds a stuck class.
+    """
+    pats = normalize_patterns(patterns)
+    expa, redu, zero, records = {}, {}, set(), []
+    queue, seen = deque([()]), {()}
+    while queue:
+        sigma = queue.popleft()
+        if not avoids_all(sigma, pats):
+            zero.add(sigma)
+            records.append({"sigma": list(sigma), "disposition": "zero"})
+            continue
+        gaps = compute_gap_set(sigma, pats)
+        rank = find_deletable_rank(sigma, pats, gaps)
+        if rank is not None:
+            redu[sigma] = ReduEntry(rank, gaps)
+            reached = [delete_rank(sigma, rank)]
+            records.append(
+                {"sigma": list(sigma), "disposition": "redu", "gaps": gaps.sorted_list(), "delete_rank": rank}
+            )
+        elif len(sigma) < max_depth:
+            reached = refinements(sigma)
+            expa[sigma] = ExpaEntry(gaps, tuple(reached))
+            records.append({"sigma": list(sigma), "disposition": "expa", "gaps": gaps.sorted_list()})
+        else:
+            return None, records
+        for target in reached:
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+    return serialize(Scheme(pats, expa, redu, frozenset(zero), "certified")), records
+
+
+class TestSearchOrderIndependence:
+    @pytest.mark.parametrize(
+        "pats, depth",
+        [(pats, 4 + i % 3) for i, pats in enumerate(random_pattern_sets(97103, 50)[:20])]
+        + [(pats, 6) for pats in SINGLETONS],
+        ids=str,
+    )
+    def test_same_result_as_breadth_first(self, pats, depth):
+        for image in symmetry_closure(pats):
+            found = search(image, depth)
+            expected, _ = reference_search(image, depth)
+            assert (None if found is None else serialize(found)) == expected, image
+
+    def test_same_log_records_as_breadth_first(self):
+        log = []
+        assert search(PTHREE, 4, log) is not None
+        document, records = reference_search(PTHREE, 4)
+        assert document is not None
+
+        def as_set(recs):
+            return {json.dumps(r, sort_keys=True) for r in recs}
+
+        assert len(log) == len(records)
+        assert as_set(log) == as_set(records)
+        # Depth-first, the records come in a different order.
+        assert log != records
 
 
 class TestSearchWithSymmetries:
