@@ -163,9 +163,11 @@ def scheme_find(
 def scheme_verify(ctx: click.Context, scheme_path: str, check_n: int) -> None:
     """Validate a scheme document and cross-check it against brute force."""
     loaded = _load_scheme(scheme_path)
-    click.echo("structure: ok")
-    terms = _sequence(loaded, check_n) if check_n else []
+    # Every usage check runs before the first line and before any count.
+    _check_budget(loaded, check_n)
     _check_brute_force(check_n)
+    click.echo("structure: ok")
+    terms = counting.sequence(loaded, check_n) if check_n else []
     for n, got in enumerate(terms, start=1):
         expected = oracle.count_avoiders(n, loaded.patterns)
         if got != expected:

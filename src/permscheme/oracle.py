@@ -1,33 +1,29 @@
 """Brute-force ground truth for pattern avoidance on small sizes.
 
-Everything here enumerates along one depth-first search, ``_iter_avoiders``.
-It extends a prefix one value at a time, in increasing order, and keeps a
-value only if no forbidden pattern ends at it; containment is hereditary,
-so a pruned prefix could never recover. The test is
+The module's one depth-first search, ``_iter_avoiders``, enumerates
+avoiders. It extends a prefix one value at a time, in increasing order, and
+keeps a value only if no forbidden pattern ends at it; containment is
+hereditary, so a pruned prefix could never recover. The test is
 ``perms.ends_with_bounds`` on slot bounds that ``perms.slot_bounds``
 compiles once per pattern; each search fetches them before its loop.
 Positions can be pinned to given values, which restricts the search to one
 prefix class. Counting, listing and class membership read the leaves of
-that search. The empirical deletion probes read class sizes from per-size
-prefix tallies (``_PrefixTally``): one search per size, whose avoiders are
-counted by their first k entries. A tally lives for one
-``empirical_scheme_search`` or ``empirical_deletable`` call; nothing is
-kept across calls. A deletion probe of a length-k prefix stops at size
-k+m-1, m the longest pattern length, since a miss at any size cuts down to
-a miss at most that large (see ``_deletable``). Empirical gaps need no
-tally: sizes up to any n past k show exactly the open gaps that size k+1
-shows, which ``reasoning.compute_gap_set`` decides on one permutation per
-gap. So the empirical search finds the same scheme at every horizon from
-depth + m - 1 on; a horizon at or below its depth is rejected. The routines
-are exact but exponential; they exist to cross-check the certified
-machinery up to n around 10, and to drive the empirical (uncertified)
-variant of the scheme search.
+that search. The routines are exact but exponential; they exist to
+cross-check the certified machinery up to n around 10.
+
+The empirical (uncertified) variant of the scheme search lives here too,
+though it enumerates no avoiders. Its gaps are exact: sizes up to any n
+past k show exactly the open gaps that size k+1 shows, which
+``reasoning.compute_gap_set`` decides on one permutation per gap. A rank
+is accepted when ``reasoning._deletion_counterexample`` finds no member
+up to the horizon that its deletion loses; a miss at any size cuts down to
+one of size at most k+m-1, m the longest pattern length. So the empirical
+search finds the same scheme at every horizon from depth + m - 1 on; a
+horizon at or below its depth is rejected.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .perms import (
@@ -40,7 +36,7 @@ from .perms import (
     normalize_patterns,
     slot_bounds,
 )
-from .reasoning import GapSet, compute_gap_set
+from .reasoning import GapSet, _deletion_counterexample, compute_gap_set
 from .scheme import MODE_EMPIRICAL, Scheme, _search_core
 
 DEFAULT_HORIZON = 8
@@ -119,66 +115,6 @@ def prefix_class_members(
     return set(_iter_avoiders(n, pats, tuple(vals[s - 1] for s in sigma)))
 
 
-class _PrefixTally:
-    """Prefix-class sizes of one pattern set, counted from one DFS per size.
-
-    The class (sigma, values) at size n holds the avoiders p of size n with
-    p[:k] == (values[sigma_1 - 1], ..., values[sigma_k - 1]). So one pass
-    over the avoiders of size n, counted by p[:k] for every k <= depth,
-    sizes every class of length at most depth at that size. A size is
-    tallied on its first probe, and the tallies live as long as the object.
-    """
-
-    def __init__(self, patterns: PatternSet, depth: int) -> None:
-        self.patterns = patterns
-        self.depth = depth
-        self._by_size: dict[int, Counter[Perm]] = {}
-
-    def size(self, n: int, sigma: Perm, values: tuple[int, ...]) -> int:
-        tally = self._by_size.get(n)
-        if tally is None:
-            ks = range(min(self.depth, n) + 1)
-            tally = Counter(p[:k] for p in _iter_avoiders(n, self.patterns) for k in ks)
-            self._by_size[n] = tally
-        return tally[tuple(values[s - 1] for s in sigma)]
-
-
-def _longest(patterns: PatternSet) -> int:
-    # 1 for no patterns, so that a deletion probe still tests size k.
-    return max((len(q) for q in patterns), default=1)
-
-
-def _deletable(sigma: Perm, tally: _PrefixTally, gaps: GapSet, rank: int, max_n: int) -> bool:
-    """Probe sizes k..min(max_n, k+m-1), m the longest pattern length.
-
-    Deleting the rank always injects a class into the reduced class one
-    size down, so a miss is a reduced member whose re-insertion contains
-    some pattern q, in an occurrence that uses the re-inserted entry. Keep
-    the prefix and the occurrence's entries after it, at most m-1 of them:
-    the re-insertion of what is left still contains q, and what is left
-    still avoids, so that is a miss at size at most k+m-1. Removing entries
-    after the prefix only narrows its gaps, so its values still obey the
-    forced ones. Conversely a miss at a smaller size is a miss. So larger
-    sizes cannot change the answer; with no patterns only size k is probed.
-    """
-    k = len(sigma)
-    if not 1 <= rank <= k:
-        raise ValueError(f"rank {rank} out of range for length {k}")
-    if gaps.k != k:
-        raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {k}")
-    if max_n < k:
-        raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
-    smaller = delete_rank(sigma, rank)
-    for n in range(k, min(max_n, k + _longest(tally.patterns) - 1) + 1):
-        for values in combinations(range(1, n + 1), k):
-            if gaps.violated(values, n):
-                continue
-            reduced = values[: rank - 1] + tuple(v - 1 for v in values[rank:])
-            if tally.size(n, sigma, values) != tally.size(n - 1, smaller, reduced):
-                return False
-    return True
-
-
 def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm], max_n: int = DEFAULT_HORIZON) -> GapSet:
     """Gaps observed to be forced on every tested size up to ``max_n``.
 
@@ -206,17 +142,20 @@ def empirical_deletable(
     rank: int,
     max_n: int = DEFAULT_HORIZON,
 ) -> bool:
-    """Check size-for-size that deleting the rank-th value loses nothing.
+    """Check on every size up to ``max_n`` that deleting the rank-th value loses nothing.
 
-    For every tested size and every value tuple obeying the forced gaps, the
-    class must have exactly as many members as the reduced class one size
-    down. Deletion always injects into the reduced class, so equal
-    cardinality is equivalent to the deletion being onto. ``max_n`` must be
-    at least the length of sigma, as for ``empirical_gap_set``; sizes past
-    k+m-1, m the longest pattern length, are not probed, as they cannot
-    change the answer.
+    ``max_n`` must be at least the length of sigma, as for
+    ``empirical_gap_set``. Sizes past k+m-1, m the longest pattern length,
+    cannot change the answer (see ``reasoning._deletion_counterexample``).
     """
-    return _deletable(sigma, _PrefixTally(normalize_patterns(patterns), len(sigma)), gaps, rank, max_n)
+    pats = normalize_patterns(patterns)
+    k = len(sigma)
+    delete_rank(sigma, rank)  # raises on a rank outside 1..k
+    if gaps.k != k:
+        raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {k}")
+    if max_n < k:
+        raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
+    return _deletion_counterexample(sigma, [slot_bounds(q) for q in pats], gaps, rank, max_n) is None
 
 
 def empirical_scheme_search(
@@ -235,16 +174,16 @@ def empirical_scheme_search(
     """
     pats = normalize_patterns(patterns)
     if max_n <= max_depth:
-        stable = max_depth + max(_longest(pats) - 1, 1)
+        stable = max_depth + max([len(q) - 1 for q in pats] + [1])
         raise ValueError(
             f"horizon {max_n} must exceed the depth {max_depth}; "
             f"results stop changing from horizon {stable} on"
         )
-    tally = _PrefixTally(pats, max_depth)
+    plans = [slot_bounds(q) for q in pats]
 
     def rank_fn(sigma: Perm, patterns: PatternSet, gaps: GapSet) -> int | None:
         for rank in range(1, len(sigma) + 1):
-            if _deletable(sigma, tally, gaps, rank, max_n):
+            if _deletion_counterexample(sigma, plans, gaps, rank, max_n) is None:
                 return rank
         return None
 

@@ -42,7 +42,9 @@ first and then symbols, each at a larger index than the one before, and
 checks each new slot only against the slots already chosen. Complete
 assignments come out in the order in which ``combinations`` over places
 and then symbols would list the candidates, so the first hit is the one an
-exhaustive scan finds.
+exhaustive scan finds. The empirical search decides deletion on concrete
+permutations instead: ``_deletion_counterexample`` walks the extensions of
+sigma by at most m-1 entries for a member that the deletion loses.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .perms import PatternSet, Perm, ends_with_bounds, slot_bounds
+from .perms import PatternSet, Perm, ends_with_bounds, reduce_word, slot_bounds
 
 
 @dataclass(frozen=True)
@@ -353,6 +355,55 @@ def certify_gap(sigma: Perm, patterns: PatternSet, j: int) -> bool:
 def _gap_forced(sigma: Perm, plans: list, j: int) -> bool:
     bumped = [v + 1 if v > j else v for v in sigma]
     return any(ends_with_bounds(bumped, j + 1, bounds) for bounds in plans)
+
+
+def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, max_n: int) -> Perm | None:
+    """A member that deleting the rank-th prefix value loses, or None.
+
+    ``plans`` are the patterns' ``slot_bounds``. The deletion injects the
+    class of sigma into the reduced class one size down, and misses exactly
+    the reduced members whose re-insertion pi contains a pattern; pi's
+    prefix values obey the forced gaps. Keep pi's prefix and the entries of
+    one occurrence after it, at most m-1 (m the longest pattern length):
+    the occurrence survives, the rest minus the rank entry still avoids,
+    and the prefix gaps only narrow. So a miss at any size cuts down to one
+    of size at most k+m-1.
+
+    First pi = sigma is decided: if sigma minus the rank entry contains a
+    pattern, both classes are empty; else sigma is a miss if it contains
+    one. Then at most min(m-1, max_n-k) entries are appended, one at a
+    time, each at the midpoint of an open interval of the current values
+    outside the forced gaps (``ends_with_bounds`` only compares). A branch
+    ends once pi minus the rank entry has an occurrence ending at the new
+    entry, and the walk stops at the first pi that has one, reduced to 1..n.
+    """
+    k = len(sigma)
+
+    def ends(word: tuple, v: float) -> bool:
+        return any(ends_with_bounds(word, v, bounds) for bounds in plans)
+
+    t = sigma.index(rank)
+    rest = sigma[:t] + sigma[t + 1 :]
+    if any(ends(rest[:e], rest[e]) for e in range(k - 1)):
+        return None
+    if any(ends(sigma[:e], sigma[e]) for e in range(k)):
+        return sigma
+    size = min(k + max((len(bounds) for bounds in plans), default=0), max_n)
+    stack = [(sigma, rest)] if k < size else []
+    while stack:
+        pi, rest = stack.pop()
+        lo = 0
+        for hi in (*sorted(pi), k + 1):
+            # The prefix values are 1..k, so (lo, hi) lies in gap int(lo).
+            if int(lo) not in gaps.forced:
+                v = (lo + hi) / 2
+                if not ends(rest, v):
+                    if ends(pi, v):
+                        return reduce_word(pi + (v,))
+                    if len(pi) + 1 < size:
+                        stack.append((pi + (v,), rest + (v,)))
+            lo = hi
+    return None
 
 
 def compute_gap_set(sigma: Perm, patterns: PatternSet) -> GapSet:

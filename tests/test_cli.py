@@ -235,6 +235,8 @@ class TestSequenceAndCount:
             result = runner.invoke(main, args)
             assert result.exit_code == 2
             assert f"needs {KEY_BUDGET + 1} keys" in result.output
+            # No success line from a command that fails.
+            assert "structure: ok" not in result.stdout
 
     def test_brute_force_over_cap_is_usage_error(self, runner, tmp_path):
         # Both fit the key budget; past the cap the brute force takes minutes.
@@ -250,6 +252,7 @@ class TestSequenceAndCount:
             assert result.exit_code == 2
             assert f"brute force up to n = {n} is over the cap of n <= {BRUTE_FORCE_MAX_N}" in result.stderr
             assert "permscheme oracle count" in result.stderr
+            assert "structure: ok" not in result.stdout
 
     def test_count_json(self, runner, tmp_path):
         path = tmp_path / "c123.json"

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import P12, P123, PBOTH, PTHREE, catalan, naive_contains, order_types, random_pattern_sets
 from permscheme.oracle import (
-    _PrefixTally,
     count_avoiders,
     empirical_deletable,
     empirical_gap_set,
@@ -13,8 +12,8 @@ from permscheme.oracle import (
     enumerate_avoiders,
     prefix_class_members,
 )
-from permscheme.perms import avoids_all, delete_rank, normalize_patterns
-from permscheme.reasoning import GapSet
+from permscheme.perms import avoids_all, delete_rank, normalize_patterns, reduce_word, slot_bounds
+from permscheme.reasoning import GapSet, _deletion_counterexample, compute_gap_set
 
 
 class TestEnumerate:
@@ -150,6 +149,44 @@ class TestEmpiricalDeletable:
         with pytest.raises(ValueError):
             empirical_deletable((1, 2, 3), P12, GapSet(3, frozenset()), 1, 2)
 
+    def test_forced_gap_is_skipped(self):
+        # Under {123} a value above 2 in (1,2) completes 123 with both, so
+        # rank 2 is lost only through members that leave gap 2 open.
+        assert empirical_deletable((1, 2), P123, GapSet(2, frozenset({2})), 2, 8)
+        assert not empirical_deletable((1, 2), P123, GapSet(2, frozenset()), 2, 8)
+
+    def test_prefix_decides_alone(self):
+        # (1,2,3) minus any entry still contains 12: both classes are empty.
+        assert empirical_deletable((1, 2, 3), P12, GapSet(3, frozenset()), 1, 8)
+        # (1,2) contains 12 and (1,) avoids it: (1,2) itself is lost.
+        assert not empirical_deletable((1, 2), P12, GapSet(2, frozenset()), 1, 8)
+        # Forcing every gap rules out every extension, but not sigma itself.
+        assert not empirical_deletable((1, 2, 3), P123, GapSet(3, frozenset(range(4))), 1, 8)
+
+    @pytest.mark.parametrize("pats", random_pattern_sets(97103, 50)[:10] + [P12, ()], ids=str)
+    def test_counterexamples_are_lost_members(self, pats):
+        # Each counterexample is checked by brute force, not by the walk's
+        # own containment test.
+        plans = [slot_bounds(q) for q in pats]
+        m = max((len(q) for q in pats), default=1)
+        for k in range(1, 5):
+            for sigma in permutations(range(1, k + 1)):
+                gaps = compute_gap_set(sigma, pats)
+                for rank in range(1, k + 1):
+                    pi = _deletion_counterexample(sigma, plans, gaps, rank, k + m - 1)
+                    assert (pi is None) == empirical_deletable(sigma, pats, gaps, rank, k + m - 1)
+                    if pi is None:
+                        continue
+                    n = len(pi)
+                    assert k <= n <= k + m - 1
+                    assert sorted(pi) == list(range(1, n + 1))
+                    assert reduce_word(pi[:k]) == sigma
+                    assert not gaps.violated(tuple(sorted(pi[:k])), n)
+                    assert any(naive_contains(pi, q) for q in pats)
+                    t = sigma.index(rank)
+                    rest = reduce_word(pi[:t] + pi[t + 1 :])
+                    assert not any(naive_contains(rest, q) for q in pats), (sigma, rank, pi)
+
     def test_probe_bound_is_tight(self):
         # Under {123} the first miss of (1,), rank 1, is 132 at size 3 =
         # k + m - 1: a horizon one below the bound accepts the wrong rank.
@@ -160,8 +197,8 @@ class TestEmpiricalDeletable:
 
 
 class TestEmpiricalAgainstClassMembers:
-    """The empirical deletion probes read class sizes from per-size prefix
-    tallies; here every size comes from ``prefix_class_members`` instead."""
+    """The empirical deletion probe walks concrete extensions of sigma; here
+    every size comes from ``prefix_class_members`` instead."""
 
     HORIZON = 6
 
@@ -188,18 +225,18 @@ class TestEmpiricalAgainstClassMembers:
             assert gaps.forced == forced, sigma
             for rank in range(1, k + 1):
                 smaller = delete_rank(sigma, rank)
-                expect = all(
-                    size(n, sigma, values)
-                    == size(n - 1, smaller, values[: rank - 1] + tuple(v - 1 for v in values[rank:]))
-                    for n in range(k, self.HORIZON + 1)
-                    for values in combinations(range(1, n + 1), k)
-                    if not gaps.violated(values, n)
-                )
-                assert empirical_deletable(sigma, pats, gaps, rank, self.HORIZON) == expect, (sigma, rank)
-        # The search shares one tally over every prefix length up to its depth.
-        shared = _PrefixTally(normalize_patterns(pats), 3)
-        for (n, sigma, values), expect in sizes.items():
-            assert shared.size(n, sigma, values) == expect, (n, sigma, values)
+                # Every horizon, so that the walk's cap of min(m-1, h-k)
+                # suffix entries is checked below k+m-1 as well as at it.
+                for horizon in range(k, self.HORIZON + 1):
+                    expect = all(
+                        size(n, sigma, values)
+                        == size(n - 1, smaller, values[: rank - 1] + tuple(v - 1 for v in values[rank:]))
+                        for n in range(k, horizon + 1)
+                        for values in combinations(range(1, n + 1), k)
+                        if not gaps.violated(values, n)
+                    )
+                    got = empirical_deletable(sigma, pats, gaps, rank, horizon)
+                    assert got == expect, (sigma, rank, horizon)
 
 
 class TestEmpiricalSearch:
