@@ -12,6 +12,7 @@ import json
 from collections.abc import Iterable
 
 import click
+from click.core import ParameterSource
 
 from . import counting, oracle, recurrence
 from .perms import PatternSet, format_permutation, is_int, parse_pattern_set
@@ -119,6 +120,8 @@ def scheme_find(
 ) -> None:
     """Search for a scheme and print its document."""
     patterns = _patterns_arg(patterns_text)
+    if mode != MODE_EMPIRICAL and ctx.get_parameter_source("empirical_n") is ParameterSource.COMMANDLINE:
+        raise click.UsageError("--empirical-n requires --mode empirical")
     if mode == MODE_EMPIRICAL and explain:
         raise click.UsageError("--explain requires --mode certified")
     if mode == MODE_EMPIRICAL and symmetries:
@@ -225,9 +228,9 @@ def _read_terms_file(path: str) -> list[int]:
 @click.option("--scheme", "scheme_path", type=click.Path(dir_okay=False), help="Compute terms from this scheme.")
 @click.option("--terms-file", type=click.Path(dir_okay=False), help="Read terms from a file instead.")
 @click.option("-L", "--length", "length", type=click.IntRange(min=1), help="How many terms to compute from the scheme.")
-@click.option("--max-order", default=3, show_default=True, type=int)
-@click.option("--max-degree", default=2, show_default=True, type=int)
-@click.option("--guard", default=recurrence.DEFAULT_GUARD, show_default=True, type=int, help="Held-out terms a candidate must also annihilate.")
+@click.option("--max-order", default=3, show_default=True, type=click.IntRange(min=0))
+@click.option("--max-degree", default=2, show_default=True, type=click.IntRange(min=0))
+@click.option("--guard", default=recurrence.DEFAULT_GUARD, show_default=True, type=click.IntRange(min=0), help="Equations beyond the unknowns that every fit must also satisfy.")
 @click.option("--format", "fmt", default="lines", show_default=True, type=click.Choice(["lines", "json"]))
 @click.pass_context
 def guess_cmd(
@@ -248,6 +251,8 @@ def guess_cmd(
             raise click.UsageError("--scheme requires -L to choose how many terms to compute")
         terms = _sequence(_load_scheme(scheme_path), length)
     else:
+        if length is not None:
+            raise click.UsageError("--terms-file takes no -L: the file holds the terms")
         terms = _read_terms_file(terms_file)
     try:
         candidate = recurrence.guess_recurrence(terms, max_order, max_degree, guard)
@@ -286,7 +291,10 @@ def oracle_count(patterns_text: str, size: int, fmt: str) -> None:
 def oracle_members(patterns_text: str, size: int, fmt: str) -> None:
     """List every avoider of one size, lexicographically."""
     patterns = _patterns_arg(patterns_text)
-    members = oracle.enumerate_avoiders(size, patterns)
+    # Lines mode prints each avoider as the search reaches it.
+    members = oracle.iter_avoiders(size, patterns)
+    if fmt == "json":
+        members = list(members)
     _emit(fmt, {"n": size, "members": members}, map(format_permutation, members))
 
 

@@ -83,22 +83,25 @@ def _iter_avoiders(n: int, patterns: PatternSet, forced: "tuple[int, ...]" = ())
         start = v + 1
 
 
+def iter_avoiders(n: int, patterns: Iterable[Perm]) -> Iterator[Perm]:
+    """The avoiders of size n, lexicographically, each as the search reaches it."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return _iter_avoiders(n, normalize_patterns(patterns))
+
+
 def enumerate_avoiders(n: int, patterns: Iterable[Perm]) -> list[Perm]:
     """All permutations of 1..n avoiding every pattern, lexicographically.
 
     >>> enumerate_avoiders(4, [(1, 2)])
     [(4, 3, 2, 1)]
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return list(_iter_avoiders(n, normalize_patterns(patterns)))
+    return list(iter_avoiders(n, patterns))
 
 
 def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
     """Number of avoiders of size n: the leaves of the pruned search tree."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return sum(1 for _ in _iter_avoiders(n, normalize_patterns(patterns)))
+    return sum(1 for _ in iter_avoiders(n, patterns))
 
 
 def prefix_class_members(

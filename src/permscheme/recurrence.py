@@ -7,11 +7,12 @@ p_0..p_d of degree at most e, p_d not identically zero, with
 
 at every applicable n. Candidate shapes (d, e) are tried in increasing
 d+e, then increasing d, so the returned shape is lexicographically minimal
-in (d+e, d) among the shapes that fit. The linear system is solved exactly
-over the integers; a held-out tail of terms must also be annihilated before
-a kernel vector is accepted, which guards against fitting noise with too
-many free coefficients. Whatever this returns is a conjecture: it is
-verified against the supplied terms and nothing more.
+in (d+e, d) among the shapes that fit. Each shape is one linear system, one
+equation per applicable n, solved exactly over the integers. The guard is
+the number of equations beyond the unknowns that a fit must also satisfy:
+with too few terms, any sequence fits a shape with enough free
+coefficients. Whatever this returns is a conjecture: it is verified against
+the supplied terms and nothing more.
 """
 
 from __future__ import annotations
@@ -183,7 +184,7 @@ def nullspace(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def required_terms(max_order: int, max_degree: int, guard: int = DEFAULT_GUARD) -> int:
-    """Fewest terms needed to search up to the given shape with the guard."""
+    """Fewest terms that leave every shape within the bounds ``guard`` more equations than unknowns."""
     return (max_order + 1) * (max_degree + 1) + max_order + guard
 
 
@@ -191,46 +192,18 @@ def _vector_to_coeffs(vec: Sequence[int], d: int, e: int) -> tuple[tuple[int, ..
     return tuple(tuple(vec[j * (e + 1) + s] for s in range(e + 1)) for j in range(d + 1))
 
 
-def _try_shape(
-    terms: Sequence[int], d: int, e: int, guard: int
-) -> RecurrenceCandidate | None:
-    total = len(terms)
-    n_rows = total - d
-    n_train = n_rows - guard
-    cols = (d + 1) * (e + 1)
-    # guess_recurrence's required_terms leaves every shape n_train >= cols.
-
-    def row(n: int) -> list[int]:
-        return [n**s * terms[n - 1 + j] for j in range(d + 1) for s in range(e + 1)]
-
-    train = [row(n) for n in range(1, n_train + 1)]
-    basis = nullspace(train)
-    if not basis:
-        return None
-    holdout = [row(n) for n in range(n_train + 1, n_rows + 1)]
-    if holdout:
-        # Constrain kernel combinations to also annihilate the held-out rows.
-        proj = [[sum(h[c] * b[c] for c in range(cols)) for b in basis] for h in holdout]
-        combos = nullspace(proj)
-        if not combos:
-            return None
-        survivors = []
-        for combo in combos:
-            vec = [sum(combo[i] * basis[i][c] for i in range(len(basis))) for c in range(cols)]
-            survivors.append(_normalize_vector(vec))
-        basis = survivors
-    lead_block = range(d * (e + 1), cols)
-    for vec in basis:
-        if any(vec[c] for c in lead_block):
-            # Sign convention: the leading polynomial's top coefficient
-            # (scanning shifts, then powers, downward) comes out positive.
-            lead = next(
-                vec[j * (e + 1) + s]
-                for j in range(d, -1, -1)
-                for s in range(e, -1, -1)
-                if vec[j * (e + 1) + s] != 0
-            )
-            if lead < 0:
+def _try_shape(terms: Sequence[int], d: int, e: int) -> RecurrenceCandidate | None:
+    # One row per applicable n. guess_recurrence's required_terms leaves
+    # every shape at least guard more rows than its (d+1)(e+1) unknowns.
+    rows = [
+        [n**s * terms[n - 1 + j] for j in range(d + 1) for s in range(e + 1)]
+        for n in range(1, len(terms) - d + 1)
+    ]
+    for vec in nullspace(rows):
+        if any(vec[d * (e + 1):]):
+            # Sign convention: the last nonzero entry, the leading
+            # polynomial's top coefficient, comes out positive.
+            if next(v for v in reversed(vec) if v) < 0:
                 vec = [-v for v in vec]
             return RecurrenceCandidate(d, e, _vector_to_coeffs(vec, d, e))
     return None
@@ -260,7 +233,7 @@ def guess_recurrence(
             e = total - d
             if e > max_degree:
                 continue
-            found = _try_shape(terms, d, e, guard)
+            found = _try_shape(terms, d, e)
             if found is not None:
                 return found
     return None

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import catalan
+from permscheme import oracle
 from permscheme.cli import BRUTE_FORCE_MAX_N, KEY_BUDGET, main
 from permscheme.scheme import deserialize
 
@@ -30,6 +31,9 @@ def invoke(runner, args, **kw):
         ["compare", "-a", "123", "-b", "132", "-L", "0"],
         ["scheme", "find", "-p", "123", "--max-depth", "0"],
         ["compare", "-a", "123", "-b", "132", "--max-depth", "0"],
+        ["guess", "--scheme", "c.json", "-L", "30", "--max-order", "-1"],
+        ["guess", "--scheme", "c.json", "-L", "30", "--max-degree", "-1"],
+        ["guess", "--scheme", "c.json", "-L", "30", "--guard", "-1"],
     ],
 )
 def test_out_of_range_option_is_usage_error(runner, args):
@@ -42,6 +46,8 @@ def test_out_of_range_option_is_usage_error(runner, args):
 
 def test_help_shows_option_range(runner):
     assert "x>=0" in invoke(runner, ["count", "--help"]).stdout
+    # --max-order, --max-degree and --guard.
+    assert invoke(runner, ["guess", "--help"]).stdout.count("x>=0") == 3
 
 
 class TestSchemeFind:
@@ -128,6 +134,14 @@ class TestSchemeFind:
         result = runner.invoke(main, args)
         assert result.exit_code == 2
         assert "results stop changing from horizon 4 on" in result.output
+
+    def test_empirical_n_requires_empirical_mode(self, runner):
+        # Only a value given on the command line is rejected, not the default.
+        args = ["scheme", "find", "-p", "123", "--max-depth", "2", "--empirical-n", "3"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "--empirical-n requires --mode empirical" in result.stderr
+        assert result.stdout == ""
 
     def test_boolean_pattern_entry_is_usage_error(self, runner):
         result = runner.invoke(main, ["scheme", "find", "-p", "[[true,2,3]]", "--max-depth", "2"])
@@ -329,6 +343,14 @@ class TestGuess:
         result = runner.invoke(main, ["guess"])
         assert result.exit_code == 2
 
+    def test_terms_file_takes_no_length(self, runner, tmp_path):
+        terms = tmp_path / "terms.txt"
+        terms.write_text("\n".join(str(catalan(n)) for n in range(1, 31)))
+        result = runner.invoke(main, ["guess", "--terms-file", str(terms), "-L", "3"])
+        assert result.exit_code == 2
+        assert "--terms-file takes no -L" in result.stderr
+        assert result.stdout == ""
+
 
 class TestOracle:
     def test_count(self, runner):
@@ -344,6 +366,17 @@ class TestOracle:
         assert result.stdout.split() == ["4321"]
         as_json = invoke(runner, ["oracle", "members", "-p", "12", "-n", "4", "--format", "json"])
         assert json.loads(as_json.stdout)["members"] == [[4, 3, 2, 1]]
+
+    def test_members_stream_in_lines_mode(self, runner, monkeypatch):
+        # The first avoider is printed before the search goes on.
+        def avoiders(n, patterns):
+            yield (2, 1)
+            raise RuntimeError("search interrupted")
+
+        monkeypatch.setattr(oracle, "iter_avoiders", avoiders)
+        result = runner.invoke(main, ["oracle", "members", "-p", "12", "-n", "2"])
+        assert isinstance(result.exception, RuntimeError)
+        assert result.stdout == "21\n"
 
 
 class TestCompare:
