@@ -153,8 +153,11 @@ def scheme_find(
         click.echo(f"symmetry: {label}", err=True)
     document = serialize(found)
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(document)
+        except OSError as exc:
+            raise click.UsageError(f"cannot write scheme file {output}: {exc}")
     else:
         click.echo(document, nl=False)
 

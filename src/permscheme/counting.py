@@ -19,7 +19,8 @@ lands in the target's tuple, and every forced gap met on the way as the
 equality i_p - i_q = p - q on the root's extended tuple (i_0, ..., i_{k+1}).
 A chain through a class the scheme does not define raises
 ``SchemeIntegrityError`` while the plan is compiled. Each insertion slot of
-an expanded class is then one of three forms:
+an expanded class is then emitted straight from its child's chain, in one of
+three forms:
 
 * r is pinned by a gap of the child's chain: one lookup;
 * r is deleted by the chain: the slot's width times one lookup;
@@ -88,65 +89,16 @@ def _follow(scheme: Scheme, sigma: Perm) -> _Chain:
     return _Chain(target, k - len(alive), coords, tuple(gaps))
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """Insertion slot j of an expanded class, in the parent's indices.
+def _source(k: int, forced: tuple[int, ...], slots: "list[tuple[int, _Chain]]") -> tuple[str, tuple]:
+    """Python source of one expanded class's table at a size n >= k + 1,
+    and where each slot's table sits in a layer.
 
-    The inserted value r lies strictly between i_{j-1} and i_j. ``before``
-    and ``after`` give the target coordinates around r's as (index, shift);
-    ``r_shift`` is None when the chain deletes r.
-    """
-
-    j: int
-    static: tuple[tuple[int, int, int], ...]  # (p, q, c): i_p - i_q == c
-    pins: tuple[tuple[int, int], ...]  # (a, c): r == i_a + c
-    target: Perm
-    drop: int
-    before: tuple[tuple[int, int], ...]
-    r_shift: "int | None"
-    after: tuple[tuple[int, int], ...]
-
-    @property
-    def read(self) -> tuple[int, int, object]:
-        """Where the slot's table sits in a layer: (drop, part, key).
-
-        Part 0 holds the tables by class; part 1 the prefix sums by (class,
-        coordinate), which a slot reads when r runs over its whole range.
-        """
-        if self.r_shift is not None and not self.pins:
-            return self.drop, 1, (self.target, len(self.before))
-        return self.drop, 0, self.target
-
-
-def _slot(j: int, chain: _Chain) -> _Slot:
-    def parent(i: int) -> int:
-        return i if i < j else i - 1
-
-    static, pins = [], []
-    for q, p in chain.gaps:
-        if p == j:
-            pins.append((q, p - q))
-        elif q == j:
-            pins.append((p - 1, q - p))
-        else:
-            static.append((parent(p), parent(q), p - q))
-    return _Slot(
-        j,
-        tuple(static),
-        tuple(pins),
-        chain.target,
-        chain.drop,
-        tuple((a, sh) for a, sh in chain.coords if a < j),
-        next((sh for a, sh in chain.coords if a == j), None),
-        tuple((parent(a), sh) for a, sh in chain.coords if a > j),
-    )
-
-
-def _source(k: int, forced: tuple[int, ...], slots: tuple[_Slot, ...]) -> str:
-    """Python source of one expanded class's table at a size n >= k + 1.
-
-    The key (i_1, ..., i_k) is unpacked into locals and every slot becomes
-    one guarded sum term; slot t reads the table passed as argument t.
+    Slot j comes with its child's chain, whose indices past j move down by
+    one into the parent's. The key (i_1, ..., i_k) is unpacked into locals
+    and every slot becomes one guarded sum term; slot t reads the table
+    passed as argument t. A read is (drop, part, key): part 0 holds the
+    tables by class, part 1 the prefix sums by (class, coordinate), which a
+    slot reads when r runs over its whole range.
     """
     names = ["0", *(f"i{a}" for a in range(1, k + 1)), "top"]
 
@@ -172,30 +124,40 @@ def _source(k: int, forced: tuple[int, ...], slots: tuple[_Slot, ...]) -> str:
         broken = " or ".join(f"{at(j + 1)} != {at(j, 1)}" for j in forced)
         lines += [f"        if {broken}:", "            table[key] = 0", "            continue"]
     lines.append("        total = 0")
-    for t, s in enumerate(slots):
-        j = s.j
-        head = [at(a, -sh) for a, sh in s.before]
-        tail = [at(a, -sh) for a, sh in s.after]
-        static = [f"{at(p)} - {at(q)} == {c}" for p, q, c in s.static]
-        if s.pins:
-            (a, c), *others = s.pins
-            lines.append(f"        r = {at(a, c)}")
-            guard = [f"{at(j - 1)} < r < {at(j)}", *static, *(f"r == {at(b, d)}" for b, d in others)]
-            mid = [] if s.r_shift is None else [f"r - {s.r_shift}" if s.r_shift else "r"]
+    reads = []
+    for t, (j, chain) in enumerate(slots):
+        # A gap that touches j pins r (r == i_a + c); any other is checked as it stands.
+        static, pins = [], []
+        for q, p in chain.gaps:
+            if p == j:
+                pins.append(at(q, p - q))
+            elif q == j:
+                pins.append(at(p - 1, q - p))
+            else:
+                static.append(f"{at(p if p < j else p - 1)} - {at(q if q < j else q - 1)} == {p - q}")
+        head = [at(a, -sh) for a, sh in chain.coords if a < j]
+        tail = [at(a - 1, -sh) for a, sh in chain.coords if a > j]
+        r_shift = dict(chain.coords).get(j)  # None when the chain deletes r
+        if pins:
+            lines.append(f"        r = {pins[0]}")
+            guard = [f"{at(j - 1)} < r < {at(j)}", *static, *(f"r == {x}" for x in pins[1:])]
+            mid = [] if r_shift is None else [f"r - {r_shift}" if r_shift else "r"]
             term = f"t{t}[{key(head, mid, tail)}]"
         else:
             guard = [f"{at(j - 1, 1)} < {at(j)}", *static]
-            if s.r_shift is None:
+            if r_shift is None:
                 term = f"t{t}[{key(head, tail)}] * ({at(j, -1)} - {at(j - 1)})"
             else:
-                term = f"t{t}[{key(head, [at(j, -1 - s.r_shift)], tail)}]"
-                if (s.before[-1][0] if s.before else 0) != j - 1:
+                term = f"t{t}[{key(head, [at(j, -1 - r_shift)], tail)}]"
+                if j > 1 and j - 1 not in dict(chain.coords):
                     # r's lower neighbour was deleted, so its range starts
                     # above the lowest value of the target coordinate.
-                    term += f" - t{t}.get({key(head, [at(j - 1, -s.r_shift)], tail)}, 0)"
+                    term += f" - t{t}.get({key(head, [at(j - 1, -r_shift)], tail)}, 0)"
         lines += [f"        if {' and '.join(guard)}:", f"            total += {term}"]
+        summed = r_shift is not None and not pins
+        reads.append((chain.drop, 1, (chain.target, len(head))) if summed else (chain.drop, 0, chain.target))
     lines += ["        table[key] = total", "    return table"]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", tuple(reads)
 
 
 @lru_cache(maxsize=1024)
@@ -212,7 +174,7 @@ class _Expa:
 
     sigma: Perm
     tabulate: Callable[..., dict]  # the table at a size n >= k + 1
-    reads: tuple[tuple[int, int, object], ...]  # per slot, as _Slot.read
+    reads: tuple[tuple[int, int, object], ...]  # per slot, as _source returns them
 
 
 class _Plan:
@@ -224,16 +186,11 @@ class _Plan:
         expa, reads = [], []
         for sigma in sorted(scheme.expa, key=lambda s: (-len(s), s)):
             entry = scheme.expa[sigma]
-            own = []
-            for j, child in enumerate(entry.children, start=1):
-                chain = _follow(scheme, child)
-                if chain.target is not None:
-                    own.append(_slot(j, chain))
-            forced = tuple(entry.gaps.sorted_list())
-            own_reads = tuple(s.read for s in own)
-            tabulate = _table_function(_source(len(sigma), forced, tuple(own)))
-            expa.append(_Expa(sigma, tabulate, own_reads))
-            reads += own_reads
+            chains = (_follow(scheme, child) for child in entry.children)
+            slots = [(j, c) for j, c in enumerate(chains, start=1) if c.target is not None]
+            source, own = _source(len(sigma), tuple(entry.gaps.sorted_list()), slots)
+            expa.append(_Expa(sigma, _table_function(source), own))
+            reads += own
         self.expa = tuple(expa)
         self.keep = 1 + max((drop for drop, _, _ in reads), default=0)
         summed = {key for _, part, key in reads if part}

@@ -356,8 +356,6 @@ def parse_permutation(text: str) -> Perm:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad permutation syntax: {text!r}") from exc
-        if not isinstance(data, list):
-            raise ValueError(f"bad permutation syntax: {text!r}")
         return check_permutation(data)
     if not text.isdigit() or "0" in text:
         raise ValueError(f"bad permutation syntax: {text!r}")
@@ -379,8 +377,6 @@ def parse_pattern_set(text: str) -> PatternSet:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad pattern set syntax: {text!r}") from exc
-        if not isinstance(data, list):
-            raise ValueError(f"bad pattern set syntax: {text!r}")
         if all(is_int(v) for v in data) and data:
             return normalize_patterns([data])
         if all(isinstance(q, list) for q in data):

@@ -290,7 +290,6 @@ def deserialize(text: str) -> Scheme:
         )
     except ValueError as exc:
         raise SchemeFormatError(str(exc)) from exc
-    mode = doc["mode"]
     expa: dict[Perm, ExpaEntry] = {}
     redu: dict[Perm, ReduEntry] = {}
     if not isinstance(doc["expa"], list) or not isinstance(doc["redu"], list):
@@ -325,7 +324,7 @@ def deserialize(text: str) -> Scheme:
     zero = frozenset(zeros)
     if len(zero) != len(zeros):
         raise SchemeFormatError("zero lists a sigma twice")
-    scheme = Scheme(patterns, expa, redu, zero, mode if isinstance(mode, str) else "")
+    scheme = Scheme(patterns, expa, redu, zero, doc["mode"])
     problems = validate(scheme)
     if problems:
         raise SchemeFormatError("; ".join(problems))

@@ -153,6 +153,25 @@ class TestSchemeFind:
         assert result.exit_code == 2
         assert result.stdout == ""
 
+    def test_output_into_missing_directory_is_usage_error(self, runner, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        result = runner.invoke(main, ["scheme", "find", "-p", "123", "--max-depth", "2", "-o", str(path)])
+        assert result.exit_code == 2
+        assert f"cannot write scheme file {path}" in result.stderr
+        assert result.stdout == ""
+
+    def test_empirical_with_symmetries_is_usage_error(self, runner):
+        args = ["scheme", "find", "-p", "123", "--max-depth", "2", "--mode", "empirical", "--symmetries"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "--symmetries requires --mode certified" in result.stderr
+
+    def test_failing_symmetric_search(self, runner):
+        result = invoke(runner, ["scheme", "find", "-p", "1324", "--max-depth", "3", "--symmetries"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["result"] == "failure"
+        assert "symmetry:" not in result.stderr
+
     def test_byte_identical_outputs(self, runner):
         args = ["scheme", "find", "-p", "1234,1243,1324", "--max-depth", "4"]
         assert invoke(runner, args).stdout == invoke(runner, args).stdout
@@ -342,6 +361,24 @@ class TestGuess:
     def test_conflicting_sources(self, runner, tmp_path):
         result = runner.invoke(main, ["guess"])
         assert result.exit_code == 2
+
+    def test_scheme_requires_length(self, runner, tmp_path):
+        result = runner.invoke(main, ["guess", "--scheme", str(tmp_path / "c.json")])
+        assert result.exit_code == 2
+        assert "--scheme requires -L" in result.stderr
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1 2 3", "need at least"), ("[1, 2", "Expecting"), ("1 2 x", "invalid literal")],
+        ids=["too-short", "unclosed-array", "non-integer"],
+    )
+    def test_bad_terms_file_is_usage_error(self, runner, tmp_path, text, message):
+        terms = tmp_path / "terms.txt"
+        terms.write_text(text)
+        result = runner.invoke(main, ["guess", "--terms-file", str(terms)])
+        assert result.exit_code == 2
+        assert message in result.stderr
+        assert result.stdout == ""
 
     def test_terms_file_takes_no_length(self, runner, tmp_path):
         terms = tmp_path / "terms.txt"

@@ -4,12 +4,14 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import P12, P123, PBOTH, PTHREE, catalan, naive_contains, order_types, random_pattern_sets
+from permscheme.counting import count_class
 from permscheme.oracle import (
     count_avoiders,
     empirical_deletable,
     empirical_gap_set,
     empirical_scheme_search,
     enumerate_avoiders,
+    iter_avoiders,
     prefix_class_members,
 )
 from permscheme.perms import avoids_all, delete_rank, normalize_patterns, reduce_word, slot_bounds
@@ -28,6 +30,13 @@ class TestEnumerate:
 
     def test_single_decreasing(self):
         assert enumerate_avoiders(4, P12) == [(4, 3, 2, 1)]
+
+    def test_negative_size_rejected(self, scheme123):
+        # The scheme's class counts reject the same sizes as the oracle.
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            iter_avoiders(-1, P123)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            count_class(scheme123, (1,), -1, (1,))
 
     @pytest.mark.parametrize("pats", [P123, PBOTH, ((2, 1, 3),)])
     def test_pruning_matches_filter(self, pats):

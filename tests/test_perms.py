@@ -59,6 +59,10 @@ class TestContains:
     def test_decreasing_host(self):
         assert not contains((3, 2, 1), (1, 2))
 
+    def test_empty_pattern_is_in_every_host(self):
+        assert contains((1, 2), ())
+        assert contains((), ())
+
     def test_avoids_all(self):
         assert avoids_all((3, 1, 4, 2), ())
         assert not avoids_all((1, 3, 2), ((1, 2, 3), (1, 3, 2)))
@@ -188,7 +192,7 @@ class TestTextForms:
         assert parse_pattern_set("[1,2,3]") == ((1, 2, 3),)
         assert parse_pattern_set("132,132") == ((1, 3, 2),)
 
-    @pytest.mark.parametrize("bad", ["123,,132", "[[1,2],3]", "[[]]", "[[true,2,3]]", "[true,2,3]"])
+    @pytest.mark.parametrize("bad", ["123,,132", "[[1,2],3]", "[[]]", "[[true,2,3]]", "[true,2,3]", "[1,"])
     def test_bad_pattern_sets(self, bad):
         with pytest.raises(ValueError):
             parse_pattern_set(bad)

@@ -27,6 +27,10 @@ class TestNullspace:
     def test_full_rank_is_trivial(self):
         assert nullspace([[1, 0], [0, 1]]) == []
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least one row"):
+            nullspace([])
+
     def test_annihilation(self):
         rows = [[2, 4, 6, 1], [1, 5, 2, 7], [3, 9, 8, 8]]
         for vec in nullspace(rows):
@@ -43,11 +47,15 @@ class TestCandidate:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             RecurrenceCandidate(1, 1, ((1, 0),))
+        with pytest.raises(ValueError, match="needs 2 coefficients"):
+            RecurrenceCandidate(1, 1, ((1, 0), (1,)))
 
     def test_rendering(self):
         assert CATALAN_REC.rendered() == "(n+2)*a(n+1) - (4*n+2)*a(n) = 0"
         assert FACTORIAL_REC.rendered() == "a(n+1) - (n+1)*a(n) = 0"
         assert RecurrenceCandidate(1, 0, ((-1,), (1,))).rendered() == "a(n+1) - a(n) = 0"
+        # A zero coefficient and a zero polynomial drop out of the sum.
+        assert RecurrenceCandidate(2, 1, ((-1, 0), (0, 0), (0, 1))).rendered() == "(n)*a(n+2) - a(n) = 0"
 
     def test_json_form(self):
         doc = CATALAN_REC.to_json()
@@ -84,6 +92,14 @@ class TestGuess:
 
     def test_scaling_invariance(self):
         assert guess_recurrence([7 * t for t in CATALAN_30], 3, 3) == CATALAN_REC
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [((-1, 2, 0), "bounds must be nonnegative"), ((2, -1, 0), "bounds must be nonnegative"), ((2, 2, -1), "guard")],
+    )
+    def test_negative_bounds_rejected(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            guess_recurrence(CATALAN_30, *bounds)
 
     def test_insufficient_terms_reported(self):
         need = required_terms(3, 3)

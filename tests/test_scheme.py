@@ -83,6 +83,27 @@ class TestValidate:
         )
         assert validate(broken) == ["refinement (1, 2) of (1,) not classified"]
 
+    def test_expa_gap_set_sized_for_another_length(self, scheme123):
+        entry = scheme123.expa[(1,)]
+        broken = Scheme(
+            scheme123.patterns,
+            {**scheme123.expa, (1,): ExpaEntry(GapSet(2, frozenset()), entry.children)},
+            dict(scheme123.redu),
+            scheme123.zero,
+            scheme123.mode,
+        )
+        assert validate(broken) == ["expa[(1,)] gap set sized for length 2"]
+
+    def test_redu_gap_set_sized_for_another_length(self, scheme123):
+        broken = Scheme(
+            scheme123.patterns,
+            dict(scheme123.expa),
+            {**scheme123.redu, (1, 2): ReduEntry(2, GapSet(1, frozenset({1})))},
+            scheme123.zero,
+            scheme123.mode,
+        )
+        assert validate(broken) == ["redu[(1, 2)] gap set sized for length 1"]
+
 
 class TestSearch:
     def test_123_structure(self, scheme123):
@@ -231,6 +252,10 @@ class TestSearchWithSymmetries:
         assert hit is not None
         assert hit[0].patterns == ((1,),)
 
+    def test_no_image_found(self):
+        # Both images of {123} need depth 2.
+        assert search_with_symmetries(P123, 1) is None
+
 
 class TestSerialization:
     def test_round_trip(self, scheme123, scheme_three):
@@ -295,6 +320,17 @@ class TestSerialization:
             lambda d: d["redu"][0].update(gaps=[2, 2]),
             # 123 contains the pattern, so it cannot be reduced.
             lambda d: d["redu"].append({"sigma": [1, 2, 3], "delete_rank": 3, "gaps": []}),
+            lambda d: d.update(patterns="123"),
+            lambda d: d.update(expa={}),
+            lambda d: d.update(zero=5),
+            lambda d: d["expa"].append([[1, 2], [], []]),
+            lambda d: d["expa"][0].pop("gaps"),
+            lambda d: d["redu"].append(5),
+            lambda d: d["redu"][0].update(extra=1),
+            lambda d: d["expa"][0].update(refinements=5),
+            lambda d: d["zero"].append("123"),
+            # Gaps of a length-2 class lie in 0..2.
+            lambda d: d["redu"][0].update(gaps=[3]),
         ],
     )
     def test_bad_documents_rejected(self, scheme123, mangle):
@@ -303,9 +339,30 @@ class TestSerialization:
         with pytest.raises(SchemeFormatError):
             deserialize(json.dumps(doc))
 
-    def test_garbage_rejected(self):
-        with pytest.raises(SchemeFormatError):
-            deserialize("not json at all")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not json at all", "not valid JSON"),
+            ("[]", "document must be a JSON object"),
+            ("5", "document must be a JSON object"),
+        ],
+        ids=["text", "list", "number"],
+    )
+    def test_garbage_rejected(self, text, message):
+        with pytest.raises(SchemeFormatError, match=message):
+            deserialize(text)
+
+    @pytest.mark.parametrize(
+        "mode, shown",
+        [(5, "5"), (None, "None"), (["certified"], "['certified']")],
+        ids=["number", "null", "list"],
+    )
+    def test_non_string_mode_reported_as_given(self, scheme123, mode, shown):
+        doc = json.loads(serialize(scheme123))
+        doc["mode"] = mode
+        with pytest.raises(SchemeFormatError) as info:
+            deserialize(json.dumps(doc))
+        assert str(info.value) == f"unknown mode {shown}"
 
 
 class TestDiscoveredSchemesAgainstOracle:
