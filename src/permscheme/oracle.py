@@ -3,9 +3,9 @@
 The module's one depth-first search, ``_iter_avoiders``, enumerates
 avoiders. It extends a prefix one value at a time, in increasing order, and
 keeps a value only if no forbidden pattern ends at it; containment is
-hereditary, so a pruned prefix could never recover. The test is
-``perms.ends_with_bounds`` on slot bounds that ``perms.slot_bounds``
-compiles once per pattern; each search fetches them before its loop.
+hereditary, so a pruned prefix could never recover. One
+``perms.ends_with_bounds`` call tests the whole set, on the patterns'
+``perms.slot_bounds``.
 Positions can be pinned to given values, which restricts the search to one
 prefix class. Counting, listing and class membership read the leaves of
 that search. The routines are exact but exponential; they exist to
@@ -30,6 +30,7 @@ from .perms import (
     PatternSet,
     Perm,
     avoids_all,
+    check_permutation,
     check_prefix_values,
     delete_rank,
     ends_with_bounds,
@@ -61,12 +62,8 @@ def _iter_avoiders(n: int, patterns: PatternSet, forced: "tuple[int, ...]" = ())
             else:
                 top = n
             for v in range(start, top + 1):
-                if not used[v]:
-                    for bounds in plans:
-                        if ends_with_bounds(prefix, v, bounds):
-                            break
-                    else:
-                        break
+                if not used[v] and not ends_with_bounds(prefix, v, plans):
+                    break
             else:
                 v = 0  # no value extends the prefix
             if v:
@@ -112,7 +109,7 @@ def prefix_class_members(
     ``values`` are the prefix values in increasing order; ``sigma`` says how
     they are arranged over the first positions.
     """
-    vals = check_prefix_values(sigma, values, n)
+    vals = check_prefix_values(check_permutation(sigma), values, n)
     pats = normalize_patterns(patterns)
     # Position j of a class member holds the sigma_j-th smallest prefix value.
     return set(_iter_avoiders(n, pats, tuple(vals[s - 1] for s in sigma)))

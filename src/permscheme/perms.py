@@ -107,57 +107,59 @@ def slot_bounds(q: Perm) -> tuple[tuple[int, int], ...]:
     return tuple(plan)
 
 
-def ends_with_bounds(prefix: Sequence[int], last: int, bounds: tuple[tuple[int, int], ...]) -> bool:
-    """``ends_occurrence`` for the pattern whose ``slot_bounds`` are given."""
-    need = len(bounds)
-    if need == 0:
-        return True
-    # Slot s may take prefix indices below stop + s, which leaves room for
-    # the slots after it.
-    stop = len(prefix) - need + 1
-    if stop <= 0:
-        return False
-    # Slot 0 is bounded by ``last`` alone; the deeper slots are matched by
-    # backtracking over an explicit stack, where row[s] is the value matched
-    # to slot s, chosen[s] its prefix index, and row[-3:] the sentinels and
-    # ``last``. The stack is built on the first candidate for slot 0.
-    lo_at, hi_at = bounds[0]
+def ends_with_bounds(prefix: Sequence[int], last: int, plans: Iterable[tuple[tuple[int, int], ...]]) -> bool:
+    """True if some pattern whose ``slot_bounds`` are in ``plans`` ends at ``last``."""
     ends = (-inf, inf, last)
-    lo0 = ends[lo_at]
-    hi0 = ends[hi_at]
-    row = None
-    for first in range(stop):
-        v = prefix[first]
-        if not lo0 < v < hi0:
-            continue
-        if need == 1:
+    for bounds in plans:
+        need = len(bounds)
+        if need == 0:
             return True
-        if row is None:
-            row = [0] * need + [*ends]
-            chosen = [0] * need
-        row[0] = v
-        depth = 1
-        idx = first + 1
-        while True:
-            lo_at, hi_at = bounds[depth]
-            lo = row[lo_at]
-            hi = row[hi_at]
-            for idx in range(idx, stop + depth):
-                v = prefix[idx]
-                if lo < v < hi:
-                    break
-            else:
-                depth -= 1
-                if not depth:
-                    break
-                idx = chosen[depth] + 1
+        # Slot s may take prefix indices below stop + s, which leaves room
+        # for the slots after it.
+        stop = len(prefix) - need + 1
+        if stop <= 0:
+            continue
+        # Slot 0 is bounded by ``last`` alone; the deeper slots are matched
+        # by backtracking over an explicit stack, where row[s] is the value
+        # matched to slot s, chosen[s] its prefix index, and row[-3:] the
+        # sentinels and ``last``. The stack is built on the first candidate
+        # for slot 0.
+        lo_at, hi_at = bounds[0]
+        lo0 = ends[lo_at]
+        hi0 = ends[hi_at]
+        row = None
+        for first in range(stop):
+            v = prefix[first]
+            if not lo0 < v < hi0:
                 continue
-            row[depth] = v
-            chosen[depth] = idx
-            depth += 1
-            if depth == need:
+            if need == 1:
                 return True
-            idx += 1
+            if row is None:
+                row = [0] * need + [*ends]
+                chosen = [0] * need
+            row[0] = v
+            depth = 1
+            idx = first + 1
+            while True:
+                lo_at, hi_at = bounds[depth]
+                lo = row[lo_at]
+                hi = row[hi_at]
+                for idx in range(idx, stop + depth):
+                    v = prefix[idx]
+                    if lo < v < hi:
+                        break
+                else:
+                    depth -= 1
+                    if not depth:
+                        break
+                    idx = chosen[depth] + 1
+                    continue
+                row[depth] = v
+                chosen[depth] = idx
+                depth += 1
+                if depth == need:
+                    return True
+                idx += 1
     return False
 
 
@@ -180,7 +182,7 @@ def ends_occurrence(prefix: Sequence[int], last: int, q: Sequence[int]) -> bool:
     >>> ends_occurrence((2, 1), 3, (1, 2, 3, 4))
     False
     """
-    return ends_with_bounds(prefix, last, slot_bounds(tuple(q)))
+    return ends_with_bounds(prefix, last, [slot_bounds(tuple(q))])
 
 
 def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -193,19 +195,21 @@ def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
     >>> contains((2, 1), (1, 2, 3))
     False
     """
-    host_t = tuple(host)
-    if not pattern:
-        return True
-    bounds = slot_bounds(tuple(pattern))
-    return any(
-        ends_with_bounds(host_t[:e], host_t[e], bounds)
-        for e in range(len(pattern) - 1, len(host_t))
-    )
+    return not avoids_all(host, [pattern])
 
 
 def avoids_all(host: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
-    """True if host contains none of the given patterns."""
-    return not any(contains(host, q) for q in patterns)
+    """True if host contains none of the given patterns.
+
+    Each end position of host is tested once against the whole set. The
+    empty pattern occurs in every host, the empty one included.
+    """
+    pats = [tuple(q) for q in patterns]
+    if () in pats:
+        return False
+    plans = [slot_bounds(q) for q in pats]
+    host_t = tuple(host)
+    return not any(ends_with_bounds(host_t[:e], host_t[e], plans) for e in range(len(host_t)))
 
 
 def refinements(sigma: Perm) -> list[Perm]:

@@ -354,7 +354,7 @@ def certify_gap(sigma: Perm, patterns: PatternSet, j: int) -> bool:
 
 def _gap_forced(sigma: Perm, plans: list, j: int) -> bool:
     bumped = [v + 1 if v > j else v for v in sigma]
-    return any(ends_with_bounds(bumped, j + 1, bounds) for bounds in plans)
+    return ends_with_bounds(bumped, j + 1, plans)
 
 
 def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, max_n: int) -> Perm | None:
@@ -378,15 +378,11 @@ def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, 
     entry, and the walk stops at the first pi that has one, reduced to 1..n.
     """
     k = len(sigma)
-
-    def ends(word: tuple, v: float) -> bool:
-        return any(ends_with_bounds(word, v, bounds) for bounds in plans)
-
     t = sigma.index(rank)
     rest = sigma[:t] + sigma[t + 1 :]
-    if any(ends(rest[:e], rest[e]) for e in range(k - 1)):
+    if any(ends_with_bounds(rest[:e], rest[e], plans) for e in range(k - 1)):
         return None
-    if any(ends(sigma[:e], sigma[e]) for e in range(k)):
+    if any(ends_with_bounds(sigma[:e], sigma[e], plans) for e in range(k)):
         return sigma
     size = min(k + max((len(bounds) for bounds in plans), default=0), max_n)
     stack = [(sigma, rest)] if k < size else []
@@ -397,8 +393,8 @@ def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, 
             # The prefix values are 1..k, so (lo, hi) lies in gap int(lo).
             if int(lo) not in gaps.forced:
                 v = (lo + hi) / 2
-                if not ends(rest, v):
-                    if ends(pi, v):
+                if not ends_with_bounds(rest, v, plans):
+                    if ends_with_bounds(pi, v, plans):
                         return reduce_word(pi + (v,))
                     if len(pi) + 1 < size:
                         stack.append((pi + (v,), rest + (v,)))

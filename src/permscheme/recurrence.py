@@ -18,8 +18,7 @@ the supplied terms and nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 DEFAULT_GUARD = 5
@@ -142,19 +141,6 @@ def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return m[:r], piv_cols
 
 
-def _normalize_vector(vec: Sequence[int]) -> list[int]:
-    g = 0
-    for v in vec:
-        g = gcd(g, v)
-    if g == 0:
-        return list(vec)
-    out = [v // g for v in vec]
-    lead = next((v for v in out if v != 0), 0)
-    if lead < 0:
-        out = [-v for v in out]
-    return out
-
-
 def nullspace(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Integer basis of the right kernel, one vector per free column.
 
@@ -166,20 +152,20 @@ def nullspace(rows: Sequence[Sequence[int]]) -> list[list[int]]:
         raise ValueError("nullspace needs at least one row")
     n_cols = len(rows[0])
     echelon, piv_cols = _echelon(rows)
-    free = [c for c in range(n_cols) if c not in piv_cols]
+    # The last Bareiss pivot is the determinant of the pivot minor. With the
+    # free column set to it, every pivot entry is a minor by Cramer's rule,
+    # so each division of the back substitution is exact.
+    det = echelon[-1][piv_cols[-1]] if piv_cols else 1
     basis = []
-    for fc in free:
-        x = [Fraction(0)] * n_cols
-        x[fc] = Fraction(1)
-        for i in range(len(piv_cols) - 1, -1, -1):
-            pc = piv_cols[i]
-            acc = Fraction(0)
-            for j in range(pc + 1, n_cols):
-                if x[j]:
-                    acc += Fraction(echelon[i][j]) * x[j]
-            x[pc] = -acc / echelon[i][pc]
-        scale = lcm(*(f.denominator for f in x)) if x else 1
-        basis.append(_normalize_vector([int(f * scale) for f in x]))
+    for fc in (c for c in range(n_cols) if c not in piv_cols):
+        x = [0] * n_cols
+        x[fc] = det
+        for row, pc in zip(reversed(echelon), reversed(piv_cols)):
+            x[pc] = -sum(row[j] * x[j] for j in range(pc + 1, n_cols)) // row[pc]
+        g = gcd(*x)
+        if next(v for v in x if v) < 0:
+            g = -g
+        basis.append([v // g for v in x])
     return basis
 
 

@@ -112,6 +112,10 @@ class TestPrefixClasses:
             prefix_class_members(4, P123, (1, 2), (3,))
         with pytest.raises(ValueError):
             prefix_class_members(4, P123, (1, 2), (3, 2))
+        # sigma must be a permutation of 1..k.
+        for sigma, values in [((3, 1), (1, 2)), ((2,), (1,)), ((1, 1), (2, 3))]:
+            with pytest.raises(ValueError, match="not a permutation"):
+                prefix_class_members(5, P123, sigma, values)
 
 
 class TestEmpiricalGaps:

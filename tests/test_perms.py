@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import end_order_types, naive_contains
+from conftest import PBOTH, end_order_types, naive_contains, random_pattern_sets
 from permscheme.perms import (
     avoids_all,
     complement,
     contains,
     delete_rank,
     ends_occurrence,
+    ends_with_bounds,
     format_permutation,
     inverse,
     normalize_patterns,
@@ -19,6 +20,7 @@ from permscheme.perms import (
     reduce_word,
     refinements,
     reverse,
+    slot_bounds,
     symmetry_closure,
     symmetry_images,
 )
@@ -67,6 +69,12 @@ class TestContains:
         assert avoids_all((3, 1, 4, 2), ())
         assert not avoids_all((1, 3, 2), ((1, 2, 3), (1, 3, 2)))
         assert avoids_all((2, 1, 3), ((1, 2, 3), (1, 3, 2)))
+        # The empty pattern occurs even in the empty host; the empty set of
+        # patterns is avoided by every host.
+        assert not avoids_all((), [()])
+        assert avoids_all((), ())
+        # The patterns are read once, so a generator works.
+        assert not avoids_all((1, 3, 2), (q for q in PBOTH))
 
     @given(perms_up_to(7), perms_up_to(4))
     @settings(max_examples=150)
@@ -84,13 +92,18 @@ class TestContains:
         assert ends_occurrence(prefix, last, pattern) == expect
 
     def test_end_anchored_exhaustive(self):
-        # Every pattern of length 1-4 against every host of length <= 6.
+        # Every pattern of length 1-4, and every set of the 50-set corpus,
+        # against every host of length <= 6.
         patterns = [q for m in range(1, 5) for q in permutations(range(1, m + 1))]
+        sets = [(pats, [slot_bounds(q) for q in pats]) for pats in random_pattern_sets(97103, 50)]
         for h in range(1, 7):
             for host in permutations(range(1, h + 1)):
                 ending = set().union(*(end_order_types(host, m) for m in range(1, min(h, 4) + 1)))
                 for q in patterns:
                     assert ends_occurrence(host[:-1], host[-1], q) == (q in ending), (host, q)
+                for pats, plans in sets:
+                    expect = any(q in ending for q in pats)
+                    assert ends_with_bounds(host[:-1], host[-1], plans) == expect, (host, pats)
 
     @given(perms_up_to(7))
     def test_contains_own_reduction(self, p):
