@@ -29,15 +29,20 @@ three forms:
 
 Gaps that do not involve r are checked once per key. Each expanded class's
 loop over its keys is generated as Python source from its slots and
-compiled; classes of the same shape share that code.
+compiled; classes of the same shape share that code. The same loop fills
+the class's prefix sums along each coordinate its readers sum over: a
+running total along the last coordinate, and along any other the value
+plus the sum at the key one below. A key that breaks a forced gap holds 0
+and still carries every sum.
 
 The layers run bottom-up in n and tabulate the expanded classes only,
 longest first, so layer n holds sum over expanded sigma of C(n, len(sigma))
 keys, and only the last (longest chain + 1) layers are kept. ``count_class``
 follows its class's chain and reads one key of the same tables at n - m, so
 no evaluation recurses. All arithmetic is exact Python integers. The plan is
-built on first use and kept on the ``Scheme`` instance; it holds no counts,
-so every call computes its own.
+built on first use and kept on the ``Scheme`` instance. The tables of the
+last layer ``count_class`` read are kept as well, one layer of one scheme, so
+a loop over the keys of one size builds its layers once.
 """
 
 from __future__ import annotations
@@ -89,16 +94,22 @@ def _follow(scheme: Scheme, sigma: Perm) -> _Chain:
     return _Chain(target, k - len(alive), coords, tuple(gaps))
 
 
-def _source(k: int, forced: tuple[int, ...], slots: "list[tuple[int, _Chain]]") -> tuple[str, tuple]:
-    """Python source of one expanded class's table at a size n >= k + 1,
-    and where each slot's table sits in a layer.
+def _read(j: int, chain: _Chain) -> tuple:
+    """Where slot j reads in a layer: (drop, part, key). Part 0 holds the tables
+    by class; part 1 the sums by (class, coordinate), read when r runs free."""
+    if j in dict(chain.coords) and not any(j in gap for gap in chain.gaps):
+        return chain.drop, 1, (chain.target, sum(a < j for a, _ in chain.coords))
+    return chain.drop, 0, chain.target
+
+
+def _source(k: int, forced: tuple[int, ...], slots: "list[tuple[int, _Chain]]", summed: tuple[int, ...]) -> str:
+    """Python source of one expanded class's table, and its prefix sums
+    along each coordinate in summed, at a size n >= k + 1.
 
     Slot j comes with its child's chain, whose indices past j move down by
     one into the parent's. The key (i_1, ..., i_k) is unpacked into locals
-    and every slot becomes one guarded sum term; slot t reads the table
-    passed as argument t. A read is (drop, part, key): part 0 holds the
-    tables by class, part 1 the prefix sums by (class, coordinate), which a
-    slot reads when r runs over its whole range.
+    and every slot becomes one guarded sum term; slot t reads the table or
+    prefix sums passed as argument t, as ``_read`` places them.
     """
     names = ["0", *(f"i{a}" for a in range(1, k + 1)), "top"]
 
@@ -115,16 +126,18 @@ def _source(k: int, forced: tuple[int, ...], slots: "list[tuple[int, _Chain]]") 
     lines = [
         f"def tabulate(n{params}):",
         "    table = {}",
+        *(f"    p{s} = {{}}" for s in summed),
         "    top = n + 1",
         f"    for key in combinations(range(1, top), {k}):",
     ]
     if k:
         lines.append(f"        {', '.join(names[1:k + 1])}, = key")
-    if forced:
-        broken = " or ".join(f"{at(j + 1)} != {at(j, 1)}" for j in forced)
-        lines += [f"        if {broken}:", "            table[key] = 0", "            continue"]
     lines.append("        total = 0")
-    reads = []
+    indent = " " * 8
+    if forced and slots:
+        # A key that breaks a forced gap holds 0 but still carries the sums.
+        lines.append(f"        if {' and '.join(f'{at(j + 1)} == {at(j, 1)}' for j in forced)}:")
+        indent += " " * 4
     for t, (j, chain) in enumerate(slots):
         # A gap that touches j pins r (r == i_a + c); any other is checked as it stands.
         static, pins = [], []
@@ -139,7 +152,7 @@ def _source(k: int, forced: tuple[int, ...], slots: "list[tuple[int, _Chain]]") 
         tail = [at(a - 1, -sh) for a, sh in chain.coords if a > j]
         r_shift = dict(chain.coords).get(j)  # None when the chain deletes r
         if pins:
-            lines.append(f"        r = {pins[0]}")
+            lines.append(f"{indent}r = {pins[0]}")
             guard = [f"{at(j - 1)} < r < {at(j)}", *static, *(f"r == {x}" for x in pins[1:])]
             mid = [] if r_shift is None else [f"r - {r_shift}" if r_shift else "r"]
             term = f"t{t}[{key(head, mid, tail)}]"
@@ -153,11 +166,18 @@ def _source(k: int, forced: tuple[int, ...], slots: "list[tuple[int, _Chain]]") 
                     # r's lower neighbour was deleted, so its range starts
                     # above the lowest value of the target coordinate.
                     term += f" - t{t}.get({key(head, [at(j - 1, -r_shift)], tail)}, 0)"
-        lines += [f"        if {' and '.join(guard)}:", f"            total += {term}"]
-        summed = r_shift is not None and not pins
-        reads.append((chain.drop, 1, (chain.target, len(head))) if summed else (chain.drop, 0, chain.target))
-    lines += ["        table[key] = total", "    return table"]
-    return "\n".join(lines) + "\n", tuple(reads)
+        lines += [f"{indent}if {' and '.join(guard)}:", f"{indent}    total += {term}"]
+    lines.append("        table[key] = total")
+    for s in summed:  # keys come in lexicographic order
+        a = s + 1
+        if a == k:
+            lines.append(f"        run = total if {at(a, -1)} == {at(a - 1)} else run + total")
+            lines.append(f"        p{s}[key] = run")
+        else:
+            below = key([at(b) for b in range(1, a)], [at(a, -1)], [at(b) for b in range(a + 1, k + 1)])
+            lines.append(f"        p{s}[key] = total + p{s}[{below}] if {at(a, -1)} > {at(a - 1)} else total")
+    lines.append("    return table, {" + ", ".join(f"{s}: p{s}" for s in summed) + "}")
+    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=1024)
@@ -173,8 +193,9 @@ class _Expa:
     """One expanded class as the layer step runs it."""
 
     sigma: Perm
-    tabulate: Callable[..., dict]  # the table at a size n >= k + 1
-    reads: tuple[tuple[int, int, object], ...]  # per slot, as _source returns them
+    tabulate: Callable[..., tuple]  # (table, sums) at a size n >= k + 1
+    reads: tuple[tuple[int, int, object], ...]  # per slot, as _read places them
+    summed: tuple[int, ...]  # the coordinates its readers sum along
 
 
 class _Plan:
@@ -183,18 +204,21 @@ class _Plan:
     def __init__(self, scheme: Scheme) -> None:
         for sigma in scheme.redu:
             _follow(scheme, sigma)  # an absent class fails here, not mid-count
-        expa, reads = [], []
-        for sigma in sorted(scheme.expa, key=lambda s: (-len(s), s)):
-            entry = scheme.expa[sigma]
-            chains = (_follow(scheme, child) for child in entry.children)
-            slots = [(j, c) for j, c in enumerate(chains, start=1) if c.target is not None]
-            source, own = _source(len(sigma), tuple(entry.gaps.sorted_list()), slots)
-            expa.append(_Expa(sigma, _table_function(source), own))
-            reads += own
+        order = sorted(scheme.expa, key=lambda s: (-len(s), s))
+        slots, reads = {}, {}
+        for sigma in order:
+            chains = (_follow(scheme, child) for child in scheme.expa[sigma].children)
+            slots[sigma] = [(j, c) for j, c in enumerate(chains, start=1) if c.target is not None]
+            reads[sigma] = tuple(_read(j, c) for j, c in slots[sigma])
+        # A class's sums are known once all of its readers are.
+        summed = {key for own in reads.values() for _, part, key in own if part}
+        expa = []
+        for sigma in order:
+            own = tuple(sorted(c for t, c in summed if t == sigma))
+            source = _source(len(sigma), tuple(scheme.expa[sigma].gaps.sorted_list()), slots[sigma], own)
+            expa.append(_Expa(sigma, _table_function(source), reads[sigma], own))
         self.expa = tuple(expa)
-        self.keep = 1 + max((drop for drop, _, _ in reads), default=0)
-        summed = {key for _, part, key in reads if part}
-        self.prefixed = {e.sigma: sorted(c for t, c in summed if t == e.sigma) for e in expa}
+        self.keep = 1 + max((drop for own in reads.values() for drop, _, _ in own), default=0)
 
 
 def _plan(scheme: Scheme) -> _Plan:
@@ -207,25 +231,15 @@ def _plan(scheme: Scheme) -> _Plan:
     return plan
 
 
-def _tabulate(e: _Expa, n: int, window: list) -> dict:
+def _tabulate(e: _Expa, n: int, window: list) -> tuple:
     k = len(e.sigma)
-    if n < k:
-        return {}
-    if n == k:
-        return {tuple(range(1, k + 1)): 1}
+    if n <= k:
+        # Empty, or the one-key identity table, which is its own prefix sums.
+        table = {tuple(range(1, k + 1)): 1} if n == k else {}
+        return table, dict.fromkeys(e.summed, table)
     # From n = k + 1 on, every slot's key lies within its target's layer;
     # at k + 1 that layer is the target's one-key identity table.
     return e.tabulate(n, *[window[drop][part][key] for drop, part, key in e.reads])
-
-
-def _prefix_sums(table: dict, s: int) -> dict:
-    # Keys arrive in lexicographic order, so a key's predecessor along
-    # coordinate s is already summed; a missing one is below the range.
-    out: dict = {}
-    for key, value in table.items():
-        below = key[:s] + (key[s] - 1,) + key[s + 1:]
-        out[key] = value + out.get(below, 0)
-    return out
 
 
 def _layers(plan: _Plan, upto: int):
@@ -237,10 +251,19 @@ def _layers(plan: _Plan, upto: int):
         sums: dict = {}
         window = [(tables, sums)] + window[: plan.keep - 1]
         for e in plan.expa:
-            table = tables[e.sigma] = _tabulate(e, n, window)
-            for s in plan.prefixed[e.sigma]:
-                sums[e.sigma, s] = _prefix_sums(table, s)
+            tables[e.sigma], own = _tabulate(e, n, window)
+            sums.update(((e.sigma, s), p) for s, p in own.items())
         yield n, tables
+
+
+@lru_cache(maxsize=1)
+def _layer(plan: _Plan, n: int) -> dict:
+    # The tables of layer n. The last layer built is kept, so a loop of
+    # count_class calls at one size builds the layers once.
+    tables: dict = {}
+    for _, tables in _layers(plan, n):
+        pass
+    return tables
 
 
 def count_class(scheme: Scheme, sigma: Perm, n: int, values: "tuple[int, ...] | list[int]") -> int:
@@ -263,10 +286,7 @@ def _class_value(scheme: Scheme, sigma: Perm, n: int, values: tuple[int, ...]) -
         return 1
     if chain.target is None:
         return 0
-    tables: dict = {}
-    for _, tables in _layers(plan, n - chain.drop):
-        pass
-    return tables[chain.target][tuple([ext[a] - sh for a, sh in chain.coords])]
+    return _layer(plan, n - chain.drop)[chain.target][tuple([ext[a] - sh for a, sh in chain.coords])]
 
 
 def count(scheme: Scheme, n: int) -> int:

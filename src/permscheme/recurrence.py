@@ -8,11 +8,12 @@ p_0..p_d of degree at most e, p_d not identically zero, with
 at every applicable n. Candidate shapes (d, e) are tried in increasing
 d+e, then increasing d, so the returned shape is lexicographically minimal
 in (d+e, d) among the shapes that fit. Each shape is one linear system, one
-equation per applicable n, solved exactly over the integers. The guard is
-the number of equations beyond the unknowns that a fit must also satisfy:
-with too few terms, any sequence fits a shape with enough free
-coefficients. Whatever this returns is a conjecture: it is verified against
-the supplied terms and nothing more.
+equation per applicable n, solved exactly over the integers; when its first
+(d+1)(e+1) equations alone leave no kernel, the rest are not eliminated.
+The guard is the number of equations beyond the unknowns that a fit must
+also satisfy: with too few terms, any sequence fits a shape with enough
+free coefficients. Whatever this returns is a conjecture: it is verified
+against the supplied terms and nothing more.
 """
 
 from __future__ import annotations
@@ -185,6 +186,9 @@ def _try_shape(terms: Sequence[int], d: int, e: int) -> RecurrenceCandidate | No
         [n**s * terms[n - 1 + j] for j in range(d + 1) for s in range(e + 1)]
         for n in range(1, len(terms) - d + 1)
     ]
+    unknowns = (d + 1) * (e + 1)
+    if len(_echelon(rows[:unknowns])[1]) == unknowns:
+        return None  # full rank already: no rows added can open a kernel
     for vec in nullspace(rows):
         if any(vec[d * (e + 1):]):
             # Sign convention: the last nonzero entry, the leading

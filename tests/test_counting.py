@@ -3,8 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import PBOTH, catalan, random_pattern_sets
-from permscheme import oracle
+from conftest import PBOTH, SINGLETONS, catalan, random_pattern_sets
+from permscheme import counting, oracle
 from permscheme.counting import (
     SchemeIntegrityError,
     count,
@@ -41,6 +41,40 @@ def reference_count(scheme, sigma, n, values):
     from permscheme.perms import delete_rank
 
     return reference_count(scheme, delete_rank(sigma, rentry.rank), n - 1, reduced)
+
+
+def hand_built_scheme():
+    # Hand-built, so not a valid scheme: 312 reduces into the zero class
+    # 12, and 213 carries the forced gap 0 along its chain.
+    def gaps(k, *forced):
+        return GapSet(k, frozenset(forced))
+
+    return Scheme(
+        patterns=((1, 2),),
+        expa={
+            (): ExpaEntry(gaps(0), ((1,),)),
+            (1,): ExpaEntry(gaps(1), ((2, 1), (1, 2))),
+            (2, 1): ExpaEntry(gaps(2, 1), ((3, 2, 1), (3, 1, 2), (2, 1, 3))),
+        },
+        redu={
+            (3, 2, 1): ReduEntry(1, gaps(3)),
+            (3, 1, 2): ReduEntry(3, gaps(3, 3)),
+            (2, 1, 3): ReduEntry(3, gaps(3, 0)),
+        },
+        zero=frozenset({(1, 2)}),
+        mode="certified",
+    )
+
+
+def reference_prefix_sums(table, s):
+    # Plain re-summation of a table along coordinate s. Keys arrive in
+    # lexicographic order, so a key's predecessor along s is already summed;
+    # a missing one is below the range.
+    out = {}
+    for key, value in table.items():
+        below = key[:s] + (key[s] - 1,) + key[s + 1 :]
+        out[key] = value + out.get(below, 0)
+    return out
 
 
 class TestCount:
@@ -155,26 +189,7 @@ class TestPolynomialGrowth:
 
 class TestZeroClasses:
     def test_chain_into_zero_class_matches_reference(self):
-        # Hand-built, so not a valid scheme: 312 reduces into the zero class
-        # 12, and 213 carries the forced gap 0 along its chain.
-        def gaps(k, *forced):
-            return GapSet(k, frozenset(forced))
-
-        scheme = Scheme(
-            patterns=((1, 2),),
-            expa={
-                (): ExpaEntry(gaps(0), ((1,),)),
-                (1,): ExpaEntry(gaps(1), ((2, 1), (1, 2))),
-                (2, 1): ExpaEntry(gaps(2, 1), ((3, 2, 1), (3, 1, 2), (2, 1, 3))),
-            },
-            redu={
-                (3, 2, 1): ReduEntry(1, gaps(3)),
-                (3, 1, 2): ReduEntry(3, gaps(3, 3)),
-                (2, 1, 3): ReduEntry(3, gaps(3, 0)),
-            },
-            zero=frozenset({(1, 2)}),
-            mode="certified",
-        )
+        scheme = hand_built_scheme()
         for sigma in (*scheme.expa, *scheme.redu, *scheme.zero):
             for n in range(len(sigma), 8):
                 for values in combinations(range(1, n + 1), len(sigma)):
@@ -193,3 +208,93 @@ class TestZeroClasses:
         assert count(scheme, 0) == 1
         assert sequence(scheme, 4) == [0, 0, 0, 0]
         assert count_class(scheme, (1,), 3, (2,)) == 0
+
+
+class TestLayerMemo:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = counting._layers
+
+        def spy(plan, upto):
+            calls.append(upto)
+            return real(plan, upto)
+
+        monkeypatch.setattr(counting, "_layers", spy)
+        counting._layer.cache_clear()
+        yield calls
+        counting._layer.cache_clear()
+
+    def test_first_value_loop_builds_once(self, builds, scheme123, scheme_three):
+        n = 9
+        assert [count_class(scheme123, (1,), n, (v,)) for v in range(1, n + 1)][-1] == catalan(n - 1)
+        assert builds == [n]
+        assert count(scheme123, n) == catalan(n)
+        assert builds == [n]
+        count_class(scheme123, (1,), n + 1, (1,))
+        assert builds == [n, n + 1]
+        count_class(scheme_three, (1,), n + 1, (1,))
+        assert builds == [n, n + 1, n + 1]
+        assert counting._layer.cache_info().currsize <= 1
+
+    def test_interleaved_calls_match_fresh_builds(self, scheme123, scheme_three):
+        counting._layer.cache_clear()
+        fresh = {}
+        for scheme in (scheme123, scheme_three):
+            assert (1,) in scheme.expa
+            for n in (7, 8):
+                for _, tables in counting._layers(counting._plan(scheme), n):
+                    pass
+                fresh[id(scheme), n] = tables
+        for v in range(1, 9):
+            for n in (7, 8):
+                for scheme in (scheme123, scheme_three):
+                    if v <= n:
+                        assert count_class(scheme, (1,), n, (v,)) == fresh[id(scheme), n][(1,)][(v,)]
+                    assert count(scheme, n) == fresh[id(scheme), n][()][()]
+                    assert counting._layer.cache_info().currsize <= 1
+
+
+class TestKernelSums:
+    """The compiled kernel's prefix sums against a plain re-summation of its table."""
+
+    def check(self, monkeypatch, schemes) -> set:
+        # Returns the (class, coordinate) pairs summed, plus "carried" when a
+        # key zeroed by a forced gap held a nonzero sum.
+        seen = set()
+        real = counting._tabulate
+
+        def spy(e, n, window):
+            table, sums = real(e, n, window)
+            assert sorted(sums) == list(e.summed)
+            forced = scheme.expa[e.sigma].gaps.forced
+            for s, got in sums.items():
+                assert got == reference_prefix_sums(table, s), (e.sigma, n, s)
+                seen.add((e.sigma, s))
+                for key in table:
+                    ext = (0, *key, n + 1)
+                    if got[key] and any(ext[j + 1] != ext[j] + 1 for j in forced):
+                        seen.add("carried")
+            return table, sums
+
+        monkeypatch.setattr(counting, "_tabulate", spy)
+        for scheme in schemes:
+            for _ in counting._layers(counting._plan(scheme), 10):
+                pass
+        return seen
+
+    def test_corpus(self, monkeypatch):
+        schemes = [s for s in (search(p, 5) for p in random_pattern_sets(97103, 50)) if s is not None]
+        seen = self.check(monkeypatch, schemes)
+        assert "carried" in seen
+        assert ((2, 1), 0) in seen
+
+    def test_singletons(self, monkeypatch):
+        schemes = [s for s in (search(p, 6) for p in SINGLETONS) if s is not None]
+        assert schemes
+        assert ((2, 3, 1), 0) in self.check(monkeypatch, schemes)
+
+    def test_forced_gaps_of_hand_built_scheme(self, monkeypatch):
+        # (2, 1) forces its gap 1 and is summed along coordinate 0, which is
+        # not its last: every key it skipped would be a missing predecessor.
+        assert ((2, 1), 0) in self.check(monkeypatch, [hand_built_scheme()])

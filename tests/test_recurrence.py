@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
 from conftest import catalan
+from permscheme import recurrence
 from permscheme.recurrence import (
     RecurrenceCandidate,
     guess_recurrence,
@@ -131,3 +133,16 @@ class TestGuess:
     def test_mixed_sequence_has_no_low_order_recurrence(self):
         rng_terms = [n * n + 1 if n % 2 else n**3 for n in range(1, 26)]
         assert guess_recurrence(rng_terms, 1, 1) is None
+
+    def test_full_rank_shape_solves_no_kernel(self, monkeypatch):
+        # Seeded random terms fit no shape: each shape's first (d+1)(e+1)
+        # rows already have full rank, so no kernel is solved.
+        calls = []
+        real = recurrence.nullspace
+        monkeypatch.setattr(recurrence, "nullspace", lambda rows: calls.append(rows) or real(rows))
+        rng = random.Random(1515)
+        terms = [rng.randint(1, 10**6) for _ in range(30)]
+        assert guess_recurrence(terms, 3, 2) is None
+        assert calls == []
+        assert guess_recurrence(CATALAN_30, 3, 2) == CATALAN_REC
+        assert calls
