@@ -19,6 +19,7 @@ from .perms import PatternSet, format_permutation, is_int, parse_pattern_set
 from .scheme import (
     MODE_CERTIFIED,
     MODE_EMPIRICAL,
+    SCHEMA_VERSION,
     Scheme,
     SchemeFormatError,
     deserialize,
@@ -28,7 +29,6 @@ from .scheme import (
     validate,
 )
 
-SCHEMA_VERSION = 1
 # Largest size layer, in table keys, that any command builds.
 # In 64-bit CPython a key held about 0.4 KiB at L=100 on {1234,1243,1324},
 # so the largest accepted layer stays near 0.4 GiB.

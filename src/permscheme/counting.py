@@ -53,7 +53,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from .perms import Perm, check_prefix_values, delete_rank
+from .perms import Perm, check_permutation, check_prefix_values, delete_rank
 from .scheme import Scheme
 
 
@@ -82,6 +82,7 @@ def _follow(scheme: Scheme, sigma: Perm) -> _Chain:
     while cur not in scheme.zero and cur not in scheme.expa:
         entry = scheme.redu.get(cur)
         if entry is None:
+            check_permutation(cur)  # a sigma that is no permutation is an input error
             raise SchemeIntegrityError(f"class {cur} absent from scheme")
         ext = [0] + alive + [k + 1]
         # Every index strictly between two neighbours here was deleted
@@ -271,10 +272,7 @@ def count_class(scheme: Scheme, sigma: Perm, n: int, values: "tuple[int, ...] | 
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     sigma = tuple(sigma)
-    return _class_value(scheme, sigma, n, check_prefix_values(sigma, values, n))
-
-
-def _class_value(scheme: Scheme, sigma: Perm, n: int, values: tuple[int, ...]) -> int:
+    values = check_prefix_values(sigma, values, n)
     if sigma in scheme.zero:
         return 0
     plan = _plan(scheme)
@@ -291,9 +289,7 @@ def _class_value(scheme: Scheme, sigma: Perm, n: int, values: tuple[int, ...]) -
 
 def count(scheme: Scheme, n: int) -> int:
     """Number of avoiders of size n according to the scheme."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _class_value(scheme, (), n, ())
+    return count_class(scheme, (), n, ())
 
 
 def sequence(scheme: Scheme, length: int) -> list[int]:

@@ -12,12 +12,13 @@ that search. The routines are exact but exponential; they exist to
 cross-check the certified machinery up to n around 10.
 
 The empirical (uncertified) variant of the scheme search lives here too,
-though it enumerates no avoiders. Its gaps are exact: sizes up to any n
-past k show exactly the open gaps that size k+1 shows, which
-``reasoning.compute_gap_set`` decides on one permutation per gap. A rank
-is accepted when ``reasoning._deletion_counterexample`` finds no member
-up to the horizon that its deletion loses; a miss at any size cuts down to
-one of size at most k+m-1, m the longest pattern length. So the empirical
+though it enumerates no avoiders. It runs the certified search's loop,
+``scheme._search_core``, with another rank test. Its gaps are that loop's
+``reasoning.compute_gap_set``, and exact: sizes up to any n past k show
+exactly the open gaps that size k+1 shows. The smallest rank is taken
+for which ``reasoning._deletion_counterexample`` finds no member up to the
+horizon that its deletion loses; a miss at any size cuts down to one of
+size at most k+m-1, m the longest pattern length. So the empirical
 search finds the same scheme at every horizon from depth + m - 1 on; a
 horizon at or below its depth is rejected.
 """
@@ -81,19 +82,14 @@ def _iter_avoiders(n: int, patterns: PatternSet, forced: "tuple[int, ...]" = ())
 
 
 def iter_avoiders(n: int, patterns: Iterable[Perm]) -> Iterator[Perm]:
-    """The avoiders of size n, lexicographically, each as the search reaches it."""
+    """The avoiders of size n, lexicographically, each as the search reaches it.
+
+    >>> list(iter_avoiders(4, [(1, 2)]))
+    [(4, 3, 2, 1)]
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return _iter_avoiders(n, normalize_patterns(patterns))
-
-
-def enumerate_avoiders(n: int, patterns: Iterable[Perm]) -> list[Perm]:
-    """All permutations of 1..n avoiding every pattern, lexicographically.
-
-    >>> enumerate_avoiders(4, [(1, 2)])
-    [(4, 3, 2, 1)]
-    """
-    return list(iter_avoiders(n, patterns))
 
 
 def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
@@ -163,11 +159,12 @@ def empirical_scheme_search(
 ) -> Scheme | None:
     """Scheme discovery with small-n observation in place of certification.
 
-    Same depth-first skeleton and exact forced gaps as the rigorous
-    search (``empirical_gap_set`` observes the same gaps at every horizon
-    allowed here), but deletable ranks are accepted on the evidence of
-    every size up to ``max_n``. The resulting scheme is marked empirical
-    and may be wrong. ``max_n`` must exceed ``max_depth``: at size k a
+    Same depth-first loop as the rigorous search, with the same exact
+    forced gaps from its ``compute_gap_set`` (``empirical_gap_set`` would
+    observe those same gaps at every horizon allowed here). A class is
+    reduced by the smallest rank whose deletion loses no member of any
+    size up to ``max_n``. The resulting scheme is marked empirical and may
+    be wrong. ``max_n`` must exceed ``max_depth``: at size k a
     class holds at most sigma itself, so a horizon of k tests a length-k
     class on nothing. Every horizon from ``max_depth`` + m - 1 on gives
     the same answer.
@@ -181,10 +178,7 @@ def empirical_scheme_search(
         )
     plans = [slot_bounds(q) for q in pats]
 
-    def rank_fn(sigma: Perm, patterns: PatternSet, gaps: GapSet) -> int | None:
-        for rank in range(1, len(sigma) + 1):
-            if _deletion_counterexample(sigma, plans, gaps, rank, max_n) is None:
-                return rank
-        return None
+    def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
+        return _deletion_counterexample(sigma, plans, gaps, rank, max_n) is None
 
-    return _search_core(pats, max_depth, rank_fn, MODE_EMPIRICAL)
+    return _search_core(pats, max_depth, deletable, MODE_EMPIRICAL)

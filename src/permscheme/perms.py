@@ -163,28 +163,6 @@ def ends_with_bounds(prefix: Sequence[int], last: int, plans: Iterable[tuple[tup
     return False
 
 
-def ends_occurrence(prefix: Sequence[int], last: int, q: Sequence[int]) -> bool:
-    """True if appending ``last`` to ``prefix`` creates an occurrence of q ending at it.
-
-    The entries of ``prefix`` and ``last`` must be distinct, and q must be
-    nonempty. Every pattern of length 1 ends at ``last``; a pattern longer
-    than ``prefix`` plus one never does. Each slot of q is bounded by one
-    value matched before it, or by ``last``, as ``slot_bounds`` compiles.
-
-    >>> ends_occurrence((2, 5, 1), 4, (1, 3, 2))
-    True
-    >>> ends_occurrence((2, 5, 1), 4, (1, 2, 3))
-    False
-    >>> ends_occurrence((), 5, (1,))
-    True
-    >>> ends_occurrence((), 1, (2, 1))
-    False
-    >>> ends_occurrence((2, 1), 3, (1, 2, 3, 4))
-    False
-    """
-    return ends_with_bounds(prefix, last, [slot_bounds(tuple(q))])
-
-
 def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
     """True if some subsequence of host is order-isomorphic to pattern.
 

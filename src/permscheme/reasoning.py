@@ -101,10 +101,6 @@ class Event:
     pattern: Perm
     places: tuple[int, ...]
 
-    @property
-    def num_symbols(self) -> int:
-        return len(self.pattern) - len(self.places)
-
 
 @dataclass(frozen=True)
 class Bailout:
@@ -429,9 +425,6 @@ class DeletionAnalysis:
     certified: bool
     outcomes: tuple[EventOutcome, ...]
 
-    def non_vacuous(self) -> list[EventOutcome]:
-        return [o for o in self.outcomes if o.verdict != "vacuous"]
-
 
 def _events_at_place(sigma: Perm, patterns: PatternSet, t: int) -> Iterator[Event]:
     # Adding t to two (d-1)-sets of the other places leaves their symmetric
@@ -478,11 +471,3 @@ def analyze_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int
 def certify_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int) -> bool:
     """True if deleting the rank-th smallest prefix value is provably safe."""
     return analyze_deletable(sigma, patterns, gaps, rank).certified
-
-
-def find_deletable_rank(sigma: Perm, patterns: PatternSet, gaps: GapSet) -> int | None:
-    """Smallest certified deletable rank, or None if none certifies."""
-    for rank in range(1, len(sigma) + 1):
-        if certify_deletable(sigma, patterns, gaps, rank):
-            return rank
-    return None

@@ -5,7 +5,7 @@ A scheme classifies prefix permutations into three dispositions:
 * ``expa``: the class is split over its k+1 refinements (stored in
   final-entry order), each refinement obtained by appending one more prefix
   entry;
-* ``redu``: a certified deletable rank maps the class bijectively onto a
+* ``redu``: a deletable rank maps the class bijectively onto a
   one-shorter class at size n-1, subject to the class's forced gaps;
 * ``zero``: the prefix itself contains a forbidden pattern, so the class is
   empty at every size.
@@ -16,6 +16,10 @@ is a depth-first search from the empty prefix, bounded by a maximal prefix
 length; a class of maximal length that can neither be reduced nor zeroed
 makes the search fail, so a failing search stops at the first such class it
 reaches instead of first classifying every shallower one.
+
+Both modes run that loop with ``compute_gap_set``'s gaps and reduce a class
+by the smallest rank that passes their test: a symbolic certificate in
+``search``, concrete extensions up to a horizon in ``empirical_scheme_search``.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from .perms import (
     refinements,
     symmetry_images,
 )
-from .reasoning import GapSet, compute_gap_set, find_deletable_rank
+from .reasoning import GapSet, certify_deletable, compute_gap_set
 
+SCHEMA_VERSION = 1
 MODE_CERTIFIED = "certified"
 MODE_EMPIRICAL = "empirical"
 
@@ -114,13 +119,10 @@ def validate(scheme: Scheme) -> list[str]:
     return problems
 
 
-RankFn = Callable[[Perm, PatternSet, GapSet], "int | None"]
-
-
 def _search_core(
     patterns: PatternSet,
     max_depth: int,
-    rank_fn: RankFn,
+    deletable: Callable[[Perm, GapSet, int], bool],
     mode: str,
     log: "list[dict] | None" = None,
 ) -> Scheme | None:
@@ -149,7 +151,7 @@ def _search_core(
                 log.append({"sigma": list(sigma), "disposition": "zero"})
             continue
         gaps = compute_gap_set(sigma, patterns)
-        rank = rank_fn(sigma, patterns, gaps)
+        rank = next((r for r in range(1, len(sigma) + 1) if deletable(sigma, gaps, r)), None)
         if rank is not None:
             redu[sigma] = ReduEntry(rank, gaps)
             # The counting recurrence hands this class off to its deletion
@@ -185,13 +187,16 @@ def search(patterns: Iterable[Perm], max_depth: int, log: "list[dict] | None" = 
 
     Classes are examined depth-first, the refinements of a class in
     refinement order; each is zeroed if its prefix contains a pattern,
-    reduced if a deletable rank certifies, expanded while below the depth
-    bound, and otherwise the whole search fails at once. ``log`` receives
-    one record per class in that order, so on failure its last record is
-    the first stuck class found.
+    reduced by the smallest rank that ``reasoning.certify_deletable``
+    certifies, expanded while below the depth bound, and otherwise the
+    whole search fails at once. ``log`` receives one record per class in
+    that order, so on failure its last record is the first stuck class
+    found.
     """
     pats = normalize_patterns(patterns)
-    return _search_core(pats, max_depth, find_deletable_rank, MODE_CERTIFIED, log)
+    return _search_core(
+        pats, max_depth, lambda sigma, gaps, rank: certify_deletable(sigma, pats, gaps, rank), MODE_CERTIFIED, log
+    )
 
 
 def search_with_symmetries(
@@ -220,7 +225,7 @@ def serialize(scheme: Scheme) -> str:
     schemes always serialize to identical bytes.
     """
     doc = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "patterns": [list(p) for p in scheme.patterns],
         "mode": scheme.mode,
         "expa": [
@@ -276,8 +281,8 @@ def deserialize(text: str) -> Scheme:
     unknown = set(doc) - allowed
     if unknown:
         raise SchemeFormatError(f"unknown keys: {sorted(unknown)}")
-    version = doc.get("schema_version", 1)
-    if not is_int(version) or version != 1:
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if not is_int(version) or version != SCHEMA_VERSION:
         raise SchemeFormatError(f"unsupported schema_version {version!r}")
     missing = {"patterns", "mode", "expa", "redu", "zero"} - set(doc)
     if missing:

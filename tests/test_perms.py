@@ -10,7 +10,6 @@ from permscheme.perms import (
     complement,
     contains,
     delete_rank,
-    ends_occurrence,
     ends_with_bounds,
     format_permutation,
     inverse,
@@ -89,7 +88,7 @@ class TestContains:
             reduce_word(sub + (last,)) == pattern
             for sub in combinations(prefix, len(pattern) - 1)
         )
-        assert ends_occurrence(prefix, last, pattern) == expect
+        assert ends_with_bounds(prefix, last, [slot_bounds(pattern)]) == expect
 
     def test_end_anchored_exhaustive(self):
         # Every pattern of length 1-4, and every set of the 50-set corpus,
@@ -100,7 +99,7 @@ class TestContains:
             for host in permutations(range(1, h + 1)):
                 ending = set().union(*(end_order_types(host, m) for m in range(1, min(h, 4) + 1)))
                 for q in patterns:
-                    assert ends_occurrence(host[:-1], host[-1], q) == (q in ending), (host, q)
+                    assert ends_with_bounds(host[:-1], host[-1], [slot_bounds(q)]) == (q in ending), (host, q)
                 for pats, plans in sets:
                     expect = any(q in ending for q in pats)
                     assert ends_with_bounds(host[:-1], host[-1], plans) == expect, (host, pats)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import P12, P123, P132, PTHREE, SINGLETONS, random_pattern_sets
-from permscheme.oracle import empirical_deletable, empirical_gap_set, enumerate_avoiders, prefix_class_members
+from permscheme.oracle import empirical_deletable, empirical_gap_set, iter_avoiders, prefix_class_members
 from permscheme.perms import avoids_all, reduce_word
 from permscheme.reasoning import (
     Bailout,
@@ -17,9 +17,9 @@ from permscheme.reasoning import (
     certify_gap,
     compute_gap_set,
     find_bailout,
-    find_deletable_rank,
     order_facts,
 )
+from permscheme.scheme import ReduEntry, search
 
 NO_GAPS_1 = GapSet(1, frozenset())
 NO_GAPS_2 = GapSet(2, frozenset())
@@ -155,7 +155,7 @@ def reference_bailout(sigma, gaps, event, excluded_place, patterns):
         m = len(q)
         for d in range(min(m, len(avail)), -1, -1):
             for places in combinations(avail, d):
-                for symbols in combinations(range(1, event.num_symbols + 1), m - d):
+                for symbols in combinations(range(1, len(event.pattern) - len(event.places) + 1), m - d):
                     candidate = Bailout(q, places, symbols)
                     if implied(sigma, facts, candidate):
                         return candidate
@@ -249,7 +249,7 @@ class TestComputeGapSet:
     def test_matches_enumerated_members(self, pats):
         # Read every class member straight off the avoiders of sizes k+1..k+3:
         # a gap is forced when no member leaves it open.
-        avoiders = {n: enumerate_avoiders(n, pats) for n in range(1, 7)}
+        avoiders = {n: list(iter_avoiders(n, pats)) for n in range(1, 7)}
         sigmas = [s for k in range(4) for s in permutations(range(1, k + 1)) if avoids_all(s, pats)]
         for sigma in sigmas:
             k = len(sigma)
@@ -275,7 +275,7 @@ class TestCertifyDeletable:
     def test_class_2413_six_events(self):
         analysis = analyze_deletable((2, 4, 1, 3), PTHREE, GapSet(4, frozenset({4})), 2)
         assert analysis.certified
-        live = analysis.non_vacuous()
+        live = [o for o in analysis.outcomes if o.verdict != "vacuous"]
         assert len(live) == 6
         assert all(outcome.verdict == "bailed-out" for outcome in live)
         shapes = sorted((o.event.pattern, o.event.places) for o in live)
@@ -299,6 +299,8 @@ class TestCertifyDeletable:
 
 
 class TestFindDeletableRank:
+    # The search reduces a class by its smallest certified rank, and
+    # expands it (at depth 1 of 2) when none certifies.
     @pytest.mark.parametrize(
         "sigma,pats,gaps,expect",
         [
@@ -309,7 +311,11 @@ class TestFindDeletableRank:
         ],
     )
     def test_known_ranks(self, sigma, pats, gaps, expect):
-        assert find_deletable_rank(sigma, pats, gaps) == expect
+        found = search(pats, 2)
+        if expect is None:
+            assert found.expa[sigma].gaps == gaps
+        else:
+            assert found.redu[sigma] == ReduEntry(expect, gaps)
 
     def test_deterministic(self):
         first = analyze_deletable((2, 4, 1, 3), PTHREE, GapSet(4, frozenset({4})), 2)
@@ -320,7 +326,7 @@ class TestFindDeletableRank:
 def event_realized(n, pats, sigma, gaps, event):
     # Oracle-side truth: some member realizes the event's occurrence shape.
     k = len(sigma)
-    s = event.num_symbols
+    s = len(event.pattern) - len(event.places)
     for values in combinations(range(1, n + 1), k):
         if gaps.violated(values, n):
             continue
@@ -384,6 +390,6 @@ class TestSoundnessAgainstOracle:
                     continue
                 gaps = compute_gap_set(sigma, pats)
                 assert gaps.forced <= empirical_gap_set(sigma, pats, 8).forced
-                rank = find_deletable_rank(sigma, pats, gaps)
-                if rank is not None:
-                    assert empirical_deletable(sigma, pats, gaps, rank, 8)
+                for rank in range(1, len(sigma) + 1):
+                    if certify_deletable(sigma, pats, gaps, rank):
+                        assert empirical_deletable(sigma, pats, gaps, rank, 8), (pats, sigma, rank)

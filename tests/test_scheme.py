@@ -13,7 +13,7 @@ from permscheme.perms import (
     refinements,
     symmetry_closure,
 )
-from permscheme.reasoning import GapSet, compute_gap_set, find_deletable_rank
+from permscheme.reasoning import GapSet, certify_deletable, compute_gap_set
 from permscheme.scheme import (
     ExpaEntry,
     ReduEntry,
@@ -183,7 +183,7 @@ def reference_search(patterns, max_depth):
             records.append({"sigma": list(sigma), "disposition": "zero"})
             continue
         gaps = compute_gap_set(sigma, pats)
-        rank = find_deletable_rank(sigma, pats, gaps)
+        rank = next((r for r in range(1, len(sigma) + 1) if certify_deletable(sigma, pats, gaps, r)), None)
         if rank is not None:
             redu[sigma] = ReduEntry(rank, gaps)
             reached = [delete_rank(sigma, rank)]
