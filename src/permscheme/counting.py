@@ -38,11 +38,12 @@ and still carries every sum.
 The layers run bottom-up in n and tabulate the expanded classes only,
 longest first, so layer n holds sum over expanded sigma of C(n, len(sigma))
 keys, and only the last (longest chain + 1) layers are kept. ``count_class``
-follows its class's chain and reads one key of the same tables at n - m, so
-no evaluation recurses. All arithmetic is exact Python integers. The plan is
-built on first use and kept on the ``Scheme`` instance. The tables of the
-last layer ``count_class`` read are kept as well, one layer of one scheme, so
-a loop over the keys of one size builds its layers once.
+follows its class's chain once per plan and reads one key of the same
+tables at n - m, so no evaluation recurses. All arithmetic is exact Python
+integers. The plan is built on first use and kept on the ``Scheme``
+instance. The tables of the last layer ``count_class`` read are kept as
+well, one layer of one scheme, so a loop over the keys of one size builds
+its layers once.
 """
 
 from __future__ import annotations
@@ -203,12 +204,13 @@ class _Plan:
     """The compiled form of one scheme; it holds no counts."""
 
     def __init__(self, scheme: Scheme) -> None:
+        followed: dict = {}
         for sigma in scheme.redu:
-            _follow(scheme, sigma)  # an absent class fails here, not mid-count
+            _chain(scheme, followed, sigma)  # an absent class fails here, not mid-count
         order = sorted(scheme.expa, key=lambda s: (-len(s), s))
         slots, reads = {}, {}
         for sigma in order:
-            chains = (_follow(scheme, child) for child in scheme.expa[sigma].children)
+            chains = (_chain(scheme, followed, child) for child in scheme.expa[sigma].children)
             slots[sigma] = [(j, c) for j, c in enumerate(chains, start=1) if c.target is not None]
             reads[sigma] = tuple(_read(j, c) for j, c in slots[sigma])
         # A class's sums are known once all of its readers are.
@@ -220,6 +222,19 @@ class _Plan:
             expa.append(_Expa(sigma, _table_function(source), reads[sigma], own))
         self.expa = tuple(expa)
         self.keep = 1 + max((drop for own in reads.values() for drop, _, _ in own), default=0)
+        # The chains count_class has read, so a loop over one class's keys
+        # follows its chain once. Only those are kept: a plan lives as long
+        # as its scheme, and most schemes are asked about few classes.
+        self.chains: dict = {}
+
+
+def _chain(scheme: Scheme, chains: dict, sigma: Perm) -> _Chain:
+    """sigma's chain, followed once per dict. A sigma the scheme does not
+    define raises in _follow and is not stored."""
+    chain = chains.get(sigma)
+    if chain is None:
+        chain = chains[sigma] = _follow(scheme, sigma)
+    return chain
 
 
 def _plan(scheme: Scheme) -> _Plan:
@@ -276,7 +291,7 @@ def count_class(scheme: Scheme, sigma: Perm, n: int, values: "tuple[int, ...] | 
     if sigma in scheme.zero:
         return 0
     plan = _plan(scheme)
-    chain = _follow(scheme, sigma)
+    chain = _chain(scheme, plan.chains, sigma)
     ext = (0, *values, n + 1)
     if any(ext[p] - ext[q] != p - q for q, p in chain.gaps):
         return 0

@@ -1,15 +1,24 @@
 """Brute-force ground truth for pattern avoidance on small sizes.
 
-The module's one depth-first search, ``_iter_avoiders``, enumerates
-avoiders. It extends a prefix one value at a time, in increasing order, and
-keeps a value only if no forbidden pattern ends at it; containment is
-hereditary, so a pruned prefix could never recover. One
+Two depth-first walks, each on an explicit stack, grow a permutation one
+entry at a time and keep an entry only if no forbidden pattern ends at it;
+containment is hereditary, so a pruned branch could never recover. One
 ``perms.ends_with_bounds`` call tests the whole set, on the patterns'
 ``perms.slot_bounds``.
-Positions can be pinned to given values, which restricts the search to one
-prefix class. Counting, listing and class membership read the leaves of
-that search. The routines are exact but exponential; they exist to
-cross-check the certified machinery up to n around 10.
+
+* ``_iter_avoiders`` walks actual values: it extends a prefix by each
+  unused value of 1..n in increasing order. Listing needs it, since it
+  yields the avoiders lexicographically, and so do prefix classes, which
+  pin positions to given values. It reaches each avoider of size k once
+  for every k-subset of 1..n.
+* ``count_avoiders`` walks the refinement tree of standardized prefixes
+  (``perms.refinements``), where each avoider of size k+1 has exactly one
+  parent, its first k entries reduced. It visits each avoider of size k
+  once, so counting costs far fewer tests than listing.
+
+The two walks share only the containment test, so each checks the other.
+The routines are exact but exponential; they exist to cross-check the
+certified machinery up to n around 10.
 
 The empirical (uncertified) variant of the scheme search lives here too,
 though it enumerates no avoiders. It runs the certified search's loop,
@@ -93,8 +102,50 @@ def iter_avoiders(n: int, patterns: Iterable[Perm]) -> Iterator[Perm]:
 
 
 def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
-    """Number of avoiders of size n: the leaves of the pruned search tree."""
-    return sum(1 for _ in iter_avoiders(n, patterns))
+    """Number of avoiders of size n, counted on the refinement tree.
+
+    Each avoider of size k < n is tested once for each of its k+1
+    refinements, so the count takes sum over k < n of (k+1) * |Av_k|
+    ``ends_with_bounds`` calls: 13,640 for {1234, 1243, 1324} at n = 8,
+    where the value search of ``iter_avoiders`` makes 50,200. The leaves at
+    size n are counted, never built, and the walk keeps one avoider per
+    size, so its memory is O(n^2).
+
+    >>> [count_avoiders(n, [(1, 2, 3)]) for n in range(7)]
+    [1, 1, 2, 5, 14, 42, 132]
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    plans = [slot_bounds(q) for q in normalize_patterns(patterns)]
+    if n == 0:
+        return 1
+    # Values are stored doubled, so the refinement ending between ranks
+    # j-1 and j is tested on its parent with last entry 2j-1. path[d] is
+    # the avoider of size d on the current branch, and ranks[d] the next
+    # rank to try below it.
+    path: "list[tuple[int, ...]]" = [()]
+    ranks = [1]
+    total = 0
+    while path:
+        p = path[-1]
+        k = len(p)
+        if k == n - 1:
+            total += sum(not ends_with_bounds(p, 2 * j - 1, plans) for j in range(1, k + 2))
+            path.pop()
+            ranks.pop()
+            continue
+        j = ranks[-1]
+        while j <= k + 1 and ends_with_bounds(p, 2 * j - 1, plans):
+            j += 1
+        if j > k + 1:
+            path.pop()
+            ranks.pop()
+            continue
+        ranks[-1] = j + 1
+        top = 2 * j
+        path.append(tuple([v + 2 if v >= top else v for v in p]) + (top,))
+        ranks.append(1)
+    return total
 
 
 def prefix_class_members(

@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import P12, P123, PBOTH, PTHREE, catalan, naive_contains, order_types, random_pattern_sets
+from permscheme import oracle
 from permscheme.counting import count_class
 from permscheme.oracle import (
     count_avoiders,
@@ -15,6 +16,23 @@ from permscheme.oracle import (
 )
 from permscheme.perms import avoids_all, delete_rank, normalize_patterns, reduce_word, slot_bounds
 from permscheme.reasoning import GapSet, _deletion_counterexample, compute_gap_set
+
+CORPUS = random_pattern_sets(97103, 50)
+
+
+@pytest.fixture(scope="module")
+def corpus_avoiders():
+    """The avoiders of every corpus set at n <= 7 by naive filter, in
+    lexicographic order, keyed by (n, pats)."""
+    # The corpus patterns have length 3 or 4, so each host's order types
+    # of those lengths decide every set at once.
+    out = {}
+    for n in range(0, 8):
+        hosts = list(permutations(range(1, n + 1)))
+        types = [order_types(p, 3) | order_types(p, 4) for p in hosts]
+        for pats in CORPUS:
+            out[n, pats] = [p for p, seen in zip(hosts, types) if seen.isdisjoint(pats)]
+    return out
 
 
 class TestEnumerate:
@@ -35,6 +53,8 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="n must be >= 0"):
             iter_avoiders(-1, P123)
         with pytest.raises(ValueError, match="n must be >= 0"):
+            count_avoiders(-1, P123)
+        with pytest.raises(ValueError, match="n must be >= 0"):
             count_class(scheme123, (1,), -1, (1,))
 
     @pytest.mark.parametrize("pats", [P123, PBOTH, ((2, 1, 3),)])
@@ -45,16 +65,9 @@ class TestEnumerate:
             ]
             assert list(iter_avoiders(n, pats)) == expect
 
-    def test_corpus_matches_naive_filter(self):
-        # The corpus patterns have length 3 or 4, so each host's order types
-        # of those lengths decide every set at once.
-        corpus = random_pattern_sets(97103, 50)
-        for n in range(0, 8):
-            hosts = list(permutations(range(1, n + 1)))
-            types = [order_types(p, 3) | order_types(p, 4) for p in hosts]
-            for pats in corpus:
-                expect = [p for p, seen in zip(hosts, types) if seen.isdisjoint(pats)]
-                assert list(iter_avoiders(n, pats)) == expect, (n, pats)
+    def test_corpus_matches_naive_filter(self, corpus_avoiders):
+        for (n, pats), expect in corpus_avoiders.items():
+            assert list(iter_avoiders(n, pats)) == expect, (n, pats)
 
 
 class TestCount:
@@ -63,15 +76,54 @@ class TestCount:
         assert count_avoiders(7, P123) == catalan(7)
 
     def test_empty_permutation_always_counts(self):
-        assert count_avoiders(0, PTHREE) == 1
+        for pats in [(), ((1,),), P12, P123, PTHREE]:
+            assert count_avoiders(0, pats) == 1
 
     def test_doubling_class(self):
         assert count_avoiders(5, PBOTH) == 16
 
-    @pytest.mark.parametrize("pats", [P123, PBOTH, PTHREE])
+    def test_corpus_matches_naive_filter(self, corpus_avoiders):
+        for (n, pats), expect in corpus_avoiders.items():
+            assert count_avoiders(n, pats) == len(expect), (n, pats)
+
+    # The refinement walk and the value search are independent, so each
+    # checks the other.
+    @pytest.mark.parametrize("pats", [P123, PBOTH, PTHREE, *CORPUS])
     def test_count_equals_enumeration(self, pats):
         for n in range(0, 7):
             assert count_avoiders(n, pats) == len(list(iter_avoiders(n, pats)))
+
+    def test_no_patterns_gives_everything(self):
+        for n in range(0, 8):
+            assert count_avoiders(n, ()) == math.factorial(n)
+
+    def test_single_point_pattern_leaves_nothing(self):
+        for n in range(1, 8):
+            assert count_avoiders(n, ((1,),)) == 0
+
+    def test_deep_thin_class(self):
+        # One avoider per size, 60 levels deep: the walk runs on an explicit
+        # stack in exact integers.
+        assert count_avoiders(60, P12) == 1
+
+    @pytest.mark.parametrize("pats,calls", [(PTHREE, 13640), (((1, 2, 3, 4),), 26445)])
+    def test_call_count_closed_form(self, monkeypatch, pats, calls):
+        # Each avoider of size k < n is tested once per refinement: the
+        # walk makes sum over k < n of (k+1) * |Av_k| containment tests.
+        n = 8
+        closed = sum((k + 1) * len(list(iter_avoiders(k, pats))) for k in range(n))
+        assert closed == calls
+        made = 0
+        real = oracle.ends_with_bounds
+
+        def counted(*args):
+            nonlocal made
+            made += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "ends_with_bounds", counted)
+        count_avoiders(n, pats)
+        assert made == calls
 
     def test_symmetry_invariance(self):
         from permscheme.perms import complement, inverse, reverse
