@@ -26,7 +26,6 @@ from .scheme import (
     search,
     search_with_symmetries,
     serialize,
-    validate,
 )
 
 # Largest size layer, in table keys, that any command builds.

@@ -150,6 +150,10 @@ class TestCountClass:
             count_class(scheme123, (1, 2), 4, (3, 3))
         with pytest.raises(ValueError):
             count_class(scheme123, (1, 2), 4, (3, 5))
+        # Values must be ints; a bool is not read as 0 or 1.
+        for values in [(2.5,), (2.0,), (True,)]:
+            with pytest.raises(ValueError, match="strictly increasing ints"):
+                count_class(scheme123, (1,), 5, values)
 
 
 class TestEvaluatorAgreement:

@@ -35,6 +35,21 @@ def corpus_avoiders():
     return out
 
 
+def containment_tests(monkeypatch, run) -> int:
+    """How many ``ends_with_bounds`` calls the oracle makes in run()."""
+    made = 0
+    real = oracle.ends_with_bounds
+
+    def counted(*args):
+        nonlocal made
+        made += 1
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "ends_with_bounds", counted)
+    run()
+    return made
+
+
 class TestEnumerate:
     def test_small_wilf_pair(self):
         assert len(list(iter_avoiders(3, PBOTH))) == 4
@@ -47,6 +62,14 @@ class TestEnumerate:
 
     def test_single_decreasing(self):
         assert list(iter_avoiders(4, P12)) == [(4, 3, 2, 1)]
+        # Dead prefixes are dropped, so a deep thin class stays cheap.
+        assert list(iter_avoiders(60, P12)) == [tuple(range(60, 0, -1))]
+
+    @pytest.mark.parametrize("pats,calls", [(PTHREE, 30004), (((1, 2, 3, 4),), 59214)])
+    def test_call_count(self, monkeypatch, pats, calls):
+        # Each prefix scans its unused values, largest first, and stops at
+        # the first one that cannot follow it.
+        assert containment_tests(monkeypatch, lambda: list(iter_avoiders(8, pats))) == calls
 
     def test_negative_size_rejected(self, scheme123):
         # The scheme's class counts reject the same sizes as the oracle.
@@ -113,17 +136,7 @@ class TestCount:
         n = 8
         closed = sum((k + 1) * len(list(iter_avoiders(k, pats))) for k in range(n))
         assert closed == calls
-        made = 0
-        real = oracle.ends_with_bounds
-
-        def counted(*args):
-            nonlocal made
-            made += 1
-            return real(*args)
-
-        monkeypatch.setattr(oracle, "ends_with_bounds", counted)
-        count_avoiders(n, pats)
-        assert made == calls
+        assert containment_tests(monkeypatch, lambda: count_avoiders(n, pats)) == calls
 
     def test_symmetry_invariance(self):
         from permscheme.perms import complement, inverse, reverse
@@ -146,6 +159,10 @@ class TestPrefixClasses:
     def test_forced_top_value_empty(self):
         assert prefix_class_members(3, P123, (1, 2), (1, 2)) == set()
 
+    def test_pinned_deep_thin_class(self):
+        assert prefix_class_members(40, P12, (1,), (40,)) == {tuple(range(40, 0, -1))}
+        assert prefix_class_members(40, P12, (1,), (39,)) == set()
+
     def test_partition_identity(self):
         # Summing class sizes over all prefixes of length k recovers the count.
         for pats in [P123, PBOTH]:
@@ -167,6 +184,10 @@ class TestPrefixClasses:
         for sigma, values in [((3, 1), (1, 2)), ((2,), (1,)), ((1, 1), (2, 3))]:
             with pytest.raises(ValueError, match="not a permutation"):
                 prefix_class_members(5, P123, sigma, values)
+        # Values must be ints; a bool is not read as 0 or 1.
+        for values in [(2.5,), (2.0,), (True,)]:
+            with pytest.raises(ValueError, match="strictly increasing ints"):
+                prefix_class_members(5, P123, (1,), values)
 
 
 class TestEmpiricalGaps:
