@@ -42,7 +42,19 @@ first and then symbols, each at a larger index than the one before, and
 checks each new slot only against the slots already chosen. Complete
 assignments come out in the order in which ``combinations`` over places
 and then symbols would list the candidates, so the first hit is the one an
-exhaustive scan finds. The empirical search decides deletion on concrete
+exhaustive scan finds.
+
+The events that put only a pattern's first entry on the examined place, the
+single-place events, are decided in closed form (``single_place_rules``).
+Such an event of q is vacuous when q has entries above (below) its first
+and the gaps above (below) the rank are all forced. It bails out when some
+pattern occurs in the rest of q, or is a direct (skew) sum alpha (+) beta
+whose alpha occurs among the prefix values below (above) the rank and
+whose beta occurs among q's entries above (below) its first. ``scheme.search``
+screens each rank with ``single_place_unresolved`` first, and only a rank
+that passes goes to ``certify_deletable``; ``analyze_deletable`` still
+examines every event, so its transcripts do not depend on the screen.
+The empirical search decides deletion on concrete
 permutations instead: ``_deletion_counterexample`` walks the extensions of
 sigma by at most m-1 entries for a member that the deletion loses.
 """
@@ -54,7 +66,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .perms import PatternSet, Perm, ends_with_bounds, reduce_word, slot_bounds
+from .perms import PatternSet, Perm, avoids_all, ends_with_bounds, reduce_word, slot_bounds
 
 
 @dataclass(frozen=True)
@@ -471,3 +483,79 @@ def analyze_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int
 def certify_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int) -> bool:
     """True if deleting the rank-th smallest prefix value is provably safe."""
     return analyze_deletable(sigma, patterns, gaps, rank).certified
+
+
+# One pattern q's single-place rule: whether q[1:] has entries above q[0],
+# whether it has entries below, whether some pattern occurs in q[1:], and
+# the ``slot_bounds`` of the alphas of cases (ii) and (iii).
+SinglePlaceRule = tuple[bool, bool, bool, list, list]
+
+
+def single_place_rules(patterns: PatternSet) -> list[SinglePlaceRule]:
+    """Decide each pattern's single-place event in closed form.
+
+    Let sigma (length k) avoid the set, let rank r sit at place t, and let q
+    be a pattern. The event (q, (t,)) puts q[0] on place t and q[1:] on
+    symbols. ``order_facts`` bounds a symbol above q[0] by (r, k+1) and one
+    below it by (0, r). So the event is vacuous exactly when q[1:] has an
+    entry above q[0] and gaps r..k are all forced, or an entry below q[0]
+    and gaps 0..r-1 are all forced. Otherwise it bails out exactly when
+    some pattern p of the set meets one of:
+
+    (i) p occurs in q[1:];
+    (ii) p = alpha (+) beta: its first d entries are its d smallest, with
+         1 <= d < |p|, beta occurs among the entries of q[1:] above q[0],
+         and alpha among sigma's values below r;
+    (iii) p = alpha (-) beta: its first d entries are its d largest, beta
+          occurs among the entries below q[0], and alpha among sigma's
+          values above r.
+
+    Proof: a bail-out puts p's first d slots on places other than t and the
+    rest on symbols. A symbol above q[0] is implied above a place of rank
+    at most r, so of rank below r, and is implied below none; a symbol
+    below q[0] is implied below the places of rank above r and above none.
+    Places relate as sigma orders them, symbols as q does. With no symbol,
+    p would occur in sigma, which avoids the set; with no place, p occurs
+    in q[1:], which is (i). Otherwise each place relates to each symbol, so
+    the symbols lie on one side of q[0] and the places on the other side
+    of r, each place below (above) each symbol: (ii) or (iii). Conversely,
+    each case names an embedding whose every relation is implied.
+    """
+    rules = []
+    for q in patterns:
+        rises = [v for v in q[1:] if v > q[0]]
+        falls = [v for v in q[1:] if v < q[0]]
+        below_alphas, above_alphas = set(), set()
+        for p in patterns:
+            m = len(p)
+            for d in range(1, m):
+                beta = reduce_word(p[d:])
+                if max(p[:d]) == d and not avoids_all(rises, [beta]):
+                    below_alphas.add(p[:d])
+                if min(p[:d]) == m - d + 1 and not avoids_all(falls, [beta]):
+                    above_alphas.add(tuple(v - m + d for v in p[:d]))
+        always = not avoids_all(q[1:], patterns)
+        plans = [[slot_bounds(a) for a in alphas] for alphas in (below_alphas, above_alphas)]
+        rules.append((bool(rises), bool(falls), always, *plans))
+    return rules
+
+
+def single_place_unresolved(sigma: Perm, gaps: GapSet, rank: int, rules: list[SinglePlaceRule]) -> bool:
+    """True if some event on rank's place alone is neither vacuous nor bailed out.
+
+    ``rules`` are the set's ``single_place_rules``, and sigma avoids the
+    set. The answer is ``analyze_deletable``'s verdict on those events, so
+    a rank for which it is True is never certified.
+    """
+    top_closed = gaps.forced.issuperset(range(rank, len(sigma) + 1))
+    bottom_closed = gaps.forced.issuperset(range(rank))
+    low = [v for v in sigma if v < rank]
+    high = [v - rank for v in sigma if v > rank]
+    for rises, falls, always, below_plans, above_plans in rules:
+        if always or (rises and top_closed) or (falls and bottom_closed):
+            continue
+        if any(ends_with_bounds(low[:e], low[e], below_plans) for e in range(len(low))):
+            continue
+        if not any(ends_with_bounds(high[:e], high[e], above_plans) for e in range(len(high))):
+            return True
+    return False

@@ -39,7 +39,7 @@ from .perms import (
     refinements,
     symmetry_images,
 )
-from .reasoning import GapSet, certify_deletable, compute_gap_set
+from .reasoning import GapSet, certify_deletable, compute_gap_set, single_place_rules, single_place_unresolved
 
 SCHEMA_VERSION = 1
 MODE_CERTIFIED = "certified"
@@ -192,11 +192,23 @@ def search(patterns: Iterable[Perm], max_depth: int, log: "list[dict] | None" = 
     whole search fails at once. ``log`` receives one record per class in
     that order, so on failure its last record is the first stuck class
     found.
+
+    Each rank is tested in two steps. First the single-place rule: for each
+    pattern q, the event that puts only q's first entry on the rank's place
+    is decided in closed form (``reasoning.single_place_rules``, derived
+    once per call), and a rank with such an event that is neither vacuous
+    nor bailed out is rejected at once. Only then does
+    ``certify_deletable`` examine every event. The rule is exact, so the
+    first step rejects only ranks that the second would reject too, and the
+    documents and logs are the same as with the second step alone.
     """
     pats = normalize_patterns(patterns)
-    return _search_core(
-        pats, max_depth, lambda sigma, gaps, rank: certify_deletable(sigma, pats, gaps, rank), MODE_CERTIFIED, log
-    )
+    rules = single_place_rules(pats)
+
+    def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
+        return not single_place_unresolved(sigma, gaps, rank, rules) and certify_deletable(sigma, pats, gaps, rank)
+
+    return _search_core(pats, max_depth, deletable, MODE_CERTIFIED, log)
 
 
 def search_with_symmetries(

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import P12, P123, P132, PTHREE, SINGLETONS, random_pattern_sets
 from permscheme.oracle import empirical_deletable, empirical_gap_set, iter_avoiders, prefix_class_members
-from permscheme.perms import avoids_all, reduce_word
+from permscheme.perms import avoids_all, normalize_patterns, reduce_word
 from permscheme.reasoning import (
     Bailout,
     Event,
@@ -18,6 +19,8 @@ from permscheme.reasoning import (
     compute_gap_set,
     find_bailout,
     order_facts,
+    single_place_rules,
+    single_place_unresolved,
 )
 from permscheme.scheme import ReduEntry, search
 
@@ -203,6 +206,32 @@ class TestSearchAgainstReference:
                             continue
                         expect = reference_bailout(sigma, gaps, event, t, pats)
                         assert find_bailout(sigma, gaps, event, t, pats) == expect, (pats, sigma, event)
+
+    @pytest.mark.parametrize("seed", [97103, 4207])
+    def test_single_place_rule_matches_bailout_search(self, seed):
+        # Sets of one to three patterns of lengths 2 to 5, each sigma with its
+        # own gaps and with a random gap set.
+        rng = random.Random(seed)
+        lengths = set()
+        for _ in range(40):
+            sizes = rng.choices(range(2, 6), k=rng.randint(1, 3))
+            pats = normalize_patterns(rng.sample(range(1, m + 1), m) for m in sizes)
+            lengths.update(map(len, pats))
+            rules = single_place_rules(pats)
+            for sigma in self.SIGMAS:
+                if not avoids_all(sigma, pats):
+                    continue
+                k = len(sigma)
+                random_gaps = GapSet(k, frozenset(j for j in range(k + 1) if rng.random() < 0.5))
+                for gaps in (compute_gap_set(sigma, pats), random_gaps):
+                    for t, rank in enumerate(sigma, 1):
+                        events = [Event(q, (t,)) for q in pats]
+                        expect = any(
+                            order_facts(sigma, gaps, e) is not None and find_bailout(sigma, gaps, e, t, pats) is None
+                            for e in events
+                        )
+                        assert single_place_unresolved(sigma, gaps, rank, rules) == expect, (pats, sigma, gaps, rank)
+        assert lengths == {2, 3, 4, 5}
 
     @pytest.mark.parametrize("seed", [97103, 4207])
     def test_gaps_match_witness_scan(self, seed):

@@ -15,10 +15,12 @@ from permscheme.perms import (
 )
 from permscheme.reasoning import GapSet, certify_deletable, compute_gap_set
 from permscheme.scheme import (
+    MODE_CERTIFIED,
     ExpaEntry,
     ReduEntry,
     Scheme,
     SchemeFormatError,
+    _search_core,
     deserialize,
     search,
     search_with_symmetries,
@@ -229,6 +231,22 @@ class TestSearchOrderIndependence:
         assert as_set(log) == as_set(records)
         # Depth-first, the records come in a different order.
         assert log != records
+
+
+class TestSinglePlaceScreen:
+    def test_same_bytes_as_certify_deletable_alone(self):
+        # The screen rejects only ranks that certify_deletable rejects too, so
+        # the documents and the --explain records are the same bytes.
+        jobs = [(image, 4) for pats in random_pattern_sets(97103, 50) for image in symmetry_closure(pats)]
+        jobs += [(image, 5) for pats in SINGLETONS for image in symmetry_closure(pats)]
+        for image, depth in jobs:
+            log, reference_log = [], []
+            found = search(image, depth, log)
+            expected = _search_core(
+                image, depth, lambda s, g, r: certify_deletable(s, image, g, r), MODE_CERTIFIED, reference_log
+            )
+            assert (found and serialize(found)) == (expected and serialize(expected)), image
+            assert [json.dumps(r) for r in log] == [json.dumps(r) for r in reference_log], image
 
 
 class TestSearchWithSymmetries:
