@@ -54,7 +54,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from .perms import Perm, check_permutation, check_prefix_values, delete_rank
+from .perms import Perm, check_permutation, check_prefix_values, check_size, delete_rank
 from .scheme import Scheme
 
 
@@ -284,8 +284,7 @@ def _layer(plan: _Plan, n: int) -> dict:
 
 def count_class(scheme: Scheme, sigma: Perm, n: int, values: "tuple[int, ...] | list[int]") -> int:
     """Exact size of one prefix class: its chain's target key at n - drop."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    check_size(n)
     sigma = tuple(sigma)
     values = check_prefix_values(sigma, values, n)
     if sigma in scheme.zero:

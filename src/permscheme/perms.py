@@ -43,6 +43,19 @@ def check_permutation(entries: Iterable[int]) -> Perm:
     return perm
 
 
+def check_size(n: object) -> int:
+    """Validate a size: an int (not a bool) that is at least 0.
+
+    >>> check_size(3)
+    3
+    """
+    if not is_int(n):
+        raise ValueError(f"n must be an int, got {n!r}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return n
+
+
 def check_prefix_values(sigma: Perm, values: Iterable[int], n: int) -> tuple[int, ...]:
     """Validate the values of a prefix class at size n: one int per entry
     of sigma, strictly increasing within 1..n.
@@ -161,6 +174,104 @@ def ends_with_bounds(prefix: Sequence[int], last: int, plans: Iterable[tuple[tup
                     return True
                 idx += 1
     return False
+
+
+@lru_cache(maxsize=1024)
+def gap_plan(q: Perm) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
+    """Where ``closed_gaps`` reads bounds from, for a pattern q of length m.
+
+    The head of q is its first m-1 entries. Each head slot s is bounded
+    by the earlier head slots holding the largest q-value below q[s] and
+    the smallest above it, named as a slot index, or as -2 (below) and -1
+    (above) when there is none. Then come the two head slots that bound
+    q's last entry in the same way, and ``fix``, the number of head slots
+    an occurrence fills before both are known.
+
+    >>> gap_plan((1, 3, 2, 4))
+    (((-2, -1), (0, -1), (0, 1)), 1, -1, 2)
+    >>> gap_plan((1,))
+    ((), -2, -1, 0)
+    """
+    head = q[:-1]
+
+    def bounds(value: int, slots: int) -> tuple[int, int]:
+        below = [(head[t], t) for t in range(slots) if head[t] < value]
+        above = [(head[t], t) for t in range(slots) if head[t] > value]
+        return (max(below)[1] if below else -2, min(above)[1] if above else -1)
+
+    lo_at, hi_at = bounds(q[-1], len(head))
+    return tuple(bounds(head[s], s) for s in range(len(head))), lo_at, hi_at, max(lo_at, hi_at) + 1
+
+
+def closed_gaps(p: Sequence[int], plans: Iterable[tuple]) -> int:
+    """Bit j (0 <= j <= k) is set when a new last entry between values j and
+    j+1 of the permutation p of 1..k completes an occurrence of a pattern
+    whose ``gap_plan`` is in ``plans``.
+
+    Setting bit j is ``ends_with_bounds`` on the refinement of p that ends
+    in j+1, but all k+1 answers come from one pass over the occurrences of
+    each pattern's head in p: an occurrence whose values bounding the last
+    entry are a < b (0 and k+1 where there is none) closes gaps a..b-1.
+
+    >>> bin(closed_gaps((1, 2), [gap_plan((1, 2, 3))]))
+    '0b100'
+    """
+    k = len(p)
+    full = (1 << (k + 1)) - 1
+    mask = 0
+    for bounds, lo_at, hi_at, fix in plans:
+        need = len(bounds)
+        if need == 0:
+            return full
+        # Slot s may take indices below stop + s, which leaves room for the
+        # slots after it.
+        stop = k - need + 1
+        if stop <= 0:
+            continue
+        # Slot 0 is unbounded; the deeper slots are matched by backtracking
+        # over an explicit stack, where row[s] is the value matched to slot
+        # s, chosen[s] its index in p, and row[-2:] the sentinels. Once the
+        # first ``fix`` slots are matched, the gaps an occurrence would close
+        # are known: a branch that closes none still open is left, and past
+        # a completed occurrence, slot fix-1 moves on.
+        row = [0] * need + [0, k + 1]
+        chosen = [0] * need
+        for first in range(stop):
+            row[0] = p[first]
+            if fix == 1:
+                gaps = (1 << row[hi_at]) - (1 << row[lo_at])
+                if not gaps & ~mask:
+                    continue
+            depth = 1
+            idx = first + 1
+            while depth:
+                if depth == need:
+                    mask |= gaps
+                    if mask == full:
+                        return mask
+                    depth = fix - 1
+                    idx = chosen[depth] + 1
+                    continue
+                lo, hi = bounds[depth]
+                lo = row[lo]
+                hi = row[hi]
+                for idx in range(idx, stop + depth):
+                    v = p[idx]
+                    if lo < v < hi:
+                        break
+                else:
+                    depth -= 1
+                    idx = chosen[depth] + 1
+                    continue
+                row[depth] = v
+                chosen[depth] = idx
+                depth += 1
+                idx += 1
+                if depth == fix:
+                    gaps = (1 << row[hi_at]) - (1 << row[lo_at])
+                    if not gaps & ~mask:
+                        depth -= 1
+    return mask
 
 
 def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:

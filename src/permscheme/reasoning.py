@@ -26,10 +26,11 @@ certified, so failures cost search depth, never correctness.
 
 A gap needs no symbols: whether it is forced is decided exactly, on one
 concrete permutation, the refinement of sigma that opens it (see
-``certify_gap``). A bail-out is a search for an implied embedding. Per
-event, the implied order is a table over the available prefix places and
-the event's symbols, built from the symbols' rank bounds and the pattern's
-order (``OrderFacts``): two places compare by their ranks in sigma, a place
+``certify_gap``), and one ``perms.closed_gaps`` mask decides all k+1 gaps.
+A bail-out is a search for an implied embedding. Per event, the implied
+order is a table over the available prefix places and the event's
+symbols, built from the symbols' rank bounds and the pattern's order
+(``OrderFacts``): two places compare by their ranks in sigma, a place
 and a symbol by the place's rank against the symbol's bounds, and two
 symbols by the event's pattern. A relation is implied when it holds in both
 extreme realizations of the event, every symbol just above its lower bound
@@ -66,7 +67,16 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .perms import PatternSet, Perm, avoids_all, ends_with_bounds, reduce_word, slot_bounds
+from .perms import (
+    PatternSet,
+    Perm,
+    avoids_all,
+    closed_gaps,
+    ends_with_bounds,
+    gap_plan,
+    reduce_word,
+    slot_bounds,
+)
 
 
 @dataclass(frozen=True)
@@ -349,7 +359,8 @@ def certify_gap(sigma: Perm, patterns: PatternSet, j: int) -> bool:
     Conversely, if rho avoids every pattern, it is itself a member of size
     k+1 with gap j open. So for a sigma that avoids the patterns, the gap is
     forced exactly when some pattern ends at rho's last entry, and that is
-    the test. The answer is exact, not just sound.
+    the test: bit j of sigma's ``perms.closed_gaps`` mask. The answer is
+    exact, not just sound.
 
     >>> certify_gap((1, 2), ((1, 2, 3),), 2), certify_gap((1, 2), ((1, 2, 3),), 1)
     (True, False)
@@ -357,12 +368,7 @@ def certify_gap(sigma: Perm, patterns: PatternSet, j: int) -> bool:
     k = len(sigma)
     if not 0 <= j <= k:
         raise ValueError(f"gap index {j} outside 0..{k}")
-    return _gap_forced(sigma, [slot_bounds(q) for q in patterns], j)
-
-
-def _gap_forced(sigma: Perm, plans: list, j: int) -> bool:
-    bumped = [v + 1 if v > j else v for v in sigma]
-    return ends_with_bounds(bumped, j + 1, plans)
+    return bool(closed_gaps(sigma, [gap_plan(q) for q in patterns]) >> j & 1)
 
 
 def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, max_n: int) -> Perm | None:
@@ -411,14 +417,16 @@ def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, 
 
 
 def compute_gap_set(sigma: Perm, patterns: PatternSet) -> GapSet:
-    """Every forced gap of sigma, each decided by ``certify_gap``'s test.
+    """Every forced gap of sigma, read off one ``perms.closed_gaps`` mask:
+    bit j is ``certify_gap``'s test of gap j, so all k+1 gaps cost one
+    pass over the occurrences of the patterns' heads in sigma.
 
     The caller guarantees sigma itself avoids the patterns (classes whose
     prefix already contains a pattern are empty and handled elsewhere).
     """
     k = len(sigma)
-    plans = [slot_bounds(q) for q in patterns]
-    return GapSet(k, frozenset(j for j in range(k + 1) if _gap_forced(sigma, plans, j)))
+    mask = closed_gaps(sigma, [gap_plan(q) for q in patterns])
+    return GapSet(k, frozenset(j for j in range(k + 1) if mask >> j & 1))
 
 
 @dataclass(frozen=True)

@@ -35,17 +35,17 @@ def corpus_avoiders():
     return out
 
 
-def containment_tests(monkeypatch, run) -> int:
-    """How many ``ends_with_bounds`` calls the oracle makes in run()."""
+def oracle_calls(monkeypatch, name: str, run) -> int:
+    """How many calls the oracle makes in run() to the kernel it binds as name."""
     made = 0
-    real = oracle.ends_with_bounds
+    real = getattr(oracle, name)
 
     def counted(*args):
         nonlocal made
         made += 1
         return real(*args)
 
-    monkeypatch.setattr(oracle, "ends_with_bounds", counted)
+    monkeypatch.setattr(oracle, name, counted)
     run()
     return made
 
@@ -69,7 +69,7 @@ class TestEnumerate:
     def test_call_count(self, monkeypatch, pats, calls):
         # Each prefix scans its unused values, largest first, and stops at
         # the first one that cannot follow it.
-        assert containment_tests(monkeypatch, lambda: list(iter_avoiders(8, pats))) == calls
+        assert oracle_calls(monkeypatch, "ends_with_bounds", lambda: list(iter_avoiders(8, pats))) == calls
 
     def test_negative_size_rejected(self, scheme123):
         # The scheme's class counts reject the same sizes as the oracle.
@@ -79,6 +79,17 @@ class TestEnumerate:
             count_avoiders(-1, P123)
         with pytest.raises(ValueError, match="n must be >= 0"):
             count_class(scheme123, (1,), -1, (1,))
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_non_int_size_rejected(self, scheme123, n):
+        # A fractional size never reaches the walk's last level, and a float
+        # or a bool that compares equal to an int is not one either.
+        with pytest.raises(ValueError, match="n must be an int"):
+            iter_avoiders(n, P123)
+        with pytest.raises(ValueError, match="n must be an int"):
+            count_avoiders(n, P123)
+        with pytest.raises(ValueError, match="n must be an int"):
+            count_class(scheme123, (), n, ())
 
     @pytest.mark.parametrize("pats", [P123, PBOTH, ((2, 1, 3),)])
     def test_pruning_matches_filter(self, pats):
@@ -129,14 +140,16 @@ class TestCount:
         # stack in exact integers.
         assert count_avoiders(60, P12) == 1
 
-    @pytest.mark.parametrize("pats,calls", [(PTHREE, 13640), (((1, 2, 3, 4),), 26445)])
+    @pytest.mark.parametrize("pats,calls", [(PTHREE, 1779), (((1, 2, 3, 4),), 3410)])
     def test_call_count_closed_form(self, monkeypatch, pats, calls):
-        # Each avoider of size k < n is tested once per refinement: the
-        # walk makes sum over k < n of (k+1) * |Av_k| containment tests.
+        # Each avoider of size k < n gets one closed-gap mask: the walk makes
+        # sum over k < n of |Av_k| ``closed_gaps`` calls, and it shares no
+        # containment test with the value search.
         n = 8
-        closed = sum((k + 1) * len(list(iter_avoiders(k, pats))) for k in range(n))
+        closed = sum(len(list(iter_avoiders(k, pats))) for k in range(n))
         assert closed == calls
-        assert containment_tests(monkeypatch, lambda: count_avoiders(n, pats)) == calls
+        assert oracle_calls(monkeypatch, "closed_gaps", lambda: count_avoiders(n, pats)) == calls
+        assert oracle_calls(monkeypatch, "ends_with_bounds", lambda: count_avoiders(n, pats)) == 0
 
     def test_symmetry_invariance(self):
         from permscheme.perms import complement, inverse, reverse

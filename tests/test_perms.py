@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from conftest import PBOTH, end_order_types, naive_contains, random_pattern_sets
 from permscheme.perms import (
     avoids_all,
+    closed_gaps,
     complement,
     contains,
     delete_rank,
     ends_with_bounds,
     format_permutation,
+    gap_plan,
     inverse,
     normalize_patterns,
     parse_pattern_set,
@@ -113,6 +115,57 @@ class TestContains:
     def test_transitive(self, p, q, s):
         if contains(p, q) and contains(q, s):
             assert contains(p, s)
+
+
+def refinement_ends(fines, plans) -> int:
+    """Bit j set when some pattern, given by ``slot_bounds``, ends at the last
+    entry of fines[j], the refinement that ends in j+1."""
+    return sum(ends_with_bounds(fine[:-1], fine[-1], plans) << j for j, fine in enumerate(fines))
+
+
+class TestClosedGaps:
+    def test_examples(self):
+        # 12 followed by a value above 2 completes 123; one between 1 and 2
+        # or below 1 does not.
+        assert closed_gaps((1, 2), [gap_plan((1, 2, 3))]) == 0b100
+        assert closed_gaps((2, 1), [gap_plan((1, 2, 3))]) == 0
+        # The point pattern closes every gap, the empty set none.
+        assert closed_gaps((2, 1, 3), [gap_plan((1,))]) == 0b1111
+        assert closed_gaps((2, 1, 3), []) == 0
+
+    def test_single_patterns_exhaustive(self):
+        # Every p of length <= 6 against every pattern of length 1-5 on its
+        # own, checked by a scan of the subsequences that end at each
+        # refinement's last entry.
+        singles = [q for m in range(1, 6) for q in permutations(range(1, m + 1))]
+        plans = [[gap_plan(q)] for q in singles]
+        for k in range(7):
+            for p in permutations(range(1, k + 1)):
+                ending = dict.fromkeys(singles, 0)
+                for j, fine in enumerate(refinements(p)):
+                    for m in range(1, min(k + 1, 5) + 1):
+                        for q in end_order_types(fine, m):
+                            ending[q] |= 1 << j
+                for q, gaps in zip(singles, plans):
+                    assert closed_gaps(p, gaps) == ending[q], (p, q)
+
+    def test_corpus_sets_exhaustive(self):
+        # Every p of length <= 6 against every set of the 50-set corpus,
+        # checked by ``ends_with_bounds`` on each refinement.
+        sets = [
+            ([gap_plan(q) for q in pats], [slot_bounds(q) for q in pats]) for pats in random_pattern_sets(97103, 50)
+        ]
+        for k in range(7):
+            for p in permutations(range(1, k + 1)):
+                fines = refinements(p)
+                for gaps, bounds in sets:
+                    assert closed_gaps(p, gaps) == refinement_ends(fines, bounds), (p, gaps)
+
+    @given(perms_up_to(8), st.lists(perms_up_to(5), min_size=1, max_size=3))
+    @settings(max_examples=300)
+    def test_matches_end_anchored_test(self, p, pats):
+        gaps = [gap_plan(q) for q in pats]
+        assert closed_gaps(p, gaps) == refinement_ends(refinements(p), [slot_bounds(q) for q in pats])
 
 
 class TestRefinements:
