@@ -12,7 +12,6 @@ import json
 from collections.abc import Iterable
 
 import click
-from click.core import ParameterSource
 
 from . import counting, oracle, recurrence
 from .perms import PatternSet, format_permutation, is_int, parse_pattern_set
@@ -102,7 +101,6 @@ def scheme_group() -> None:
 @click.option("-p", "--patterns", "patterns_text", required=True, help='Pattern set, e.g. "123,132" or "[[1,2,3]]".')
 @click.option("--max-depth", default=4, show_default=True, type=click.IntRange(min=1), help="Largest prefix length to expand to.")
 @click.option("--mode", default=MODE_CERTIFIED, show_default=True, type=click.Choice([MODE_CERTIFIED, MODE_EMPIRICAL]))
-@click.option("--empirical-n", default=oracle.DEFAULT_HORIZON, show_default=True, type=int, help="Largest size checked in empirical mode; must exceed --max-depth.")
 @click.option("--symmetries", is_flag=True, help="Also try reverse/inverse images of the pattern set.")
 @click.option("--explain", is_flag=True, help="Emit the certification log as JSON lines on stderr.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), help="Write the scheme document here instead of stdout.")
@@ -112,15 +110,12 @@ def scheme_find(
     patterns_text: str,
     max_depth: int,
     mode: str,
-    empirical_n: int,
     symmetries: bool,
     explain: bool,
     output: "str | None",
 ) -> None:
     """Search for a scheme and print its document."""
     patterns = _patterns_arg(patterns_text)
-    if mode != MODE_EMPIRICAL and ctx.get_parameter_source("empirical_n") is ParameterSource.COMMANDLINE:
-        raise click.UsageError("--empirical-n requires --mode empirical")
     if mode == MODE_EMPIRICAL and explain:
         raise click.UsageError("--explain requires --mode certified")
     if mode == MODE_EMPIRICAL and symmetries:
@@ -130,10 +125,7 @@ def scheme_find(
     log: "list[dict] | None" = [] if explain else None
     label = "identity"
     if mode == MODE_EMPIRICAL:
-        try:
-            found = oracle.empirical_scheme_search(patterns, max_depth, empirical_n)
-        except ValueError as exc:
-            raise click.UsageError(f"--empirical-n: {exc}")
+        found = oracle.empirical_scheme_search(patterns, max_depth)
     elif symmetries:
         hit = search_with_symmetries(patterns, max_depth)
         found = None if hit is None else hit[0]

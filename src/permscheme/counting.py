@@ -308,16 +308,17 @@ def count(scheme: Scheme, n: int) -> int:
 
 def sequence(scheme: Scheme, length: int) -> list[int]:
     """The counts for n = 1..length, computed bottom-up with layer reuse."""
-    if length < 1:
+    if check_size(length) < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     return [tables[()][()] for n, tables in _layers(_plan(scheme), length) if n >= 1]
 
 
 def layer_key_counts(scheme: Scheme, length: int) -> list[int]:
     """Keys tabulated per size layer n = 0..length; exposes the polynomial growth."""
-    return [sum(map(len, tables.values())) for _, tables in _layers(_plan(scheme), length)]
+    return [sum(map(len, tables.values())) for _, tables in _layers(_plan(scheme), check_size(length))]
 
 
 def layer_keys(scheme: Scheme, n: int) -> int:
     """Closed-form key count of layer n: sum of C(n, len(sigma)) over expanded sigma."""
+    check_size(n)
     return sum(comb(n, len(sigma)) for sigma in scheme.expa)

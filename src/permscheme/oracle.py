@@ -31,8 +31,10 @@ exactly the open gaps that size k+1 shows. The smallest rank is taken
 for which ``reasoning._deletion_counterexample`` finds no member up to the
 horizon that its deletion loses; a miss at any size cuts down to one of
 size at most k+m-1, m the longest pattern length. So the empirical
-search finds the same scheme at every horizon from depth + m - 1 on; a
-horizon at or below its depth is rejected.
+search finds the same scheme at every horizon from depth + m - 1 on, and
+by default it searches at exactly that horizon, where its schemes count
+exactly at every n. Only an explicit horizon below it may give a wrong
+scheme; one at or below the depth is rejected.
 """
 
 from __future__ import annotations
@@ -204,7 +206,7 @@ def empirical_deletable(
 
 
 def empirical_scheme_search(
-    patterns: Iterable[Perm], max_depth: int, max_n: int = DEFAULT_HORIZON
+    patterns: Iterable[Perm], max_depth: int, max_n: "int | None" = None
 ) -> Scheme | None:
     """Scheme discovery with small-n observation in place of certification.
 
@@ -212,15 +214,20 @@ def empirical_scheme_search(
     forced gaps from its ``compute_gap_set`` (``empirical_gap_set`` would
     observe those same gaps at every horizon allowed here). A class is
     reduced by the smallest rank whose deletion loses no member of any
-    size up to ``max_n``. The resulting scheme is marked empirical and may
-    be wrong. ``max_n`` must exceed ``max_depth``: at size k a
-    class holds at most sigma itself, so a horizon of k tests a length-k
-    class on nothing. Every horizon from ``max_depth`` + m - 1 on gives
-    the same answer.
+    size up to ``max_n``. That horizon defaults to ``max_depth`` + m - 1,
+    m the longest pattern length, past which no size can change the
+    answer (``reasoning._deletion_counterexample``), so the default scheme
+    counts exactly at every n; it is still marked empirical, since no
+    reduction is certified. An explicit ``max_n`` below that bound may
+    give a wrong scheme, and one at or below ``max_depth`` is rejected: at
+    size k a class holds at most sigma itself, so a horizon of k tests a
+    length-k class on nothing.
     """
     pats = normalize_patterns(patterns)
-    if max_n <= max_depth:
-        stable = max_depth + max([len(q) - 1 for q in pats] + [1])
+    stable = max_depth + max([len(q) - 1 for q in pats] + [1])
+    if max_n is None:
+        max_n = stable
+    elif max_n <= max_depth:
         raise ValueError(
             f"horizon {max_n} must exceed the depth {max_depth}; "
             f"results stop changing from horizon {stable} on"

@@ -25,8 +25,8 @@ The logic is deliberately incomplete: anything it cannot prove is simply not
 certified, so failures cost search depth, never correctness.
 
 A gap needs no symbols: whether it is forced is decided exactly, on one
-concrete permutation, the refinement of sigma that opens it (see
-``certify_gap``), and one ``perms.closed_gaps`` mask decides all k+1 gaps.
+concrete permutation, the refinement of sigma that opens it, and one
+``perms.closed_gaps`` mask decides all k+1 gaps (``compute_gap_set``).
 A bail-out is a search for an implied embedding. Per event, the implied
 order is a table over the available prefix places and the event's
 symbols, built from the symbols' rank bounds and the pattern's order
@@ -349,28 +349,6 @@ def find_bailout(
     return _bailout(avail, _place_rows(sigma, avail), facts, patterns)
 
 
-def certify_gap(sigma: Perm, patterns: PatternSet, j: int) -> bool:
-    """Decide whether gap j is forced: i_{j+1} = i_j + 1 in every class member.
-
-    Let rho be the refinement of sigma whose last entry j+1 lies in gap j:
-    sigma with its values above j raised by one, then j+1. If a member has
-    a value v strictly between i_j and i_{j+1}, it comes after the prefix,
-    and keeping only the prefix and v leaves an avoider that reduces to rho.
-    Conversely, if rho avoids every pattern, it is itself a member of size
-    k+1 with gap j open. So for a sigma that avoids the patterns, the gap is
-    forced exactly when some pattern ends at rho's last entry, and that is
-    the test: bit j of sigma's ``perms.closed_gaps`` mask. The answer is
-    exact, not just sound.
-
-    >>> certify_gap((1, 2), ((1, 2, 3),), 2), certify_gap((1, 2), ((1, 2, 3),), 1)
-    (True, False)
-    """
-    k = len(sigma)
-    if not 0 <= j <= k:
-        raise ValueError(f"gap index {j} outside 0..{k}")
-    return bool(closed_gaps(sigma, [gap_plan(q) for q in patterns]) >> j & 1)
-
-
 def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, max_n: int) -> Perm | None:
     """A member that deleting the rank-th prefix value loses, or None.
 
@@ -417,12 +395,24 @@ def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, 
 
 
 def compute_gap_set(sigma: Perm, patterns: PatternSet) -> GapSet:
-    """Every forced gap of sigma, read off one ``perms.closed_gaps`` mask:
-    bit j is ``certify_gap``'s test of gap j, so all k+1 gaps cost one
-    pass over the occurrences of the patterns' heads in sigma.
+    """Every forced gap of sigma, read off one ``perms.closed_gaps`` mask.
+
+    Gap j is forced when i_{j+1} = i_j + 1 in every class member. Let rho
+    be the refinement of sigma whose last entry j+1 lies in gap j: sigma
+    with its values above j raised by one, then j+1. If a member has a
+    value v strictly between i_j and i_{j+1}, it comes after the prefix,
+    and keeping only the prefix and v leaves an avoider that reduces to
+    rho. Conversely, if rho avoids every pattern, it is itself a member of
+    size k+1 with gap j open. So the gap is forced exactly when some
+    pattern ends at rho's last entry, which is bit j of the mask: the
+    answer is exact, not just sound, and all k+1 gaps cost one pass over
+    the occurrences of the patterns' heads in sigma.
 
     The caller guarantees sigma itself avoids the patterns (classes whose
     prefix already contains a pattern are empty and handled elsewhere).
+
+    >>> sorted(compute_gap_set((1, 2), ((1, 2, 3),)).forced)
+    [2]
     """
     k = len(sigma)
     mask = closed_gaps(sigma, [gap_plan(q) for q in patterns])

@@ -124,24 +124,24 @@ class TestSchemeFind:
         assert result.exit_code == 0
         assert deserialize(path.read_text()).mode == "empirical"
 
+    def test_empirical_mode_finds_no_wrong_scheme(self, runner):
+        # At horizon 8 this search returned a scheme that miscounts at n = 9.
+        result = runner.invoke(main, ["scheme", "find", "-p", "2143", "--max-depth", "6", "--mode", "empirical"])
+        assert result.exit_code == 1
+        assert json.loads(result.stdout)["result"] == "failure"
+
     def test_contradictory_flags(self, runner):
         result = runner.invoke(main, ["scheme", "find", "-p", "123", "--max-depth", "2", "--mode", "empirical", "--explain"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("horizon", ["2", "0"])
-    def test_empirical_horizon_at_depth_is_usage_error(self, runner, horizon):
-        args = ["scheme", "find", "-p", "123", "--max-depth", "2", "--mode", "empirical", "--empirical-n", horizon]
+    @pytest.mark.parametrize("mode", ["certified", "empirical"])
+    def test_empirical_n_is_no_option(self, runner, mode):
+        # The empirical search derives its horizon; a fixed one could only be wrong.
+        args = ["scheme", "find", "-p", "123", "--max-depth", "2", "--mode", mode, "--empirical-n", "9"]
         result = runner.invoke(main, args)
         assert result.exit_code == 2
-        assert "results stop changing from horizon 4 on" in result.output
-
-    def test_empirical_n_requires_empirical_mode(self, runner):
-        # Only a value given on the command line is rejected, not the default.
-        args = ["scheme", "find", "-p", "123", "--max-depth", "2", "--empirical-n", "3"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert "--empirical-n requires --mode empirical" in result.stderr
-        assert result.stdout == ""
+        assert "No such option" in result.stderr and "--empirical-n" in result.stderr
+        assert "--empirical-n" not in runner.invoke(main, ["scheme", "find", "--help"]).output
 
     def test_boolean_pattern_entry_is_usage_error(self, runner):
         result = runner.invoke(main, ["scheme", "find", "-p", "[[true,2,3]]", "--max-depth", "2"])

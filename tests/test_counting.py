@@ -104,6 +104,12 @@ class TestCount:
         with pytest.raises(ValueError):
             sequence(scheme123, 0)
 
+    @pytest.mark.parametrize("func", [sequence, layer_keys, layer_key_counts])
+    @pytest.mark.parametrize("size", [True, 2.5, -1])
+    def test_size_must_be_a_nonnegative_int(self, scheme123, func, size):
+        with pytest.raises(ValueError, match="n must be"):
+            func(scheme123, size)
+
 
 class TestCountClass:
     def test_closed_form_for_single_start(self, scheme123):

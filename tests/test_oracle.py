@@ -5,7 +5,7 @@ import pytest
 
 from conftest import P12, P123, PBOTH, PTHREE, catalan, naive_contains, order_types, random_pattern_sets
 from permscheme import oracle
-from permscheme.counting import count_class
+from permscheme.counting import count_class, sequence
 from permscheme.oracle import (
     count_avoiders,
     empirical_deletable,
@@ -14,8 +14,9 @@ from permscheme.oracle import (
     iter_avoiders,
     prefix_class_members,
 )
-from permscheme.perms import avoids_all, delete_rank, normalize_patterns, reduce_word, slot_bounds
+from permscheme.perms import avoids_all, delete_rank, normalize_patterns, parse_pattern_set, reduce_word, slot_bounds
 from permscheme.reasoning import GapSet, _deletion_counterexample, compute_gap_set
+from permscheme.scheme import serialize
 
 CORPUS = random_pattern_sets(97103, 50)
 
@@ -372,3 +373,26 @@ class TestEmpiricalSearch:
         at_bound = empirical_scheme_search(PTHREE, 4, 7)
         assert at_bound is not None
         assert empirical_scheme_search(PTHREE, 4, 9) == at_bound
+
+    def test_default_horizon_finds_no_wrong_scheme(self):
+        # Horizon 8 accepts a reduction at depth 6 that first miscounts at n = 9.
+        assert empirical_scheme_search(parse_pattern_set("2143"), 6, 8) is not None
+        assert empirical_scheme_search(parse_pattern_set("2143"), 6) is None
+
+    def test_default_horizon_counts_exactly(self):
+        pats = parse_pattern_set("1234,4321")
+        scheme = empirical_scheme_search(pats, 6)
+        assert scheme is not None and scheme.mode == "empirical"
+        assert sequence(scheme, 10) == [count_avoiders(n, pats) for n in range(1, 11)]
+        assert sequence(empirical_scheme_search(pats, 6, 8), 9)[-1] != count_avoiders(9, pats)
+
+    def test_default_horizon_is_depth_plus_m_minus_one(self):
+        found = 0
+        for pats in CORPUS:
+            bound = 4 + max(len(q) for q in pats) - 1
+            default, explicit = empirical_scheme_search(pats, 4), empirical_scheme_search(pats, 4, bound)
+            assert (default is None) == (explicit is None), pats
+            if default is not None:
+                found += 1
+                assert serialize(default) == serialize(explicit), pats
+        assert found > 0

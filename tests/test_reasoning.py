@@ -15,7 +15,6 @@ from permscheme.reasoning import (
     OrderFacts,
     analyze_deletable,
     certify_deletable,
-    certify_gap,
     compute_gap_set,
     find_bailout,
     order_facts,
@@ -239,24 +238,23 @@ class TestSearchAgainstReference:
             for sigma in self.SIGMAS:
                 if not avoids_all(sigma, pats):
                     continue
+                forced = compute_gap_set(sigma, pats).forced
                 for j in range(len(sigma) + 1):
-                    assert certify_gap(sigma, pats, j) == reference_gap(sigma, pats, j), (pats, sigma, j)
+                    assert (j in forced) == reference_gap(sigma, pats, j), (pats, sigma, j)
 
 
 class TestCertifyGap:
+    """Single gaps, each decided as one bit of ``compute_gap_set``'s mask."""
+
     def test_increasing_prefix(self):
-        assert certify_gap((1, 2), P123, 2)
-        assert not certify_gap((1, 2), P123, 1)
+        assert 2 in compute_gap_set((1, 2), P123).forced
+        assert 1 not in compute_gap_set((1, 2), P123).forced
 
     def test_middle_gap_for_132(self):
-        assert certify_gap((1, 2), P132, 1)
+        assert 1 in compute_gap_set((1, 2), P132).forced
 
     def test_class_2413_top_gap(self):
-        assert certify_gap((2, 4, 1, 3), PTHREE, 4)
-
-    def test_gap_out_of_range(self):
-        with pytest.raises(ValueError):
-            certify_gap((1, 2), P123, 3)
+        assert 4 in compute_gap_set((2, 4, 1, 3), PTHREE).forced
 
 
 class TestComputeGapSet:
