@@ -155,11 +155,17 @@ def scheme_find(
 
 @scheme_group.command("verify")
 @click.option("--scheme", "scheme_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--check-n", default=oracle.DEFAULT_HORIZON, show_default=True, type=click.IntRange(min=0), help=f"Cross-check counts against brute force up to this size (at most {BRUTE_FORCE_MAX_N}).")
+@click.option("--check-n", type=click.IntRange(min=0), show_default=f"longest class + longest pattern - 1, within {oracle.DEFAULT_HORIZON}..{BRUTE_FORCE_MAX_N}", help=f"Cross-check counts against brute force up to this size (at most {BRUTE_FORCE_MAX_N}).")
 @click.pass_context
-def scheme_verify(ctx: click.Context, scheme_path: str, check_n: int) -> None:
+def scheme_verify(ctx: click.Context, scheme_path: str, check_n: "int | None") -> None:
     """Validate a scheme document and cross-check it against brute force."""
     loaded = _load_scheme(scheme_path)
+    if check_n is None:
+        # A reduction of a length-k class that loses members loses one of
+        # size at most k+m-1 (reasoning._deletion_counterexample).
+        longest = max(map(len, (*loaded.expa, *loaded.redu, *loaded.zero)), default=0)
+        pattern = max(map(len, loaded.patterns), default=0)
+        check_n = min(max(oracle.DEFAULT_HORIZON, longest + pattern - 1), BRUTE_FORCE_MAX_N)
     # Every usage check runs before the first line and before any count.
     _check_budget(loaded, check_n)
     _check_brute_force(check_n)

@@ -178,7 +178,7 @@ def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm], max_n: int = DEFAUL
         raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
     if max_n == k or not avoids_all(sigma, pats):
         # No tested size holds a member with a gap open.
-        return GapSet(k, frozenset(range(k + 1)))
+        return GapSet(k, (1 << (k + 1)) - 1)
     return compute_gap_set(sigma, pats)
 
 

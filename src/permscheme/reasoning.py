@@ -25,8 +25,9 @@ The logic is deliberately incomplete: anything it cannot prove is simply not
 certified, so failures cost search depth, never correctness.
 
 A gap needs no symbols: whether it is forced is decided exactly, on one
-concrete permutation, the refinement of sigma that opens it, and one
-``perms.closed_gaps`` mask decides all k+1 gaps (``compute_gap_set``).
+concrete permutation, the refinement of sigma that opens it. One
+``perms.closed_gaps`` mask decides all k+1 gaps, and ``GapSet`` keeps it,
+so a run of gaps is tested as one span of bits.
 A bail-out is a search for an implied embedding. Per event, the implied
 order is a table over the available prefix places and the event's
 symbols, built from the symbols' rank bounds and the pattern's order
@@ -74,6 +75,7 @@ from .perms import (
     closed_gaps,
     ends_with_bounds,
     gap_plan,
+    is_int,
     reduce_word,
     slot_bounds,
 )
@@ -81,32 +83,27 @@ from .perms import (
 
 @dataclass(frozen=True)
 class GapSet:
-    """Forced adjacencies of a length-k prefix.
+    """Forced adjacencies of a length-k prefix, as one bit mask.
 
-    ``j in forced`` means i_{j+1} = i_j + 1 must hold for every member of
-    the class, under the sentinels i_0 = 0, i_{k+1} = n+1. In particular
-    0 forces i_1 = 1 and k forces i_k = n.
+    Bit j of ``mask`` (``perms.closed_gaps``'s) means i_{j+1} = i_j + 1 must
+    hold for every member of the class, under the sentinels i_0 = 0,
+    i_{k+1} = n+1. So bit 0 forces i_1 = 1 and bit k forces i_k = n.
     """
 
     k: int
-    forced: frozenset[int]
+    mask: int
 
     def __post_init__(self) -> None:
-        if not all(0 <= j <= self.k for j in self.forced):
-            raise ValueError(f"forced gaps {sorted(self.forced)} outside 0..{self.k}")
+        if not is_int(self.mask) or self.mask < 0 or self.mask >> (self.k + 1):
+            raise ValueError(f"gap mask {self.mask!r} is not a set of gaps in 0..{self.k}")
 
     def violated(self, values: tuple[int, ...], n: int) -> bool:
         """True if a concrete value tuple breaks some forced adjacency."""
-        k = self.k
-        for j in self.forced:
-            below = values[j - 1] if j else 0
-            above = values[j] if j < k else n + 1
-            if above != below + 1:
-                return True
-        return False
+        ext = (0, *values, n + 1)
+        return any(ext[j + 1] != ext[j] + 1 for j in self.sorted_list())
 
     def sorted_list(self) -> list[int]:
-        return sorted(self.forced)
+        return [j for j in range(self.k + 1) if self.mask >> j & 1]
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,7 @@ def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
     if d > 1 and sorted(range(d), key=ranks.__getitem__) != sorted(range(d), key=q.__getitem__):
         return None
 
-    forced = gaps.forced
+    mask = gaps.mask
     lower = []
     upper = []
     for value in q[d:]:
@@ -200,8 +197,8 @@ def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
                     floor = rank
             elif rank < ceiling:
                 ceiling = rank
-        # More gaps than forced ones always leave one open.
-        if ceiling - floor <= len(forced) and all(g in forced for g in range(floor, ceiling)):
+        span = (1 << ceiling) - (1 << floor)
+        if mask & span == span:
             return None
         lower.append(floor)
         upper.append(ceiling)
@@ -338,7 +335,7 @@ def find_bailout(
     1234 on place 1, the smallest prefix value starts an occurrence on the
     three symbols:
 
-    >>> find_bailout((2, 4, 1, 3), GapSet(4, frozenset({4})), Event((1, 2, 3, 4), (1,)), 1,
+    >>> find_bailout((2, 4, 1, 3), GapSet(4, 1 << 4), Event((1, 2, 3, 4), (1,)), 1,
     ...              ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4)))
     Bailout(pattern=(1, 2, 3, 4), places=(3,), symbols=(1, 2, 3))
     """
@@ -383,7 +380,7 @@ def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, 
         lo = 0
         for hi in (*sorted(pi), k + 1):
             # The prefix values are 1..k, so (lo, hi) lies in gap int(lo).
-            if int(lo) not in gaps.forced:
+            if not gaps.mask >> int(lo) & 1:
                 v = (lo + hi) / 2
                 if not ends_with_bounds(rest, v, plans):
                     if ends_with_bounds(pi, v, plans):
@@ -411,12 +408,10 @@ def compute_gap_set(sigma: Perm, patterns: PatternSet) -> GapSet:
     The caller guarantees sigma itself avoids the patterns (classes whose
     prefix already contains a pattern are empty and handled elsewhere).
 
-    >>> sorted(compute_gap_set((1, 2), ((1, 2, 3),)).forced)
+    >>> compute_gap_set((1, 2), ((1, 2, 3),)).sorted_list()
     [2]
     """
-    k = len(sigma)
-    mask = closed_gaps(sigma, [gap_plan(q) for q in patterns])
-    return GapSet(k, frozenset(j for j in range(k + 1) if mask >> j & 1))
+    return GapSet(len(sigma), closed_gaps(sigma, [gap_plan(q) for q in patterns]))
 
 
 @dataclass(frozen=True)
@@ -545,8 +540,9 @@ def single_place_unresolved(sigma: Perm, gaps: GapSet, rank: int, rules: list[Si
     set. The answer is ``analyze_deletable``'s verdict on those events, so
     a rank for which it is True is never certified.
     """
-    top_closed = gaps.forced.issuperset(range(rank, len(sigma) + 1))
-    bottom_closed = gaps.forced.issuperset(range(rank))
+    top = (1 << (len(sigma) + 1)) - (1 << rank)  # gaps rank..k
+    bottom = (1 << rank) - 1  # gaps 0..rank-1
+    top_closed, bottom_closed = gaps.mask & top == top, gaps.mask & bottom == bottom
     low = [v for v in sigma if v < rank]
     high = [v - rank for v in sigma if v > rank]
     for rises, falls, always, below_plans, above_plans in rules:

@@ -275,10 +275,10 @@ def _gaps_field(data: object, k: int, context: str) -> GapSet:
         raise SchemeFormatError(f"{context}: expected a list of integers, got {data!r}")
     if len(set(data)) != len(data):
         raise SchemeFormatError(f"{context}: a gap is listed twice in {data!r}")
-    try:
-        return GapSet(k, frozenset(data))
-    except ValueError as exc:
-        raise SchemeFormatError(f"{context}: {exc}") from exc
+    # Checked before any shift, so a huge or negative gap builds no int.
+    if not all(0 <= j <= k for j in data):
+        raise SchemeFormatError(f"{context}: forced gaps {sorted(data)} outside 0..{k}")
+    return GapSet(k, sum(1 << j for j in data))
 
 
 def deserialize(text: str) -> Scheme:

@@ -4,9 +4,9 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import catalan
-from permscheme import oracle
+from permscheme import cli, oracle
 from permscheme.cli import BRUTE_FORCE_MAX_N, KEY_BUDGET, main
-from permscheme.scheme import deserialize
+from permscheme.scheme import deserialize, serialize
 
 
 @pytest.fixture()
@@ -184,6 +184,25 @@ class TestSchemeVerify:
         result = invoke(runner, ["scheme", "verify", "--scheme", str(path), "--check-n", "7"])
         assert result.exit_code == 0
         assert "counts match brute force" in result.stdout
+
+    def test_default_check_n_reaches_first_wrong_size(self, runner, tmp_path):
+        # The horizon-8 empirical scheme for {2143} at depth 6 first
+        # miscounts at n = 9 = 6 + 4 - 1, which the default reaches.
+        path = tmp_path / "e2143.json"
+        path.write_text(serialize(oracle.empirical_scheme_search([(2, 1, 4, 3)], 6, 8)))
+        result = invoke(runner, ["scheme", "verify", "--scheme", str(path)])
+        assert result.exit_code == 1
+        assert "mismatch at n=9" in result.stdout
+
+    def test_default_check_n_bounds(self, runner, tmp_path, monkeypatch):
+        # {123} at depth 2 gives 2 + 3 - 1 = 4, raised to 8, then capped.
+        path = tmp_path / "c123.json"
+        invoke(runner, ["scheme", "find", "-p", "123", "--max-depth", "2", "-o", str(path)])
+        result = invoke(runner, ["scheme", "verify", "--scheme", str(path)])
+        assert "counts match brute force for n <= 8" in result.stdout
+        monkeypatch.setattr(cli, "BRUTE_FORCE_MAX_N", 7)
+        result = invoke(runner, ["scheme", "verify", "--scheme", str(path)])
+        assert "counts match brute force for n <= 7" in result.stdout
 
     def test_check_n_zero_still_reports(self, runner, tmp_path):
         path = tmp_path / "c123.json"

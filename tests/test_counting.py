@@ -27,7 +27,7 @@ def reference_count(scheme, sigma, n, values):
     rentry = scheme.redu.get(sigma)
     gaps = entry.gaps if entry is not None else rentry.gaps
     ext = (0,) + values + (n + 1,)
-    if any(ext[j + 1] != ext[j] + 1 for j in gaps.forced):
+    if any(ext[j + 1] != ext[j] + 1 for j in gaps.sorted_list()):
         return 0
     if n == len(sigma):
         return 1
@@ -48,7 +48,7 @@ def hand_built_scheme():
     # Hand-built, so not a valid scheme: 312 reduces into the zero class
     # 12, and 213 carries the forced gap 0 along its chain.
     def gaps(k, *forced):
-        return GapSet(k, frozenset(forced))
+        return GapSet(k, sum(1 << j for j in forced))
 
     return Scheme(
         patterns=((1, 2),),
@@ -229,7 +229,7 @@ class TestZeroClasses:
         # length >= 1 is empty.
         scheme = Scheme(
             patterns=((1,),),
-            expa={(): ExpaEntry(GapSet(0, frozenset({0})), ((1,),))},
+            expa={(): ExpaEntry(GapSet(0, 1 << 0), ((1,),))},
             redu={},
             zero=frozenset({(1,)}),
             mode="certified",
@@ -296,7 +296,7 @@ class TestKernelSums:
         def spy(e, n, window):
             table, sums = real(e, n, window)
             assert sorted(sums) == list(e.summed)
-            forced = scheme.expa[e.sigma].gaps.forced
+            forced = scheme.expa[e.sigma].gaps.sorted_list()
             for s, got in sums.items():
                 assert got == reference_prefix_sums(table, s), (e.sigma, n, s)
                 seen.add((e.sigma, s))

@@ -58,7 +58,7 @@ class TestValidate:
         broken = Scheme(
             scheme123.patterns,
             dict(scheme123.expa),
-            {**scheme123.redu, (1,): ReduEntry(1, GapSet(1, frozenset()))},
+            {**scheme123.redu, (1,): ReduEntry(1, GapSet(1, 0))},
             scheme123.zero,
             scheme123.mode,
         )
@@ -89,7 +89,7 @@ class TestValidate:
         entry = scheme123.expa[(1,)]
         broken = Scheme(
             scheme123.patterns,
-            {**scheme123.expa, (1,): ExpaEntry(GapSet(2, frozenset()), entry.children)},
+            {**scheme123.expa, (1,): ExpaEntry(GapSet(2, 0), entry.children)},
             dict(scheme123.redu),
             scheme123.zero,
             scheme123.mode,
@@ -100,7 +100,7 @@ class TestValidate:
         broken = Scheme(
             scheme123.patterns,
             dict(scheme123.expa),
-            {**scheme123.redu, (1, 2): ReduEntry(2, GapSet(1, frozenset({1})))},
+            {**scheme123.redu, (1, 2): ReduEntry(2, GapSet(1, 1 << 1))},
             scheme123.zero,
             scheme123.mode,
         )
@@ -110,21 +110,21 @@ class TestValidate:
 class TestSearch:
     def test_123_structure(self, scheme123):
         assert sorted(scheme123.expa) == [(), (1,)]
-        assert scheme123.redu[(1, 2)] == ReduEntry(2, GapSet(2, frozenset({2})))
-        assert scheme123.redu[(2, 1)] == ReduEntry(2, GapSet(2, frozenset()))
+        assert scheme123.redu[(1, 2)] == ReduEntry(2, GapSet(2, 1 << 2))
+        assert scheme123.redu[(2, 1)] == ReduEntry(2, GapSet(2, 0))
         assert scheme123.zero == frozenset()
         assert scheme123.mode == "certified"
 
     def test_132_structure(self, scheme132):
-        assert scheme132.redu[(1, 2)] == ReduEntry(2, GapSet(2, frozenset({1})))
-        assert scheme132.redu[(2, 1)] == ReduEntry(2, GapSet(2, frozenset()))
+        assert scheme132.redu[(1, 2)] == ReduEntry(2, GapSet(2, 1 << 1))
+        assert scheme132.redu[(2, 1)] == ReduEntry(2, GapSet(2, 0))
 
     def test_no_patterns(self, scheme_empty):
         assert sorted(scheme_empty.expa) == [()]
-        assert scheme_empty.redu == {(1,): ReduEntry(1, GapSet(1, frozenset()))}
+        assert scheme_empty.redu == {(1,): ReduEntry(1, GapSet(1, 0))}
 
     def test_12_has_forced_gap(self, scheme12):
-        assert scheme12.redu[(1,)].gaps.forced == {1}
+        assert scheme12.redu[(1,)].gaps.sorted_list() == [1]
 
     def test_depth_too_small_fails(self):
         assert search(P123, 1) is None
@@ -349,6 +349,9 @@ class TestSerialization:
             lambda d: d["zero"].append("123"),
             # Gaps of a length-2 class lie in 0..2.
             lambda d: d["redu"][0].update(gaps=[3]),
+            # Range-checked before the shift: no huge int is built.
+            lambda d: d["redu"][0].update(gaps=[-1]),
+            lambda d: d["redu"][0].update(gaps=[10**12]),
         ],
     )
     def test_bad_documents_rejected(self, scheme123, mangle):
