@@ -35,6 +35,8 @@ KEY_BUDGET = 1_000_000
 # cross-check, `compare`'s fallback). The oracle's cost grows factorially:
 # {123} took 6.3 s at n = 11 and 36 s at n = 12 on a 2-core x86 box.
 BRUTE_FORCE_MAX_N = 10
+# Smallest size that `scheme verify` cross-checks by default.
+VERIFY_MIN_N = 8
 
 
 def _patterns_arg(text: str) -> PatternSet:
@@ -155,7 +157,7 @@ def scheme_find(
 
 @scheme_group.command("verify")
 @click.option("--scheme", "scheme_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--check-n", type=click.IntRange(min=0), show_default=f"longest class + longest pattern - 1, within {oracle.DEFAULT_HORIZON}..{BRUTE_FORCE_MAX_N}", help=f"Cross-check counts against brute force up to this size (at most {BRUTE_FORCE_MAX_N}).")
+@click.option("--check-n", type=click.IntRange(min=0), show_default=f"longest class + longest pattern - 1, within {VERIFY_MIN_N}..{BRUTE_FORCE_MAX_N}", help=f"Cross-check counts against brute force up to this size (at most {BRUTE_FORCE_MAX_N}).")
 @click.pass_context
 def scheme_verify(ctx: click.Context, scheme_path: str, check_n: "int | None") -> None:
     """Validate a scheme document and cross-check it against brute force."""
@@ -165,7 +167,7 @@ def scheme_verify(ctx: click.Context, scheme_path: str, check_n: "int | None") -
         # size at most k+m-1 (reasoning._deletion_counterexample).
         longest = max(map(len, (*loaded.expa, *loaded.redu, *loaded.zero)), default=0)
         pattern = max(map(len, loaded.patterns), default=0)
-        check_n = min(max(oracle.DEFAULT_HORIZON, longest + pattern - 1), BRUTE_FORCE_MAX_N)
+        check_n = min(max(VERIFY_MIN_N, longest + pattern - 1), BRUTE_FORCE_MAX_N)
     # Every usage check runs before the first line and before any count.
     _check_budget(loaded, check_n)
     _check_brute_force(check_n)

@@ -23,18 +23,16 @@ The two walks share no containment code, so each checks the other.
 The routines are exact but exponential; they exist to cross-check the
 certified machinery up to n around 10.
 
-The empirical (uncertified) variant of the scheme search lives here too,
-though it enumerates no avoiders. It runs the certified search's loop,
+The empirical variant of the scheme search lives here too, though it
+enumerates no avoiders. It runs the certified search's loop,
 ``scheme._search_core``, with another rank test. Its gaps are that loop's
-``reasoning.compute_gap_set``, and exact: sizes up to any n past k show
-exactly the open gaps that size k+1 shows. The smallest rank is taken
-for which ``reasoning._deletion_counterexample`` finds no member up to the
-horizon that its deletion loses; a miss at any size cuts down to one of
-size at most k+m-1, m the longest pattern length. So the empirical
-search finds the same scheme at every horizon from depth + m - 1 on, and
-by default it searches at exactly that horizon, where its schemes count
-exactly at every n. Only an explicit horizon below it may give a wrong
-scheme; one at or below the depth is rejected.
+``reasoning.compute_gap_set``, which is exact. A rank is taken when
+``reasoning._deletion_counterexample`` finds no member that its deletion
+loses. That walk checks every extension of sigma up to size k+m-1, m the
+longest pattern length, and a miss at any size cuts down to one of that
+size. So the check is exhaustive up to a proven bound, and the empirical
+schemes count exactly at every n; they are still marked empirical, since
+no reduction is certified symbolically.
 """
 
 from __future__ import annotations
@@ -57,8 +55,6 @@ from .perms import (
 )
 from .reasoning import GapSet, _deletion_counterexample, compute_gap_set
 from .scheme import MODE_EMPIRICAL, Scheme, _search_core
-
-DEFAULT_HORIZON = 8
 
 
 def _iter_avoiders(n: int, patterns: PatternSet, forced: "tuple[int, ...]" = ()) -> Iterator[Perm]:
@@ -162,79 +158,59 @@ def prefix_class_members(
     return set(_iter_avoiders(n, pats, tuple(vals[s - 1] for s in sigma)))
 
 
-def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm], max_n: int = DEFAULT_HORIZON) -> GapSet:
-    """Gaps observed to be forced on every tested size up to ``max_n``.
+def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm]) -> GapSet:
+    """The gaps of sigma that no class member of any size leaves open.
 
-    Gap j survives if no nonempty class was found whose value tuple leaves
-    i_j and i_{j+1} non-adjacent (sentinels i_0 = 0, i_{k+1} = n+1). A
-    member with a gap open keeps it open when cut down to its prefix and
-    one value inside the gap, so every ``max_n`` above k gives the answer
-    of size k+1: all gaps if sigma contains a pattern, else the exact gap
+    Gap j is forced if no member leaves i_j and i_{j+1} non-adjacent
+    (sentinels i_0 = 0, i_{k+1} = n+1). A member with a gap open keeps it
+    open when cut down to its prefix and one value inside the gap, so size
+    k+1 decides: all gaps if sigma contains a pattern, else the exact gap
     set of ``compute_gap_set``.
     """
     pats = normalize_patterns(patterns)
-    k = len(sigma)
-    if max_n < k:
-        raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
-    if max_n == k or not avoids_all(sigma, pats):
-        # No tested size holds a member with a gap open.
-        return GapSet(k, (1 << (k + 1)) - 1)
+    if not avoids_all(sigma, pats):
+        # The class is empty, so no member leaves a gap open.
+        return GapSet(len(sigma), (1 << (len(sigma) + 1)) - 1)
     return compute_gap_set(sigma, pats)
 
 
-def empirical_deletable(
-    sigma: Perm,
-    patterns: Iterable[Perm],
-    gaps: GapSet,
-    rank: int,
-    max_n: int = DEFAULT_HORIZON,
-) -> bool:
-    """Check on every size up to ``max_n`` that deleting the rank-th value loses nothing.
+def empirical_deletable(sigma: Perm, patterns: Iterable[Perm], gaps: GapSet, rank: int) -> bool:
+    """Whether deleting the rank-th value loses no class member of any size.
 
-    ``max_n`` must be at least the length of sigma, as for
-    ``empirical_gap_set``. Sizes past k+m-1, m the longest pattern length,
-    cannot change the answer (see ``reasoning._deletion_counterexample``).
+    Exact: a lost member cuts down to one of size at most k+m-1, m the
+    longest pattern length, and every size up to that is checked (see
+    ``reasoning._deletion_counterexample``).
     """
     pats = normalize_patterns(patterns)
     k = len(sigma)
     delete_rank(sigma, rank)  # raises on a rank outside 1..k
     if gaps.k != k:
         raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {k}")
-    if max_n < k:
-        raise ValueError(f"max_n {max_n} smaller than prefix length {k}")
-    return _deletion_counterexample(sigma, [slot_bounds(q) for q in pats], gaps, rank, max_n) is None
+    return _deletion_counterexample(sigma, [slot_bounds(q) for q in pats], gaps, rank) is None
 
 
 def empirical_scheme_search(
     patterns: Iterable[Perm], max_depth: int, max_n: "int | None" = None
 ) -> Scheme | None:
-    """Scheme discovery with small-n observation in place of certification.
+    """Scheme discovery with an exhaustive concrete check in place of certification.
 
     Same depth-first loop as the rigorous search, with the same exact
-    forced gaps from its ``compute_gap_set`` (``empirical_gap_set`` would
-    observe those same gaps at every horizon allowed here). A class is
-    reduced by the smallest rank whose deletion loses no member of any
-    size up to ``max_n``. That horizon defaults to ``max_depth`` + m - 1,
-    m the longest pattern length, past which no size can change the
-    answer (``reasoning._deletion_counterexample``), so the default scheme
-    counts exactly at every n; it is still marked empirical, since no
-    reduction is certified. An explicit ``max_n`` below that bound may
-    give a wrong scheme, and one at or below ``max_depth`` is rejected: at
-    size k a class holds at most sigma itself, so a horizon of k tests a
-    length-k class on nothing.
+    forced gaps from its ``compute_gap_set``. A class is reduced by the
+    smallest rank whose deletion loses no member of any size: every
+    extension of sigma up to size k+m-1 is checked, m the longest pattern
+    length, and a lost member at any size cuts down to one of that size
+    (``reasoning._deletion_counterexample``). So the scheme counts exactly
+    at every n; it is still marked empirical, since no reduction is
+    certified symbolically. A horizon ``max_n`` below ``max_depth`` +
+    max(m - 1, 1) is rejected, and any other changes nothing.
     """
     pats = normalize_patterns(patterns)
     stable = max_depth + max([len(q) - 1 for q in pats] + [1])
-    if max_n is None:
-        max_n = stable
-    elif max_n <= max_depth:
-        raise ValueError(
-            f"horizon {max_n} must exceed the depth {max_depth}; "
-            f"results stop changing from horizon {stable} on"
-        )
+    if max_n is not None and max_n < stable:
+        raise ValueError(f"horizon {max_n} is below the exact bound; results are exact from horizon {stable} on")
     plans = [slot_bounds(q) for q in pats]
 
     def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
-        return _deletion_counterexample(sigma, plans, gaps, rank, max_n) is None
+        return _deletion_counterexample(sigma, plans, gaps, rank) is None
 
     return _search_core(pats, max_depth, deletable, MODE_EMPIRICAL)

@@ -58,7 +58,8 @@ that passes goes to ``certify_deletable``; ``analyze_deletable`` still
 examines every event, so its transcripts do not depend on the screen.
 The empirical search decides deletion on concrete
 permutations instead: ``_deletion_counterexample`` walks the extensions of
-sigma by at most m-1 entries for a member that the deletion loses.
+sigma by at most m-1 entries for a member that the deletion loses, which
+is exact, since a lost member of any size cuts down to one of those.
 """
 
 from __future__ import annotations
@@ -346,7 +347,7 @@ def find_bailout(
     return _bailout(avail, _place_rows(sigma, avail), facts, patterns)
 
 
-def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, max_n: int) -> Perm | None:
+def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int) -> Perm | None:
     """A member that deleting the rank-th prefix value loses, or None.
 
     ``plans`` are the patterns' ``slot_bounds``. The deletion injects the
@@ -356,15 +357,15 @@ def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, 
     one occurrence after it, at most m-1 (m the longest pattern length):
     the occurrence survives, the rest minus the rank entry still avoids,
     and the prefix gaps only narrow. So a miss at any size cuts down to one
-    of size at most k+m-1.
+    of size at most k+m-1, and a walk up to that size is exact at every n.
 
     First pi = sigma is decided: if sigma minus the rank entry contains a
     pattern, both classes are empty; else sigma is a miss if it contains
-    one. Then at most min(m-1, max_n-k) entries are appended, one at a
-    time, each at the midpoint of an open interval of the current values
-    outside the forced gaps (``ends_with_bounds`` only compares). A branch
-    ends once pi minus the rank entry has an occurrence ending at the new
-    entry, and the walk stops at the first pi that has one, reduced to 1..n.
+    one. Then at most m-1 entries are appended, one at a time, each at the
+    midpoint of an open interval of the current values outside the forced
+    gaps (``ends_with_bounds`` only compares). A branch ends once pi minus
+    the rank entry has an occurrence ending at the new entry, and the walk
+    stops at the first pi that has one, reduced to 1..n.
     """
     k = len(sigma)
     t = sigma.index(rank)
@@ -373,7 +374,7 @@ def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int, 
         return None
     if any(ends_with_bounds(sigma[:e], sigma[e], plans) for e in range(k)):
         return sigma
-    size = min(k + max((len(bounds) for bounds in plans), default=0), max_n)
+    size = k + max((len(bounds) for bounds in plans), default=0)
     stack = [(sigma, rest)] if k < size else []
     while stack:
         pi, rest = stack.pop()

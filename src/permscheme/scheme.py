@@ -19,7 +19,8 @@ reaches instead of first classifying every shallower one.
 
 Both modes run that loop with ``compute_gap_set``'s gaps and reduce a class
 by the smallest rank that passes their test: a symbolic certificate in
-``search``, concrete extensions up to a horizon in ``empirical_scheme_search``.
+``search``, every concrete extension up to the proven size bound k+m-1 in
+``empirical_scheme_search``.
 """
 
 from __future__ import annotations

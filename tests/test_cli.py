@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -6,7 +7,7 @@ from click.testing import CliRunner
 from conftest import catalan
 from permscheme import cli, oracle
 from permscheme.cli import BRUTE_FORCE_MAX_N, KEY_BUDGET, main
-from permscheme.scheme import deserialize, serialize
+from permscheme.scheme import deserialize
 
 
 @pytest.fixture()
@@ -185,11 +186,11 @@ class TestSchemeVerify:
         assert result.exit_code == 0
         assert "counts match brute force" in result.stdout
 
-    def test_default_check_n_reaches_first_wrong_size(self, runner, tmp_path):
-        # The horizon-8 empirical scheme for {2143} at depth 6 first
-        # miscounts at n = 9 = 6 + 4 - 1, which the default reaches.
-        path = tmp_path / "e2143.json"
-        path.write_text(serialize(oracle.empirical_scheme_search([(2, 1, 4, 3)], 6, 8)))
+    def test_default_check_n_reaches_first_wrong_size(self, runner):
+        # A wrong {2143} document at depth 6, written by an empirical search
+        # that checked sizes only up to 8: it first miscounts at
+        # n = 9 = 6 + 4 - 1, which the default reaches.
+        path = Path(__file__).parent / "data" / "empirical_2143_depth6_horizon8.json"
         result = invoke(runner, ["scheme", "verify", "--scheme", str(path)])
         assert result.exit_code == 1
         assert "mismatch at n=9" in result.stdout

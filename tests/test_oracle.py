@@ -19,6 +19,7 @@ from permscheme.reasoning import GapSet, _deletion_counterexample, compute_gap_s
 from permscheme.scheme import serialize
 
 CORPUS = random_pattern_sets(97103, 50)
+P2143 = ((2, 1, 4, 3),)
 
 
 @pytest.fixture(scope="module")
@@ -206,61 +207,57 @@ class TestPrefixClasses:
 
 class TestEmpiricalGaps:
     def test_increasing_prefix_forces_top(self):
-        assert empirical_gap_set((1, 2), P123, 8).sorted_list() == [2]
+        assert empirical_gap_set((1, 2), P123).sorted_list() == [2]
 
     def test_class_2413(self):
-        assert empirical_gap_set((2, 4, 1, 3), PTHREE, 8).sorted_list() == [4]
+        assert empirical_gap_set((2, 4, 1, 3), PTHREE).sorted_list() == [4]
 
     def test_nothing_forced_without_patterns(self):
-        assert empirical_gap_set((1,), (), 6).sorted_list() == []
+        assert empirical_gap_set((1,), ()).sorted_list() == []
 
     def test_empty_class_forces_every_gap(self):
         # No member at any size, so no gap is ever seen open.
-        assert empirical_gap_set((1, 2, 3), P123, 8).sorted_list() == [0, 1, 2, 3]
-        assert empirical_gap_set((1, 2), P123, 2).sorted_list() == [0, 1, 2]
+        assert empirical_gap_set((1, 2, 3), P123).sorted_list() == [0, 1, 2, 3]
 
-    def test_horizon_validation(self):
-        with pytest.raises(ValueError):
-            empirical_gap_set((1, 2), P123, 1)
+    @pytest.mark.parametrize("k", [8, 9])
+    def test_long_prefix_forces_nothing(self, k):
+        # Size k+1 decides, however long the prefix: an increasing prefix
+        # leaves every gap open under {2143}.
+        assert empirical_gap_set(tuple(range(1, k + 1)), P2143).sorted_list() == []
 
 
 class TestEmpiricalDeletable:
     def test_second_rank_of_21(self):
-        assert empirical_deletable((2, 1), P123, GapSet(2, 0), 2, 8)
+        assert empirical_deletable((2, 1), P123, GapSet(2, 0), 2)
 
     def test_single_entry_not_deletable(self):
-        assert not empirical_deletable((1,), P123, GapSet(1, 0), 1, 8)
+        assert not empirical_deletable((1,), P123, GapSet(1, 0), 1)
 
     def test_anything_goes_without_patterns(self):
-        assert empirical_deletable((1,), (), GapSet(1, 0), 1, 6)
+        assert empirical_deletable((1,), (), GapSet(1, 0), 1)
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
-            empirical_deletable((2, 1), P123, GapSet(2, 0), 3, 6)
+            empirical_deletable((2, 1), P123, GapSet(2, 0), 3)
 
     def test_gap_set_length_validation(self):
         # A gap set sized for length 3 says nothing about a length-1 prefix.
         with pytest.raises(ValueError, match="sized for length 3"):
-            empirical_deletable((1,), P123, GapSet(3, 1 << 3), 1, 4)
-
-    def test_horizon_validation(self):
-        # A horizon below the prefix length tests no size at all.
-        with pytest.raises(ValueError):
-            empirical_deletable((1, 2, 3), P12, GapSet(3, 0), 1, 2)
+            empirical_deletable((1,), P123, GapSet(3, 1 << 3), 1)
 
     def test_forced_gap_is_skipped(self):
         # Under {123} a value above 2 in (1,2) completes 123 with both, so
         # rank 2 is lost only through members that leave gap 2 open.
-        assert empirical_deletable((1, 2), P123, GapSet(2, 1 << 2), 2, 8)
-        assert not empirical_deletable((1, 2), P123, GapSet(2, 0), 2, 8)
+        assert empirical_deletable((1, 2), P123, GapSet(2, 1 << 2), 2)
+        assert not empirical_deletable((1, 2), P123, GapSet(2, 0), 2)
 
     def test_prefix_decides_alone(self):
         # (1,2,3) minus any entry still contains 12: both classes are empty.
-        assert empirical_deletable((1, 2, 3), P12, GapSet(3, 0), 1, 8)
+        assert empirical_deletable((1, 2, 3), P12, GapSet(3, 0), 1)
         # (1,2) contains 12 and (1,) avoids it: (1,2) itself is lost.
-        assert not empirical_deletable((1, 2), P12, GapSet(2, 0), 1, 8)
+        assert not empirical_deletable((1, 2), P12, GapSet(2, 0), 1)
         # Forcing every gap rules out every extension, but not sigma itself.
-        assert not empirical_deletable((1, 2, 3), P123, GapSet(3, 0b1111), 1, 8)
+        assert not empirical_deletable((1, 2, 3), P123, GapSet(3, 0b1111), 1)
 
     @pytest.mark.parametrize("pats", random_pattern_sets(97103, 50)[:10] + [P12, ()], ids=str)
     def test_counterexamples_are_lost_members(self, pats):
@@ -272,8 +269,8 @@ class TestEmpiricalDeletable:
             for sigma in permutations(range(1, k + 1)):
                 gaps = compute_gap_set(sigma, pats)
                 for rank in range(1, k + 1):
-                    pi = _deletion_counterexample(sigma, plans, gaps, rank, k + m - 1)
-                    assert (pi is None) == empirical_deletable(sigma, pats, gaps, rank, k + m - 1)
+                    pi = _deletion_counterexample(sigma, plans, gaps, rank)
+                    assert (pi is None) == empirical_deletable(sigma, pats, gaps, rank)
                     if pi is None:
                         continue
                     n = len(pi)
@@ -286,18 +283,26 @@ class TestEmpiricalDeletable:
                     rest = reduce_word(pi[:t] + pi[t + 1 :])
                     assert not any(naive_contains(rest, q) for q in pats), (sigma, rank, pi)
 
-    def test_probe_bound_is_tight(self):
-        # Under {123} the first miss of (1,), rank 1, is 132 at size 3 =
-        # k + m - 1: a horizon one below the bound accepts the wrong rank.
-        gaps = GapSet(1, 0)
-        assert empirical_deletable((1,), P123, gaps, 1, 2)
-        assert not empirical_deletable((1,), P123, gaps, 1, 3)
-        assert not empirical_deletable((1,), P123, gaps, 1, 8)
+    def test_single_entry_loses_a_member_of_size_k_plus_m_minus_one(self):
+        # Under {123} the only miss of (1,), rank 1, is 123: deleting its 1
+        # leaves 12, which avoids. Its size is 3 = k + m - 1.
+        plans = [slot_bounds(q) for q in P123]
+        assert _deletion_counterexample((1,), plans, GapSet(1, 0), 1) == (1, 2, 3)
+
+    def test_lost_member_past_size_eight(self):
+        # Under {2143} deleting the smallest of 1..6 loses a member of size
+        # 9 = k + m - 1 and none smaller, so a check up to size 8 passed it.
+        sigma = tuple(range(1, 7))
+        gaps = compute_gap_set(sigma, P2143)
+        assert not empirical_deletable(sigma, P2143, gaps, 1)
+        pi = _deletion_counterexample(sigma, [slot_bounds(q) for q in P2143], gaps, 1)
+        assert pi is not None and len(pi) == 9
 
 
 class TestEmpiricalAgainstClassMembers:
-    """The empirical deletion probe walks concrete extensions of sigma; here
-    every size comes from ``prefix_class_members`` instead."""
+    """The empirical deletion probe walks concrete extensions of sigma up to
+    size k+m-1; here every size up to ``HORIZON``, at least that bound, comes
+    from ``prefix_class_members`` instead."""
 
     HORIZON = 6
 
@@ -320,22 +325,19 @@ class TestEmpiricalAgainstClassMembers:
                     if size(n, sigma, values):
                         ext = (0,) + values + (n + 1,)
                         forced -= {j for j in range(k + 1) if ext[j + 1] > ext[j] + 1}
-            gaps = empirical_gap_set(sigma, pats, self.HORIZON)
+            gaps = empirical_gap_set(sigma, pats)
             assert gaps.sorted_list() == sorted(forced), sigma
+            assert k + max(map(len, pats)) - 1 <= self.HORIZON
             for rank in range(1, k + 1):
                 smaller = delete_rank(sigma, rank)
-                # Every horizon, so that the walk's cap of min(m-1, h-k)
-                # suffix entries is checked below k+m-1 as well as at it.
-                for horizon in range(k, self.HORIZON + 1):
-                    expect = all(
-                        size(n, sigma, values)
-                        == size(n - 1, smaller, values[: rank - 1] + tuple(v - 1 for v in values[rank:]))
-                        for n in range(k, horizon + 1)
-                        for values in combinations(range(1, n + 1), k)
-                        if not gaps.violated(values, n)
-                    )
-                    got = empirical_deletable(sigma, pats, gaps, rank, horizon)
-                    assert got == expect, (sigma, rank, horizon)
+                expect = all(
+                    size(n, sigma, values)
+                    == size(n - 1, smaller, values[: rank - 1] + tuple(v - 1 for v in values[rank:]))
+                    for n in range(k, self.HORIZON + 1)
+                    for values in combinations(range(1, n + 1), k)
+                    if not gaps.violated(values, n)
+                )
+                assert empirical_deletable(sigma, pats, gaps, rank) == expect, (sigma, rank)
 
 
 class TestEmpiricalSearch:
@@ -375,16 +377,20 @@ class TestEmpiricalSearch:
         assert empirical_scheme_search(PTHREE, 4, 9) == at_bound
 
     def test_default_horizon_finds_no_wrong_scheme(self):
-        # Horizon 8 accepts a reduction at depth 6 that first miscounts at n = 9.
-        assert empirical_scheme_search(parse_pattern_set("2143"), 6, 8) is not None
-        assert empirical_scheme_search(parse_pattern_set("2143"), 6) is None
+        # Checking sizes up to 8 only would accept a reduction at depth 6
+        # that first miscounts at n = 9, so horizon 8 is rejected.
+        with pytest.raises(ValueError, match="from horizon 9 on"):
+            empirical_scheme_search(P2143, 6, 8)
+        assert empirical_scheme_search(P2143, 6) is None
+        assert empirical_scheme_search(P2143, 6, 9) is None
 
     def test_default_horizon_counts_exactly(self):
         pats = parse_pattern_set("1234,4321")
         scheme = empirical_scheme_search(pats, 6)
         assert scheme is not None and scheme.mode == "empirical"
         assert sequence(scheme, 10) == [count_avoiders(n, pats) for n in range(1, 11)]
-        assert sequence(empirical_scheme_search(pats, 6, 8), 9)[-1] != count_avoiders(9, pats)
+        with pytest.raises(ValueError, match="from horizon 9 on"):
+            empirical_scheme_search(pats, 6, 8)
 
     def test_default_horizon_is_depth_plus_m_minus_one(self):
         found = 0

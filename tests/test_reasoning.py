@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import P12, P123, P132, PTHREE, SINGLETONS, random_pattern_sets
 from permscheme.oracle import empirical_deletable, empirical_gap_set, iter_avoiders, prefix_class_members
-from permscheme.perms import avoids_all, normalize_patterns, reduce_word
+from permscheme.perms import avoids_all, normalize_patterns, reduce_word, slot_bounds, symmetry_closure
 from permscheme.reasoning import (
     Bailout,
     Event,
     GapSet,
     OrderFacts,
+    _deletion_counterexample,
     analyze_deletable,
     certify_deletable,
     compute_gap_set,
@@ -403,11 +404,11 @@ class TestSoundnessAgainstOracle:
                 if not avoids_all(sigma, pats):
                     continue
                 gaps = compute_gap_set(sigma, pats)
-                observed = empirical_gap_set(sigma, pats, 8)
+                observed = empirical_gap_set(sigma, pats)
                 assert gaps.mask & ~observed.mask == 0, (pats, sigma)
                 for rank in range(1, len(sigma) + 1):
                     if certify_deletable(sigma, pats, gaps, rank):
-                        assert empirical_deletable(sigma, pats, gaps, rank, 8), (
+                        assert empirical_deletable(sigma, pats, gaps, rank), (
                             pats,
                             sigma,
                             rank,
@@ -419,7 +420,23 @@ class TestSoundnessAgainstOracle:
                 if not avoids_all(sigma, pats):
                     continue
                 gaps = compute_gap_set(sigma, pats)
-                assert gaps.mask & ~empirical_gap_set(sigma, pats, 8).mask == 0
+                assert gaps.mask & ~empirical_gap_set(sigma, pats).mask == 0
                 for rank in range(1, len(sigma) + 1):
                     if certify_deletable(sigma, pats, gaps, rank):
-                        assert empirical_deletable(sigma, pats, gaps, rank, 8), (pats, sigma, rank)
+                        assert empirical_deletable(sigma, pats, gaps, rank), (pats, sigma, rank)
+
+    def test_every_certified_reduction_loses_no_member(self):
+        # The search-level net: each reduction that a certified document
+        # lists passes the exact walk, over every symmetric image of the
+        # corpus and the singletons at depths 4-6.
+        images = {img for pats in random_pattern_sets(97103, 50) + SINGLETONS for img in symmetry_closure(pats)}
+        checked = 0
+        for pats in sorted(images):
+            plans = [slot_bounds(q) for q in pats]
+            for depth in (4, 5, 6):
+                found = search(pats, depth)
+                for sigma, entry in (found.redu if found else {}).items():
+                    pi = _deletion_counterexample(sigma, plans, entry.gaps, entry.rank)
+                    assert pi is None, (pats, depth, sigma, entry.rank, pi)
+                    checked += 1
+        assert checked > 1000
