@@ -32,7 +32,10 @@ loses. That walk checks every extension of sigma up to size k+m-1, m the
 longest pattern length, and a miss at any size cuts down to one of that
 size. So the check is exhaustive up to a proven bound, and the empirical
 schemes count exactly at every n; they are still marked empirical, since
-no reduction is certified symbolically.
+no reduction is certified symbolically. The walk reads ``closed_gaps``
+masks, two per extension, like the count walk, and the listing walk's
+``prefix_class_members`` shares none of its code: the tests that compare
+the two check the mask kernel against ``ends_with_bounds``.
 """
 
 from __future__ import annotations
@@ -50,11 +53,12 @@ from .perms import (
     delete_rank,
     ends_with_bounds,
     gap_plan,
+    is_int,
     normalize_patterns,
     slot_bounds,
 )
 from .reasoning import GapSet, _deletion_counterexample, compute_gap_set
-from .scheme import MODE_EMPIRICAL, Scheme, _search_core
+from .scheme import MODE_EMPIRICAL, Scheme, _search_core, check_depth
 
 
 def _iter_avoiders(n: int, patterns: PatternSet, forced: "tuple[int, ...]" = ()) -> Iterator[Perm]:
@@ -183,10 +187,10 @@ def empirical_deletable(sigma: Perm, patterns: Iterable[Perm], gaps: GapSet, ran
     """
     pats = normalize_patterns(patterns)
     k = len(sigma)
-    delete_rank(sigma, rank)  # raises on a rank outside 1..k
+    delete_rank(sigma, rank)  # raises unless the rank is an int in 1..k
     if gaps.k != k:
         raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {k}")
-    return _deletion_counterexample(sigma, [slot_bounds(q) for q in pats], gaps, rank) is None
+    return _deletion_counterexample(sigma, pats, gaps, rank) is None
 
 
 def empirical_scheme_search(
@@ -201,16 +205,19 @@ def empirical_scheme_search(
     length, and a lost member at any size cuts down to one of that size
     (``reasoning._deletion_counterexample``). So the scheme counts exactly
     at every n; it is still marked empirical, since no reduction is
-    certified symbolically. A horizon ``max_n`` below ``max_depth`` +
-    max(m - 1, 1) is rejected, and any other changes nothing.
+    certified symbolically. A horizon ``max_n`` that is not an int, or is
+    below ``max_depth`` + max(m - 1, 1), is rejected, and any other changes
+    nothing.
     """
     pats = normalize_patterns(patterns)
-    stable = max_depth + max([len(q) - 1 for q in pats] + [1])
-    if max_n is not None and max_n < stable:
-        raise ValueError(f"horizon {max_n} is below the exact bound; results are exact from horizon {stable} on")
-    plans = [slot_bounds(q) for q in pats]
+    stable = check_depth(max_depth) + max([len(q) - 1 for q in pats] + [1])
+    if max_n is not None:
+        if not is_int(max_n):
+            raise ValueError(f"horizon must be an int, got {max_n!r}")
+        if max_n < stable:
+            raise ValueError(f"horizon {max_n} is below the exact bound; results are exact from horizon {stable} on")
 
     def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
-        return _deletion_counterexample(sigma, plans, gaps, rank) is None
+        return _deletion_counterexample(sigma, pats, gaps, rank) is None
 
     return _search_core(pats, max_depth, deletable, MODE_EMPIRICAL)

@@ -322,6 +322,19 @@ def refinements(sigma: Perm) -> list[Perm]:
     return out
 
 
+def check_rank(sigma: Perm, r: object) -> int:
+    """Validate a rank of sigma: an int (not a bool) within 1..len(sigma).
+
+    >>> check_rank((2, 1), 2)
+    2
+    """
+    if not is_int(r):
+        raise ValueError(f"rank must be an int, got {r!r}")
+    if not 1 <= r <= len(sigma):
+        raise ValueError(f"rank {r} out of range for length {len(sigma)}")
+    return r
+
+
 def delete_rank(sigma: Perm, r: int) -> Perm:
     """Remove the entry with value r from sigma and reduce.
 
@@ -332,8 +345,10 @@ def delete_rank(sigma: Perm, r: int) -> Perm:
     >>> delete_rank((1,), 1)
     ()
     """
-    if not 1 <= r <= len(sigma):
-        raise ValueError(f"rank {r} out of range for length {len(sigma)}")
+    # The evaluator's reduction chains call this often, so a plain int in
+    # range skips the call; ``check_rank`` decides every other rank.
+    if type(r) is not int or not 1 <= r <= len(sigma):
+        check_rank(sigma, r)
     return tuple(v - 1 if v > r else v for v in sigma if v != r)
 
 

@@ -59,7 +59,9 @@ examines every event, so its transcripts do not depend on the screen.
 The empirical search decides deletion on concrete
 permutations instead: ``_deletion_counterexample`` walks the extensions of
 sigma by at most m-1 entries for a member that the deletion loses, which
-is exact, since a lost member of any size cuts down to one of those.
+is exact, since a lost member of any size cuts down to one of those. Each
+extension reads two ``closed_gaps`` masks, its own and that of it minus
+the rank entry, which decide all its one-longer extensions at once.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from .perms import (
     PatternSet,
     Perm,
     avoids_all,
+    check_rank,
     closed_gaps,
     ends_with_bounds,
     gap_plan,
@@ -347,48 +350,68 @@ def find_bailout(
     return _bailout(avail, _place_rows(sigma, avail), facts, patterns)
 
 
-def _deletion_counterexample(sigma: Perm, plans: list, gaps: GapSet, rank: int) -> Perm | None:
+def _deletion_counterexample(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int) -> Perm | None:
     """A member that deleting the rank-th prefix value loses, or None.
 
-    ``plans`` are the patterns' ``slot_bounds``. The deletion injects the
-    class of sigma into the reduced class one size down, and misses exactly
-    the reduced members whose re-insertion pi contains a pattern; pi's
-    prefix values obey the forced gaps. Keep pi's prefix and the entries of
-    one occurrence after it, at most m-1 (m the longest pattern length):
-    the occurrence survives, the rest minus the rank entry still avoids,
-    and the prefix gaps only narrow. So a miss at any size cuts down to one
-    of size at most k+m-1, and a walk up to that size is exact at every n.
+    The deletion injects the class of sigma into the reduced class one size
+    down, and misses exactly the reduced members whose re-insertion pi
+    contains a pattern; pi's prefix values obey the forced gaps. Keep pi's
+    prefix and the entries of one occurrence after it, at most m-1 (m the
+    longest pattern length): the occurrence survives, the rest minus the
+    rank entry still avoids, and the prefix gaps only narrow. So a miss at
+    any size cuts down to one of size at most k+m-1, and a walk up to that
+    size is exact at every n.
 
     First pi = sigma is decided: if sigma minus the rank entry contains a
     pattern, both classes are empty; else sigma is a miss if it contains
-    one. Then at most m-1 entries are appended, one at a time, each at the
-    midpoint of an open interval of the current values outside the forced
-    gaps (``ends_with_bounds`` only compares). A branch ends once pi minus
-    the rank entry has an occurrence ending at the new entry, and the walk
-    stops at the first pi that has one, reduced to 1..n.
+    one. Then at most m-1 entries are appended, one at a time. A node pi is
+    a permutation of 1..K that avoids the patterns, whose first k entries
+    reduce to sigma and whose entry at the rank's place has value rv; rest,
+    pi minus that entry reduced to 1..K-1, avoids too. The child of pi
+    through gap g (0 <= g <= K) ends in g+1, pi's values above g raised by
+    one. Its new entry lies in the prefix gap numbered by pi's prefix
+    values at most g, and in gap g (g < rv) or g-1 (g >= rv) of rest. So
+    two ``perms.closed_gaps`` masks, of pi and of rest, decide every child:
+    one in a forced prefix gap, or whose new entry ends an occurrence in
+    rest, re-inserts no reduced member and is skipped; of the others, one
+    whose new entry ends an occurrence in pi is a miss. The walk returns
+    the lowest-gap miss of the first node that has one, and otherwise
+    steps into each other child below size k+m-1, highest gap first.
     """
     k = len(sigma)
     t = sigma.index(rank)
+    plans = [slot_bounds(q) for q in patterns]
     rest = sigma[:t] + sigma[t + 1 :]
     if any(ends_with_bounds(rest[:e], rest[e], plans) for e in range(k - 1)):
         return None
     if any(ends_with_bounds(sigma[:e], sigma[e], plans) for e in range(k)):
         return sigma
-    size = k + max((len(bounds) for bounds in plans), default=0)
-    stack = [(sigma, rest)] if k < size else []
+    size = k + max((len(q) - 1 for q in patterns), default=0)
+    gap_plans = [gap_plan(q) for q in patterns]
+    stack = [(sigma, rank)] if k < size else []
     while stack:
-        pi, rest = stack.pop()
-        lo = 0
-        for hi in (*sorted(pi), k + 1):
-            # The prefix values are 1..k, so (lo, hi) lies in gap int(lo).
-            if not gaps.mask >> int(lo) & 1:
-                v = (lo + hi) / 2
-                if not ends_with_bounds(rest, v, plans):
-                    if ends_with_bounds(pi, v, plans):
-                        return reduce_word(pi + (v,))
-                    if len(pi) + 1 < size:
-                        stack.append((pi + (v,), rest + (v,)))
-            lo = hi
+        pi, rv = stack.pop()
+        top = len(pi)
+        # Bit g of ``allowed``: gap g of pi lies in an open prefix gap. Prefix
+        # gap j spans pi's gaps from its j-th to its (j+1)-th prefix value.
+        edges = (0, *sorted(pi[:k]), top + 1)
+        allowed = 0
+        for j in range(k + 1):
+            if not gaps.mask >> j & 1:
+                allowed |= (1 << edges[j + 1]) - (1 << edges[j])
+        low = (1 << rv) - 1
+        closed = closed_gaps(tuple([v - 1 if v > rv else v for v in pi if v != rv]), gap_plans)
+        candidates = allowed & ~((closed & low) | (closed << 1 & ~low))
+        hits = candidates & closed_gaps(pi, gap_plans)
+        if hits:
+            g = (hits & -hits).bit_length() - 1
+            return tuple([v + 1 if v > g else v for v in pi]) + (g + 1,)
+        if top + 1 < size:
+            while candidates:
+                bit = candidates & -candidates
+                candidates ^= bit
+                g = bit.bit_length() - 1
+                stack.append((tuple([v + 1 if v > g else v for v in pi]) + (g + 1,), rv + 1 if rv > g else rv))
     return None
 
 
@@ -451,8 +474,7 @@ def analyze_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int
     forbidden pattern, so deletion is a bijection onto the smaller class for
     every size n and every value tuple obeying the forced gaps.
     """
-    if not 1 <= rank <= len(sigma):
-        raise ValueError(f"rank {rank} out of range for length {len(sigma)}")
+    check_rank(sigma, rank)
     if gaps.k != len(sigma):
         raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {len(sigma)}")
     t = sigma.index(rank) + 1

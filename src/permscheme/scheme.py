@@ -120,6 +120,19 @@ def validate(scheme: Scheme) -> list[str]:
     return problems
 
 
+def check_depth(max_depth: object) -> int:
+    """Validate a search depth: an int (not a bool) that is at least 1.
+
+    >>> check_depth(2)
+    2
+    """
+    if not is_int(max_depth):
+        raise ValueError(f"max_depth must be an int, got {max_depth!r}")
+    if max_depth < 1:
+        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    return max_depth
+
+
 def _search_core(
     patterns: PatternSet,
     max_depth: int,
@@ -127,8 +140,7 @@ def _search_core(
     mode: str,
     log: "list[dict] | None" = None,
 ) -> Scheme | None:
-    if max_depth < 1:
-        raise ValueError(f"max_depth must be >= 1, got {max_depth}")
+    check_depth(max_depth)
     expa: dict[Perm, ExpaEntry] = {}
     redu: dict[Perm, ReduEntry] = {}
     zero: set[Perm] = set()

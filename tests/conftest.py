@@ -15,6 +15,8 @@ PBOTH = ((1, 2, 3), (1, 3, 2))
 PTHREE = ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4))
 # One length-4 pattern from each of the seven symmetry classes.
 SINGLETONS = sorted({symmetry_closure([q])[0] for q in permutations(range(1, 5))})
+# One pair of length-4 patterns from each of the 56 symmetry classes.
+PAIRS = sorted({symmetry_closure(pair)[0] for pair in combinations(permutations(range(1, 5)), 2)})
 
 
 def catalan(n: int) -> int:

@@ -3,8 +3,8 @@ from itertools import combinations, permutations
 
 import pytest
 
-from conftest import P12, P123, PBOTH, PTHREE, catalan, naive_contains, order_types, random_pattern_sets
-from permscheme import oracle
+from conftest import P12, P123, PAIRS, PBOTH, PTHREE, catalan, naive_contains, order_types, random_pattern_sets
+from permscheme import oracle, reasoning
 from permscheme.counting import count_class, sequence
 from permscheme.oracle import (
     count_avoiders,
@@ -14,7 +14,15 @@ from permscheme.oracle import (
     iter_avoiders,
     prefix_class_members,
 )
-from permscheme.perms import avoids_all, delete_rank, normalize_patterns, parse_pattern_set, reduce_word, slot_bounds
+from permscheme.perms import (
+    avoids_all,
+    delete_rank,
+    ends_with_bounds,
+    normalize_patterns,
+    parse_pattern_set,
+    reduce_word,
+    slot_bounds,
+)
 from permscheme.reasoning import GapSet, _deletion_counterexample, compute_gap_set
 from permscheme.scheme import serialize
 
@@ -37,19 +45,56 @@ def corpus_avoiders():
     return out
 
 
-def oracle_calls(monkeypatch, name: str, run) -> int:
-    """How many calls the oracle makes in run() to the kernel it binds as name."""
+def oracle_calls(monkeypatch, name: str, run, module=oracle) -> int:
+    """How many calls the module makes in run() to the kernel it binds as name."""
     made = 0
-    real = getattr(oracle, name)
+    real = getattr(module, name)
 
     def counted(*args):
         nonlocal made
         made += 1
         return real(*args)
 
-    monkeypatch.setattr(oracle, name, counted)
+    monkeypatch.setattr(module, name, counted)
     run()
     return made
+
+
+def midpoint_walk(sigma, patterns, gaps, rank):
+    """The deletion walk on midpoint values, as it was before it read
+    closed-gap masks: a reference for ``_deletion_counterexample``.
+
+    pi is a word of sigma's values 1..k and appended midpoints, and each
+    open interval of its values is tested with ``ends_with_bounds``, once
+    against pi minus the rank entry and once against pi. Returns the
+    counterexample, reduced, and the number of nodes the walk popped.
+    """
+    plans = [slot_bounds(q) for q in patterns]
+    k = len(sigma)
+    t = sigma.index(rank)
+    rest = sigma[:t] + sigma[t + 1 :]
+    if any(ends_with_bounds(rest[:e], rest[e], plans) for e in range(k - 1)):
+        return None, 0
+    if any(ends_with_bounds(sigma[:e], sigma[e], plans) for e in range(k)):
+        return sigma, 0
+    size = k + max((len(bounds) for bounds in plans), default=0)
+    stack = [(sigma, rest)] if k < size else []
+    nodes = 0
+    while stack:
+        pi, rest = stack.pop()
+        nodes += 1
+        lo = 0
+        for hi in (*sorted(pi), k + 1):
+            # The prefix values are 1..k, so (lo, hi) lies in gap int(lo).
+            if not gaps.mask >> int(lo) & 1:
+                v = (lo + hi) / 2
+                if not ends_with_bounds(rest, v, plans):
+                    if ends_with_bounds(pi, v, plans):
+                        return reduce_word(pi + (v,)), nodes
+                    if len(pi) + 1 < size:
+                        stack.append((pi + (v,), rest + (v,)))
+            lo = hi
+    return None, nodes
 
 
 class TestEnumerate:
@@ -237,8 +282,11 @@ class TestEmpiricalDeletable:
         assert empirical_deletable((1,), (), GapSet(1, 0), 1)
 
     def test_rank_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range"):
             empirical_deletable((2, 1), P123, GapSet(2, 0), 3)
+        for rank in (1.0, True):
+            with pytest.raises(ValueError, match="rank must be an int"):
+                empirical_deletable((2, 1), P123, GapSet(2, 0), rank)
 
     def test_gap_set_length_validation(self):
         # A gap set sized for length 3 says nothing about a length-1 prefix.
@@ -263,13 +311,12 @@ class TestEmpiricalDeletable:
     def test_counterexamples_are_lost_members(self, pats):
         # Each counterexample is checked by brute force, not by the walk's
         # own containment test.
-        plans = [slot_bounds(q) for q in pats]
         m = max((len(q) for q in pats), default=1)
         for k in range(1, 5):
             for sigma in permutations(range(1, k + 1)):
                 gaps = compute_gap_set(sigma, pats)
                 for rank in range(1, k + 1):
-                    pi = _deletion_counterexample(sigma, plans, gaps, rank)
+                    pi = _deletion_counterexample(sigma, pats, gaps, rank)
                     assert (pi is None) == empirical_deletable(sigma, pats, gaps, rank)
                     if pi is None:
                         continue
@@ -283,11 +330,45 @@ class TestEmpiricalDeletable:
                     rest = reduce_word(pi[:t] + pi[t + 1 :])
                     assert not any(naive_contains(rest, q) for q in pats), (sigma, rank, pi)
 
+    @pytest.mark.parametrize("pats,longest", [(p, 3) for p in PAIRS] + [(p, 4) for p in CORPUS[:10]], ids=str)
+    def test_same_answers_as_the_midpoint_walk(self, pats, longest):
+        # Every sigma up to the longest length, those that contain a pattern
+        # included, under the computed gaps and under no forced gap: the
+        # walk accepts any mask. Length 4 for all 66 sets takes 8 s.
+        for k in range(1, longest + 1):
+            for sigma in permutations(range(1, k + 1)):
+                for gaps in {compute_gap_set(sigma, pats), GapSet(k, 0)}:
+                    for rank in range(1, k + 1):
+                        expect, _ = midpoint_walk(sigma, pats, gaps, rank)
+                        assert _deletion_counterexample(sigma, pats, gaps, rank) == expect, (sigma, gaps, rank)
+
+    @pytest.mark.parametrize(
+        "sigma,pats,rank,ends,closed",
+        [
+            ((1,), P123, 1, 1, 4),
+            ((2, 4, 1, 3), PTHREE, 2, 7, 42),
+            (tuple(range(1, 7)), P2143, 1, 11, 114),
+        ],
+    )
+    def test_call_count(self, monkeypatch, sigma, pats, rank, ends, closed):
+        # Only the two root tests call ``ends_with_bounds``, at most 2k-1
+        # times; past them each node reads two closed-gap masks, one for pi
+        # and one for pi minus the rank entry.
+        gaps = compute_gap_set(sigma, pats)
+        expect, nodes = midpoint_walk(sigma, pats, gaps, rank)
+        assert closed == 2 * nodes
+        assert ends <= 2 * len(sigma) - 1
+
+        def run():
+            assert _deletion_counterexample(sigma, pats, gaps, rank) == expect
+
+        assert oracle_calls(monkeypatch, "ends_with_bounds", run, reasoning) == ends
+        assert oracle_calls(monkeypatch, "closed_gaps", run, reasoning) == closed
+
     def test_single_entry_loses_a_member_of_size_k_plus_m_minus_one(self):
         # Under {123} the only miss of (1,), rank 1, is 123: deleting its 1
         # leaves 12, which avoids. Its size is 3 = k + m - 1.
-        plans = [slot_bounds(q) for q in P123]
-        assert _deletion_counterexample((1,), plans, GapSet(1, 0), 1) == (1, 2, 3)
+        assert _deletion_counterexample((1,), P123, GapSet(1, 0), 1) == (1, 2, 3)
 
     def test_lost_member_past_size_eight(self):
         # Under {2143} deleting the smallest of 1..6 loses a member of size
@@ -295,14 +376,16 @@ class TestEmpiricalDeletable:
         sigma = tuple(range(1, 7))
         gaps = compute_gap_set(sigma, P2143)
         assert not empirical_deletable(sigma, P2143, gaps, 1)
-        pi = _deletion_counterexample(sigma, [slot_bounds(q) for q in P2143], gaps, 1)
+        pi = _deletion_counterexample(sigma, P2143, gaps, 1)
         assert pi is not None and len(pi) == 9
 
 
 class TestEmpiricalAgainstClassMembers:
     """The empirical deletion probe walks concrete extensions of sigma up to
-    size k+m-1; here every size up to ``HORIZON``, at least that bound, comes
-    from ``prefix_class_members`` instead."""
+    size k+m-1 on ``closed_gaps`` masks; here every size up to ``HORIZON``,
+    at least that bound, comes from ``prefix_class_members`` instead, whose
+    listing walk tests with ``ends_with_bounds``. Each kernel checks the
+    other."""
 
     HORIZON = 6
 
@@ -370,6 +453,16 @@ class TestEmpiricalSearch:
         for horizon in (depth - 1, depth):
             with pytest.raises(ValueError, match=f"from horizon {stable} on"):
                 empirical_scheme_search(pats, depth, horizon)
+
+    @pytest.mark.parametrize("depth", [2.5, 2.0, True, "2"])
+    def test_non_int_depth_rejected(self, depth):
+        with pytest.raises(ValueError, match="max_depth must be an int"):
+            empirical_scheme_search(P123, depth)
+
+    @pytest.mark.parametrize("horizon", [100.5, 8.0, True, "8"])
+    def test_non_int_horizon_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be an int"):
+            empirical_scheme_search(P123, 2, horizon)
 
     def test_same_scheme_from_the_bound_on(self):
         at_bound = empirical_scheme_search(PTHREE, 4, 7)

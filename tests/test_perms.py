@@ -193,7 +193,12 @@ class TestDeleteRank:
 
     @pytest.mark.parametrize("r", [0, 3, -1])
     def test_out_of_range(self, r):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range"):
+            delete_rank((2, 1), r)
+
+    @pytest.mark.parametrize("r", [1.0, True, 1.5])
+    def test_non_int_rank_rejected(self, r):
+        with pytest.raises(ValueError, match="rank must be an int"):
             delete_rank((2, 1), r)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import P12, P123, P132, PTHREE, SINGLETONS, random_pattern_sets
 from permscheme.oracle import empirical_deletable, empirical_gap_set, iter_avoiders, prefix_class_members
-from permscheme.perms import avoids_all, normalize_patterns, reduce_word, slot_bounds, symmetry_closure
+from permscheme.perms import avoids_all, normalize_patterns, reduce_word, symmetry_closure
 from permscheme.reasoning import (
     Bailout,
     Event,
@@ -320,8 +320,18 @@ class TestCertifyDeletable:
         ]
 
     def test_rank_range(self):
-        with pytest.raises(ValueError):
-            certify_deletable((2, 1), P123, NO_GAPS_2, 0)
+        for rank in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                certify_deletable((2, 1), P123, NO_GAPS_2, rank)
+            with pytest.raises(ValueError, match="out of range"):
+                analyze_deletable((2, 1), P123, NO_GAPS_2, rank)
+
+    @pytest.mark.parametrize("rank", [1.0, True])
+    def test_non_int_rank_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank must be an int"):
+            certify_deletable((2, 1), P123, NO_GAPS_2, rank)
+        with pytest.raises(ValueError, match="rank must be an int"):
+            analyze_deletable((2, 1), P123, NO_GAPS_2, rank)
 
     def test_gap_set_length_validation(self):
         # A gap set sized for another length is an error, not a refusal.
@@ -432,11 +442,10 @@ class TestSoundnessAgainstOracle:
         images = {img for pats in random_pattern_sets(97103, 50) + SINGLETONS for img in symmetry_closure(pats)}
         checked = 0
         for pats in sorted(images):
-            plans = [slot_bounds(q) for q in pats]
             for depth in (4, 5, 6):
                 found = search(pats, depth)
                 for sigma, entry in (found.redu if found else {}).items():
-                    pi = _deletion_counterexample(sigma, plans, entry.gaps, entry.rank)
+                    pi = _deletion_counterexample(sigma, pats, entry.gaps, entry.rank)
                     assert pi is None, (pats, depth, sigma, entry.rank, pi)
                     checked += 1
         assert checked > 1000

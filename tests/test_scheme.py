@@ -133,6 +133,13 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(P123, 0)
 
+    @pytest.mark.parametrize("depth", [2.5, 2.0, True, "2"])
+    def test_non_int_depth_rejected(self, depth):
+        # 2.5 used to search to depth 3, True to depth 1, and "2" raised
+        # TypeError.
+        with pytest.raises(ValueError, match="max_depth must be an int"):
+            search(P123, depth)
+
     def test_depth_monotone(self, scheme123):
         deeper = search(P123, 5)
         assert deeper is not None
