@@ -164,7 +164,7 @@ def scheme_verify(ctx: click.Context, scheme_path: str, check_n: "int | None") -
     loaded = _load_scheme(scheme_path)
     if check_n is None:
         # A reduction of a length-k class that loses members loses one of
-        # size at most k+m-1 (reasoning._deletion_counterexample).
+        # size at most k+m-1 (reasoning._deletion_walk).
         longest = max(map(len, (*loaded.expa, *loaded.redu, *loaded.zero)), default=0)
         pattern = max(map(len, loaded.patterns), default=0)
         check_n = min(max(VERIFY_MIN_N, longest + pattern - 1), BRUTE_FORCE_MAX_N)

@@ -27,15 +27,18 @@ The empirical variant of the scheme search lives here too, though it
 enumerates no avoiders. It runs the certified search's loop,
 ``scheme._search_core``, with another rank test. Its gaps are that loop's
 ``reasoning.compute_gap_set``, which is exact. A rank is taken when
-``reasoning._deletion_counterexample`` finds no member that its deletion
+``reasoning._deletion_walk`` finds no member that its deletion
 loses. That walk checks every extension of sigma up to size k+m-1, m the
 longest pattern length, and a miss at any size cuts down to one of that
 size. So the check is exhaustive up to a proven bound, and the empirical
 schemes count exactly at every n; they are still marked empirical, since
 no reduction is certified symbolically. The walk reads ``closed_gaps``
-masks, two per extension, like the count walk, and the listing walk's
-``prefix_class_members`` shares none of its code: the tests that compare
-the two check the mask kernel against ``ends_with_bounds``.
+masks, two per extension, like the count walk, from one table per search:
+``empirical_scheme_search`` hands the same table to all its walks, so a
+permutation that several walks reach is masked once, and the table goes
+when the search returns. The listing walk's ``prefix_class_members``
+shares none of this code: the tests that compare the two check the mask
+kernel against ``ends_with_bounds``.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .perms import (
     normalize_patterns,
     slot_bounds,
 )
-from .reasoning import GapSet, _deletion_counterexample, compute_gap_set
+from .reasoning import GapSet, _deletion_counterexample, _deletion_walk, compute_gap_set
 from .scheme import MODE_EMPIRICAL, Scheme, _search_core, check_depth
 
 
@@ -171,6 +174,7 @@ def empirical_gap_set(sigma: Perm, patterns: Iterable[Perm]) -> GapSet:
     k+1 decides: all gaps if sigma contains a pattern, else the exact gap
     set of ``compute_gap_set``.
     """
+    sigma = check_permutation(sigma)
     pats = normalize_patterns(patterns)
     if not avoids_all(sigma, pats):
         # The class is empty, so no member leaves a gap open.
@@ -183,8 +187,9 @@ def empirical_deletable(sigma: Perm, patterns: Iterable[Perm], gaps: GapSet, ran
 
     Exact: a lost member cuts down to one of size at most k+m-1, m the
     longest pattern length, and every size up to that is checked (see
-    ``reasoning._deletion_counterexample``).
+    ``reasoning._deletion_walk``), on a mask table of its own.
     """
+    sigma = check_permutation(sigma)
     pats = normalize_patterns(patterns)
     k = len(sigma)
     delete_rank(sigma, rank)  # raises unless the rank is an int in 1..k
@@ -203,7 +208,7 @@ def empirical_scheme_search(
     smallest rank whose deletion loses no member of any size: every
     extension of sigma up to size k+m-1 is checked, m the longest pattern
     length, and a lost member at any size cuts down to one of that size
-    (``reasoning._deletion_counterexample``). So the scheme counts exactly
+    (``reasoning._deletion_walk``). So the scheme counts exactly
     at every n; it is still marked empirical, since no reduction is
     certified symbolically. A horizon ``max_n`` that is not an int, or is
     below ``max_depth`` + max(m - 1, 1), is rejected, and any other changes
@@ -217,7 +222,10 @@ def empirical_scheme_search(
         if max_n < stable:
             raise ValueError(f"horizon {max_n} is below the exact bound; results are exact from horizon {stable} on")
 
+    # One closed-gap mask table for every walk of this search, dropped with it.
+    masks: dict[Perm, int] = {}
+
     def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
-        return _deletion_counterexample(sigma, pats, gaps, rank) is None
+        return _deletion_walk(sigma, pats, gaps, rank, masks) is None
 
     return _search_core(pats, max_depth, deletable, MODE_EMPIRICAL)

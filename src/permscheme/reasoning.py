@@ -57,11 +57,13 @@ screens each rank with ``single_place_unresolved`` first, and only a rank
 that passes goes to ``certify_deletable``; ``analyze_deletable`` still
 examines every event, so its transcripts do not depend on the screen.
 The empirical search decides deletion on concrete
-permutations instead: ``_deletion_counterexample`` walks the extensions of
+permutations instead: ``_deletion_walk`` walks the extensions of
 sigma by at most m-1 entries for a member that the deletion loses, which
 is exact, since a lost member of any size cuts down to one of those. Each
 extension reads two ``closed_gaps`` masks, its own and that of it minus
-the rank entry, which decide all its one-longer extensions at once.
+the rank entry, which decide all its one-longer extensions at once. The
+masks come from a table that the walks of one search share, so each
+permutation's mask is computed once per search, however many walks ask.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from .perms import (
     PatternSet,
     Perm,
     avoids_all,
+    check_permutation,
     check_rank,
     closed_gaps,
     ends_with_bounds,
@@ -351,6 +354,14 @@ def find_bailout(
 
 
 def _deletion_counterexample(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int) -> Perm | None:
+    """A member that deleting the rank-th prefix value loses, or None:
+    ``_deletion_walk`` on a mask table of its own."""
+    return _deletion_walk(sigma, patterns, gaps, rank, {})
+
+
+def _deletion_walk(
+    sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int, masks: dict[Perm, int]
+) -> Perm | None:
     """A member that deleting the rank-th prefix value loses, or None.
 
     The deletion injects the class of sigma into the reduced class one size
@@ -371,12 +382,18 @@ def _deletion_counterexample(sigma: Perm, patterns: PatternSet, gaps: GapSet, ra
     through gap g (0 <= g <= K) ends in g+1, pi's values above g raised by
     one. Its new entry lies in the prefix gap numbered by pi's prefix
     values at most g, and in gap g (g < rv) or g-1 (g >= rv) of rest. So
-    two ``perms.closed_gaps`` masks, of pi and of rest, decide every child:
+    the ``perms.closed_gaps`` masks of pi and of rest decide every child:
     one in a forced prefix gap, or whose new entry ends an occurrence in
     rest, re-inserts no reduced member and is skipped; of the others, one
     whose new entry ends an occurrence in pi is a miss. The walk returns
     the lowest-gap miss of the first node that has one, and otherwise
     steps into each other child below size k+m-1, highest gap first.
+
+    ``masks`` maps each permutation to its mask under ``patterns``, and a
+    mask is computed only on the first ask. The walks of one search share
+    it: the walks of ranks 1, 2, ... of a class revisit the same pi, and
+    one class's rest is often another's pi. So the table must hold masks
+    under ``patterns`` only, and it lives no longer than its search.
     """
     k = len(sigma)
     t = sigma.index(rank)
@@ -388,6 +405,13 @@ def _deletion_counterexample(sigma: Perm, patterns: PatternSet, gaps: GapSet, ra
         return sigma
     size = k + max((len(q) - 1 for q in patterns), default=0)
     gap_plans = [gap_plan(q) for q in patterns]
+
+    def mask(p: Perm) -> int:
+        closed = masks.get(p)
+        if closed is None:
+            closed = masks[p] = closed_gaps(p, gap_plans)
+        return closed
+
     stack = [(sigma, rank)] if k < size else []
     while stack:
         pi, rv = stack.pop()
@@ -400,9 +424,9 @@ def _deletion_counterexample(sigma: Perm, patterns: PatternSet, gaps: GapSet, ra
             if not gaps.mask >> j & 1:
                 allowed |= (1 << edges[j + 1]) - (1 << edges[j])
         low = (1 << rv) - 1
-        closed = closed_gaps(tuple([v - 1 if v > rv else v for v in pi if v != rv]), gap_plans)
+        closed = mask(tuple([v - 1 if v > rv else v for v in pi if v != rv]))
         candidates = allowed & ~((closed & low) | (closed << 1 & ~low))
-        hits = candidates & closed_gaps(pi, gap_plans)
+        hits = candidates & mask(pi)
         if hits:
             g = (hits & -hits).bit_length() - 1
             return tuple([v + 1 if v > g else v for v in pi]) + (g + 1,)
@@ -435,6 +459,7 @@ def compute_gap_set(sigma: Perm, patterns: PatternSet) -> GapSet:
     >>> compute_gap_set((1, 2), ((1, 2, 3),)).sorted_list()
     [2]
     """
+    sigma = check_permutation(sigma)
     return GapSet(len(sigma), closed_gaps(sigma, [gap_plan(q) for q in patterns]))
 
 
@@ -474,6 +499,7 @@ def analyze_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int
     forbidden pattern, so deletion is a bijection onto the smaller class for
     every size n and every value tuple obeying the forced gaps.
     """
+    sigma = check_permutation(sigma)
     check_rank(sigma, rank)
     if gaps.k != len(sigma):
         raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {len(sigma)}")

@@ -22,6 +22,7 @@ from permscheme.perms import (
     parse_pattern_set,
     reduce_word,
     slot_bounds,
+    symmetry_images,
 )
 from permscheme.reasoning import GapSet, _deletion_counterexample, compute_gap_set
 from permscheme.scheme import serialize
@@ -58,6 +59,33 @@ def oracle_calls(monkeypatch, name: str, run, module=oracle) -> int:
     monkeypatch.setattr(module, name, counted)
     run()
     return made
+
+
+def kernel_arguments(monkeypatch, run) -> list:
+    """The permutations whose ``closed_gaps`` mask a deletion walk computes
+    in run(), in order; the search's own gap sets are not counted."""
+    asked = []
+    walking = []
+    real_walk, real_kernel = reasoning._deletion_walk, reasoning.closed_gaps
+
+    def walk(*args):
+        walking.append(True)
+        try:
+            return real_walk(*args)
+        finally:
+            walking.pop()
+
+    def recorded(p, plans):
+        if walking:
+            asked.append(tuple(p))
+        return real_kernel(p, plans)
+
+    with monkeypatch.context() as patch:
+        for module in (reasoning, oracle):
+            patch.setattr(module, "_deletion_walk", walk)
+        patch.setattr(reasoning, "closed_gaps", recorded)
+        run()
+    return asked
 
 
 def midpoint_walk(sigma, patterns, gaps, rank):
@@ -288,6 +316,22 @@ class TestEmpiricalDeletable:
             with pytest.raises(ValueError, match="rank must be an int"):
                 empirical_deletable((2, 1), P123, GapSet(2, 0), rank)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: reasoning.analyze_deletable((1, 1), P123, GapSet(2, 0), 1),
+            lambda: reasoning.certify_deletable((2, 3), P123, GapSet(2, 0), 2),
+            lambda: empirical_deletable((1, 1), P123, GapSet(2, 0), 1),
+            lambda: empirical_deletable((2.0, 1), P123, GapSet(2, 0), 1),
+            lambda: empirical_gap_set((0, 1), P123),
+            lambda: compute_gap_set((0, 1), P123),
+        ],
+        ids=["analyze_11", "certify_23", "deletable_11", "deletable_float", "empirical_gaps_01", "gaps_01"],
+    )
+    def test_sigma_must_be_a_permutation(self, call):
+        with pytest.raises(ValueError, match="not a permutation"):
+            call()
+
     def test_gap_set_length_validation(self):
         # A gap set sized for length 3 says nothing about a length-1 prefix.
         with pytest.raises(ValueError, match="sized for length 3"):
@@ -345,25 +389,27 @@ class TestEmpiricalDeletable:
     @pytest.mark.parametrize(
         "sigma,pats,rank,ends,closed",
         [
-            ((1,), P123, 1, 1, 4),
-            ((2, 4, 1, 3), PTHREE, 2, 7, 42),
-            (tuple(range(1, 7)), P2143, 1, 11, 114),
+            ((1,), P123, 1, 1, 3),
+            ((2, 4, 1, 3), PTHREE, 2, 7, 34),
+            (tuple(range(1, 7)), P2143, 1, 11, 98),
         ],
     )
     def test_call_count(self, monkeypatch, sigma, pats, rank, ends, closed):
         # Only the two root tests call ``ends_with_bounds``, at most 2k-1
         # times; past them each node reads two closed-gap masks, one for pi
-        # and one for pi minus the rank entry.
+        # and one for pi minus the rank entry, from a table that computes
+        # each permutation's mask once.
         gaps = compute_gap_set(sigma, pats)
         expect, nodes = midpoint_walk(sigma, pats, gaps, rank)
-        assert closed == 2 * nodes
         assert ends <= 2 * len(sigma) - 1
 
         def run():
             assert _deletion_counterexample(sigma, pats, gaps, rank) == expect
 
         assert oracle_calls(monkeypatch, "ends_with_bounds", run, reasoning) == ends
-        assert oracle_calls(monkeypatch, "closed_gaps", run, reasoning) == closed
+        asked = kernel_arguments(monkeypatch, run)
+        assert len(asked) == closed <= 2 * nodes
+        assert len(set(asked)) == len(asked)
 
     def test_single_entry_loses_a_member_of_size_k_plus_m_minus_one(self):
         # Under {123} the only miss of (1,), rank 1, is 123: deleting its 1
@@ -484,6 +530,31 @@ class TestEmpiricalSearch:
         assert sequence(scheme, 10) == [count_avoiders(n, pats) for n in range(1, 11)]
         with pytest.raises(ValueError, match="from horizon 9 on"):
             empirical_scheme_search(pats, 6, 8)
+
+    def test_one_mask_per_permutation_per_search(self, monkeypatch):
+        # The walks of one search share a mask table, so none of them
+        # asks the kernel for a permutation another walk already masked;
+        # the next search starts from an empty table.
+        def run():
+            assert empirical_scheme_search(PTHREE, 4) is not None
+
+        first = kernel_arguments(monkeypatch, run)
+        assert len(set(first)) == len(first) > 0
+        assert len(kernel_arguments(monkeypatch, run)) == len(first)
+
+    def test_pair_classes_at_depth_five(self):
+        # Each of the 56 symmetry classes of length-4 pairs is tried at its
+        # images in ``search_with_symmetries`` order, and counted once, at
+        # the first image whose exact search succeeds.
+        found = 0
+        for pats in PAIRS:
+            for img in sorted({img for _, img in symmetry_images(pats)}):
+                scheme = empirical_scheme_search(img, 5)
+                if scheme is not None:
+                    found += 1
+                    assert sequence(scheme, 8) == [count_avoiders(n, img) for n in range(1, 9)], img
+                    break
+        assert found == 25
 
     def test_default_horizon_is_depth_plus_m_minus_one(self):
         found = 0
