@@ -21,6 +21,12 @@ Both modes run that loop with ``compute_gap_set``'s gaps and reduce a class
 by the smallest rank that passes their test: a symbolic certificate in
 ``search``, every concrete extension up to the proven size bound k+m-1 in
 ``empirical_scheme_search``.
+
+A failing search can report its stuck class (``Stuck``), and whether the
+class was reached by expansion alone: every proper prefix of it was expanded.
+Complement maps the certified search on P onto the one on P^c class by
+class, so such a failure proves that the search on P^c fails too, and
+``search_with_symmetries`` skips that image; its docstring holds the proof.
 """
 
 from __future__ import annotations
@@ -34,9 +40,11 @@ from .perms import (
     Perm,
     avoids_all,
     check_permutation,
+    complement,
     delete_rank,
     is_int,
     normalize_patterns,
+    reduce_word,
     refinements,
     symmetry_images,
 )
@@ -73,6 +81,16 @@ class Scheme:
 
     def classes(self) -> set[Perm]:
         return set(self.expa) | set(self.redu) | set(self.zero)
+
+
+@dataclass(frozen=True)
+class Stuck:
+    """Where a failing search stopped: the stuck class it found, and whether
+    every proper prefix of that class (``reduce_word`` of its first i
+    entries, i < len(sigma)) was expanded by the search."""
+
+    sigma: Perm
+    by_expansion: bool
 
 
 def validate(scheme: Scheme) -> list[str]:
@@ -139,6 +157,7 @@ def _search_core(
     deletable: Callable[[Perm, GapSet, int], bool],
     mode: str,
     log: "list[dict] | None" = None,
+    failure: "list[Stuck] | None" = None,
 ) -> Scheme | None:
     check_depth(max_depth)
     expa: dict[Perm, ExpaEntry] = {}
@@ -191,11 +210,19 @@ def _search_core(
         else:
             if log is not None:
                 log.append({"sigma": list(sigma), "disposition": "stuck-at-depth"})
+            if failure is not None:
+                failure.append(Stuck(sigma, all(reduce_word(sigma[:i]) in expa for i in range(len(sigma)))))
             return None
     return Scheme(patterns, expa, redu, frozenset(zero), mode)
 
 
-def search(patterns: Iterable[Perm], max_depth: int, log: "list[dict] | None" = None) -> Scheme | None:
+def search(
+    patterns: Iterable[Perm],
+    max_depth: int,
+    log: "list[dict] | None" = None,
+    *,
+    failure: "list[Stuck] | None" = None,
+) -> Scheme | None:
     """Depth-first discovery of a certified scheme, or None on failure.
 
     Classes are examined depth-first, the refinements of a class in
@@ -204,7 +231,7 @@ def search(patterns: Iterable[Perm], max_depth: int, log: "list[dict] | None" = 
     certifies, expanded while below the depth bound, and otherwise the
     whole search fails at once. ``log`` receives one record per class in
     that order, so on failure its last record is the first stuck class
-    found.
+    found. ``failure`` receives the ``Stuck`` report of a failing search.
 
     Each rank is tested in two steps. First the single-place rule: for each
     pattern q, the event that puts only q's first entry on the rank's place
@@ -221,25 +248,59 @@ def search(patterns: Iterable[Perm], max_depth: int, log: "list[dict] | None" = 
     def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
         return not single_place_unresolved(sigma, gaps, rank, rules) and certify_deletable(sigma, pats, gaps, rank)
 
-    return _search_core(pats, max_depth, deletable, MODE_CERTIFIED, log)
+    return _search_core(pats, max_depth, deletable, MODE_CERTIFIED, log, failure)
 
 
 def search_with_symmetries(
     patterns: Iterable[Perm], max_depth: int
 ) -> "tuple[Scheme, str] | None":
-    """Try the search on every reverse/inverse image of the pattern set.
+    """Search the reverse/inverse images of the pattern set for a scheme.
 
     Images are attempted in a fixed sorted order; the first success is
     returned together with the generator word mapping the input set to the
     image. Counting with the image's scheme is valid for the input set
     because each symmetry is a bijection on permutations of every size.
+
+    An image is skipped, unsearched, when the search on its complement
+    already failed at a stuck class reached by expansion alone, since that
+    search must fail too. Proof: write x^c for the complement of a
+    permutation x of length k (entry v becomes k+1-v) and P^c for the
+    set of the complements of P's patterns. Then sigma^c contains a
+    pattern of P^c exactly when sigma contains one of P; the refinements
+    of sigma^c are the complements of those of sigma; and the prefixes of
+    s^c reduce to the complements of the prefixes of s. The certifier is
+    complement-equivariant: the event (q, places) of sigma maps to the
+    event (q^c, places) of sigma^c, ``order_facts`` maps a symbol's bounds
+    (floor, ceiling) to (k+1-ceiling, k+1-floor), the implied relations
+    swap "above" and "below", and so an implied embedding of a pattern p
+    maps to one of p^c. So gap j of sigma is forced exactly when gap k-j
+    of sigma^c is, and rank r of sigma is certified exactly when rank
+    k+1-r of sigma^c is; the single-place screen rejects only ranks that
+    ``certify_deletable`` rejects, so it changes nothing. A class is thus
+    zeroed, reduced or expanded exactly when its complement is, though a
+    reduction may pick another rank and so hand off to another class. Now
+    let the search on P fail at s, with every proper prefix of s expanded.
+    The search on P^c expands the empty class, and whenever it expands
+    a prefix of s^c it schedules the next one, a refinement, which is
+    expanded in turn, since its complement was; a scheduled class is
+    always classified before the search can succeed. So the search on P^c
+    reaches s^c unless it fails first, and s^c is stuck, since s is:
+    it avoids P^c, has no certified rank and has the maximal length.
+    Either way it fails, and skipping it leaves the first success, and
+    so the result, unchanged.
     """
     images = symmetry_images(patterns)
     labels = {img: label for label, img in images}
+    refuted: set[PatternSet] = set()
     for img in sorted(labels):
-        found = search(img, max_depth)
+        if normalize_patterns(complement(q) for q in img) in refuted:
+            continue
+        failure: list[Stuck] = []
+        found = search(img, max_depth, failure=failure)
         if found is not None:
             return found, labels[img]
+        if failure[0].by_expansion:
+            refuted.add(img)
     return None
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import P12, P123, P132, PTHREE, SINGLETONS, random_pattern_sets
 from permscheme.oracle import empirical_deletable, empirical_gap_set, iter_avoiders, prefix_class_members
-from permscheme.perms import avoids_all, normalize_patterns, reduce_word, symmetry_closure
+from permscheme.perms import avoids_all, complement, normalize_patterns, reduce_word, symmetry_closure
 from permscheme.reasoning import (
     Bailout,
     Event,
@@ -449,3 +449,55 @@ class TestSoundnessAgainstOracle:
                     assert pi is None, (pats, depth, sigma, entry.rank, pi)
                     checked += 1
         assert checked > 1000
+
+
+def _mirror(gaps):
+    # Gap j of sigma is gap k - j of its complement.
+    return GapSet(gaps.k, sum(1 << (gaps.k - j) for j in gaps.sorted_list()))
+
+
+def _one_per_complement_pair(sets):
+    kept = []
+    for pats in sets:
+        if normalize_patterns(complement(q) for q in pats) not in kept:
+            kept.append(pats)
+    return kept
+
+
+class TestComplementEquivariance:
+    # scheme.search_with_symmetries skips an image on the strength of these
+    # facts: complement maps gap j to gap k - j and rank r to rank k + 1 - r.
+    # Each check runs both ways at once, so one set of each pair is enough.
+    @pytest.mark.parametrize(
+        "pats, longest",
+        [(img, 5) for img in _one_per_complement_pair(img for q in SINGLETONS for img in symmetry_closure(q))]
+        + [
+            (pats, 4)
+            for pats in _one_per_complement_pair(
+                normalize_patterns(subset)
+                for size in range(1, 7)
+                for subset in combinations(permutations(range(1, 4)), size)
+            )
+        ],
+        ids=str,
+    )
+    def test_gaps_and_ranks_mirror(self, pats, longest):
+        flipped = normalize_patterns(complement(q) for q in pats)
+        rules, flipped_rules = single_place_rules(pats), single_place_rules(flipped)
+        for k in range(longest + 1):
+            for sigma in permutations(range(1, k + 1)):
+                if not avoids_all(sigma, pats):
+                    continue
+                sigma_c = complement(sigma)
+                gaps, gaps_c = compute_gap_set(sigma, pats), compute_gap_set(sigma_c, flipped)
+                assert gaps_c == _mirror(gaps), sigma
+                for r in range(1, k + 1):
+                    unresolved = single_place_unresolved(sigma, gaps, r, rules)
+                    assert unresolved == single_place_unresolved(sigma_c, gaps_c, k + 1 - r, flipped_rules), (sigma, r)
+                    # The screen is exact (TestSearchAgainstReference), so a
+                    # rank that it rejects on both sides is certified on
+                    # neither; that keeps the test within its time budget.
+                    if not unresolved:
+                        assert certify_deletable(sigma, pats, gaps, r) == certify_deletable(
+                            sigma_c, flipped, gaps_c, k + 1 - r
+                        ), (sigma, r)

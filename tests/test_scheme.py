@@ -3,15 +3,17 @@ from collections import deque
 
 import pytest
 
-from conftest import P12, P123, P132, PBOTH, PTHREE, SINGLETONS, catalan, random_pattern_sets
+from conftest import P12, P123, P132, PAIRS, PBOTH, PTHREE, SINGLETONS, catalan, random_pattern_sets
 from permscheme import counting, oracle
 from permscheme.perms import (
     avoids_all,
     contains,
     delete_rank,
     normalize_patterns,
+    reduce_word,
     refinements,
     symmetry_closure,
+    symmetry_images,
 )
 from permscheme.reasoning import GapSet, certify_deletable, compute_gap_set
 from permscheme.scheme import (
@@ -280,6 +282,66 @@ class TestSearchWithSymmetries:
     def test_no_image_found(self):
         # Both images of {123} need depth 2.
         assert search_with_symmetries(P123, 1) is None
+
+
+SYMMETRIC_JOBS = (
+    [(pats, depth) for depth in (5, 6) for pats in PAIRS]
+    + [(pats, 6) for pats in SINGLETONS]
+    + [(pats, 5) for pats in random_pattern_sets(97103, 50)]
+)
+
+
+@pytest.fixture(scope="module")
+def every_image_searched():
+    """The loop ``search_with_symmetries`` ran before it skipped any image:
+    each image in sorted order until the first success. Per job, the
+    document and label found (or None), and each failing search's image,
+    ``--explain`` log and ``Stuck`` report."""
+    results = {}
+    for pats, depth in SYMMETRIC_JOBS:
+        labels = {img: label for label, img in symmetry_images(pats)}
+        hit, failures = None, []
+        for img in sorted(labels):
+            log, failure = [], []
+            found = search(img, depth, log, failure=failure)
+            if found is not None:
+                hit = serialize(found), labels[img]
+                break
+            failures.append((img, log, *failure))
+        results[pats, depth] = hit, failures
+    return results
+
+
+class TestComplementSkip:
+    def test_same_results_as_searching_every_image(self, every_image_searched):
+        for (pats, depth), (expected, _) in every_image_searched.items():
+            hit = search_with_symmetries(pats, depth)
+            assert (hit and (serialize(hit[0]), hit[1])) == expected, (pats, depth)
+
+    def test_failure_report_matches_log(self, every_image_searched):
+        flags = set()
+        for _, failures in every_image_searched.values():
+            for img, log, stuck in failures:
+                assert log[-1] == {"sigma": list(stuck.sigma), "disposition": "stuck-at-depth"}, img
+                expanded = {tuple(r["sigma"]) for r in log if r["disposition"] == "expa"}
+                by_expansion = all(reduce_word(stuck.sigma[:i]) in expanded for i in range(len(stuck.sigma)))
+                assert stuck.by_expansion == by_expansion, img
+                flags.add(by_expansion)
+        assert flags == {True, False}
+
+    def test_skip_happens(self, monkeypatch):
+        # {1342} fails at depth 5 in every image, and each of its four
+        # searches proves its complement image fails too.
+        searched = []
+
+        def spy(patterns, *args, **kwargs):
+            searched.append(patterns)
+            return search(patterns, *args, **kwargs)
+
+        monkeypatch.setattr("permscheme.scheme.search", spy)
+        assert search_with_symmetries([(1, 3, 4, 2)], 5) is None
+        assert len(searched) == 4
+        assert len(symmetry_closure([(1, 3, 4, 2)])) == 8
 
 
 class TestSerialization:
