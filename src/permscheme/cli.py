@@ -104,7 +104,7 @@ def scheme_group() -> None:
 @click.option("--max-depth", default=4, show_default=True, type=click.IntRange(min=1), help="Largest prefix length to expand to.")
 @click.option("--mode", default=MODE_CERTIFIED, show_default=True, type=click.Choice([MODE_CERTIFIED, MODE_EMPIRICAL]))
 @click.option("--symmetries", is_flag=True, help="Also try reverse/inverse images of the pattern set.")
-@click.option("--explain", is_flag=True, help="Emit the certification log as JSON lines on stderr.")
+@click.option("--explain", is_flag=True, help="Emit the search log as JSON lines on stderr.")
 @click.option("-o", "--output", type=click.Path(dir_okay=False), help="Write the scheme document here instead of stdout.")
 @click.pass_context
 def scheme_find(
@@ -118,23 +118,17 @@ def scheme_find(
 ) -> None:
     """Search for a scheme and print its document."""
     patterns = _patterns_arg(patterns_text)
-    if mode == MODE_EMPIRICAL and explain:
-        raise click.UsageError("--explain requires --mode certified")
-    if mode == MODE_EMPIRICAL and symmetries:
-        raise click.UsageError("--symmetries requires --mode certified")
     if symmetries and explain:
         raise click.UsageError("--explain cannot be combined with --symmetries")
     log: "list[dict] | None" = [] if explain else None
     label = "identity"
-    if mode == MODE_EMPIRICAL:
-        found = oracle.empirical_scheme_search(patterns, max_depth)
-    elif symmetries:
-        hit = search_with_symmetries(patterns, max_depth)
+    if symmetries:
+        hit = search_with_symmetries(patterns, max_depth, mode)
         found = None if hit is None else hit[0]
         if hit is not None:
             label = hit[1]
     else:
-        found = search(patterns, max_depth, log)
+        found = search(patterns, max_depth, log, mode=mode)
     if log is not None:
         for record in log:
             click.echo(json.dumps(record, separators=(",", ":")), err=True)

@@ -23,22 +23,14 @@ The two walks share no containment code, so each checks the other.
 The routines are exact but exponential; they exist to cross-check the
 certified machinery up to n around 10.
 
-The empirical variant of the scheme search lives here too, though it
-enumerates no avoiders. It runs the certified search's loop,
-``scheme._search_core``, with another rank test. Its gaps are that loop's
-``reasoning.compute_gap_set``, which is exact. A rank is taken when
-``reasoning._deletion_walk`` finds no member that its deletion
-loses. That walk checks every extension of sigma up to size k+m-1, m the
-longest pattern length, and a miss at any size cuts down to one of that
-size. So the check is exhaustive up to a proven bound, and the empirical
-schemes count exactly at every n; they are still marked empirical, since
-no reduction is certified symbolically. The walk reads ``closed_gaps``
-masks, two per extension, like the count walk, from one table per search:
-``empirical_scheme_search`` hands the same table to all its walks, so a
-permutation that several walks reach is masked once, and the table goes
-when the search returns. The listing walk's ``prefix_class_members``
-shares none of this code: the tests that compare the two check the mask
-kernel against ``ends_with_bounds``.
+The empirical scheme search lives in ``scheme.search`` (mode
+``empirical``), on ``reasoning._deletion_walk``; ``empirical_scheme_search``
+stays here as the benchmark's entry point, a horizon check in front of that
+call. The exact tests of one rank, ``empirical_gap_set`` and
+``empirical_deletable``, live here too, though they enumerate no avoiders.
+The listing walk's ``prefix_class_members`` shares no code with the
+deletion walk: the tests that compare the two check the mask kernel against
+``ends_with_bounds``.
 """
 
 from __future__ import annotations
@@ -60,8 +52,8 @@ from .perms import (
     normalize_patterns,
     slot_bounds,
 )
-from .reasoning import GapSet, _deletion_counterexample, _deletion_walk, compute_gap_set
-from .scheme import MODE_EMPIRICAL, Scheme, _search_core, check_depth
+from .reasoning import GapSet, _deletion_counterexample, compute_gap_set
+from .scheme import MODE_EMPIRICAL, Scheme, check_depth, search
 
 
 def _iter_avoiders(n: int, patterns: PatternSet, forced: "tuple[int, ...]" = ()) -> Iterator[Perm]:
@@ -201,18 +193,14 @@ def empirical_deletable(sigma: Perm, patterns: Iterable[Perm], gaps: GapSet, ran
 def empirical_scheme_search(
     patterns: Iterable[Perm], max_depth: int, max_n: "int | None" = None
 ) -> Scheme | None:
-    """Scheme discovery with an exhaustive concrete check in place of certification.
+    """``scheme.search`` in mode ``empirical``, behind a horizon check.
 
-    Same depth-first loop as the rigorous search, with the same exact
-    forced gaps from its ``compute_gap_set``. A class is reduced by the
-    smallest rank whose deletion loses no member of any size: every
-    extension of sigma up to size k+m-1 is checked, m the longest pattern
-    length, and a lost member at any size cuts down to one of that size
-    (``reasoning._deletion_walk``). So the scheme counts exactly
-    at every n; it is still marked empirical, since no reduction is
-    certified symbolically. A horizon ``max_n`` that is not an int, or is
-    below ``max_depth`` + max(m - 1, 1), is rejected, and any other changes
-    nothing.
+    Kept only because the benchmark calls it, with a horizon; it and
+    ``max_n`` go once the benchmark calls ``search`` itself. The search is
+    exact at every n (see ``scheme.search``) and derives its own horizon,
+    so a horizon ``max_n`` that is not an int, or is below ``max_depth`` +
+    max(m - 1, 1), m the longest pattern length, is rejected, and any other
+    changes nothing.
     """
     pats = normalize_patterns(patterns)
     stable = check_depth(max_depth) + max([len(q) - 1 for q in pats] + [1])
@@ -221,11 +209,4 @@ def empirical_scheme_search(
             raise ValueError(f"horizon must be an int, got {max_n!r}")
         if max_n < stable:
             raise ValueError(f"horizon {max_n} is below the exact bound; results are exact from horizon {stable} on")
-
-    # One closed-gap mask table for every walk of this search, dropped with it.
-    masks: dict[Perm, int] = {}
-
-    def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
-        return _deletion_walk(sigma, pats, gaps, rank, masks) is None
-
-    return _search_core(pats, max_depth, deletable, MODE_EMPIRICAL)
+    return search(pats, max_depth, mode=MODE_EMPIRICAL)

@@ -17,15 +17,16 @@ length; a class of maximal length that can neither be reduced nor zeroed
 makes the search fail, so a failing search stops at the first such class it
 reaches instead of first classifying every shallower one.
 
-Both modes run that loop with ``compute_gap_set``'s gaps and reduce a class
-by the smallest rank that passes their test: a symbolic certificate in
-``search``, every concrete extension up to the proven size bound k+m-1 in
-``empirical_scheme_search``.
+``search`` runs that loop in both modes, with ``compute_gap_set``'s gaps,
+and reduces a class by the smallest rank that passes the mode's test: a
+symbolic certificate in mode ``certified``, every concrete extension up to
+the proven size bound k+m-1 in mode ``empirical``
+(``reasoning._deletion_walk``), which is exact at every n too.
 
 A failing search can report its stuck class (``Stuck``), and whether the
 class was reached by expansion alone: every proper prefix of it was expanded.
-Complement maps the certified search on P onto the one on P^c class by
-class, so such a failure proves that the search on P^c fails too, and
+Complement maps the search on P onto the one on P^c class by class, in
+either mode, so such a failure proves that the search on P^c fails too, and
 ``search_with_symmetries`` skips that image; its docstring holds the proof.
 """
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .perms import (
     PatternSet,
@@ -48,7 +49,14 @@ from .perms import (
     refinements,
     symmetry_images,
 )
-from .reasoning import GapSet, certify_deletable, compute_gap_set, single_place_rules, single_place_unresolved
+from .reasoning import (
+    GapSet,
+    _deletion_walk,
+    certify_deletable,
+    compute_gap_set,
+    single_place_rules,
+    single_place_unresolved,
+)
 
 SCHEMA_VERSION = 1
 MODE_CERTIFIED = "certified"
@@ -151,15 +159,58 @@ def check_depth(max_depth: object) -> int:
     return max_depth
 
 
-def _search_core(
-    patterns: PatternSet,
+def search(
+    patterns: Iterable[Perm],
     max_depth: int,
-    deletable: Callable[[Perm, GapSet, int], bool],
-    mode: str,
     log: "list[dict] | None" = None,
+    *,
     failure: "list[Stuck] | None" = None,
+    mode: str = MODE_CERTIFIED,
 ) -> Scheme | None:
+    """Depth-first discovery of a scheme, or None on failure.
+
+    Classes are examined depth-first, the refinements of a class in
+    refinement order; each is zeroed if its prefix contains a pattern,
+    reduced by the smallest rank that passes the mode's rank test,
+    expanded while below the depth bound, and otherwise the whole search
+    fails at once. ``log`` receives one record per class in that order, so
+    on failure its last record is the first stuck class found. ``failure``
+    receives the ``Stuck`` report of a failing search.
+
+    In mode ``certified`` each rank is tested in two steps. First the
+    single-place rule: for each pattern q, the event that puts only q's
+    first entry on the rank's place is decided in closed form
+    (``reasoning.single_place_rules``, derived once per call), and a rank
+    with such an event that is neither vacuous nor bailed out is rejected
+    at once. Only then does ``certify_deletable`` examine every event. The
+    rule is exact, so the first step rejects only ranks that the second
+    would reject too, and the documents and logs are the same as with the
+    second step alone.
+
+    In mode ``empirical`` a rank passes when ``reasoning._deletion_walk``
+    finds no member that its deletion loses. The walk checks every
+    extension of sigma up to size k+m-1, m the longest pattern length, and
+    a miss at any size cuts down to one of that size, so the scheme counts
+    exactly at every n. The walks of one call share one table of
+    ``closed_gaps`` masks, dropped when the call returns. Any other mode
+    raises ``ValueError``.
+    """
+    pats = normalize_patterns(patterns)
     check_depth(max_depth)
+    if mode == MODE_CERTIFIED:
+        rules = single_place_rules(pats)
+
+        def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
+            return not single_place_unresolved(sigma, gaps, rank, rules) and certify_deletable(sigma, pats, gaps, rank)
+
+    elif mode == MODE_EMPIRICAL:
+        masks: dict[Perm, int] = {}
+
+        def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
+            return _deletion_walk(sigma, pats, gaps, rank, masks) is None
+
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     expa: dict[Perm, ExpaEntry] = {}
     redu: dict[Perm, ReduEntry] = {}
     zero: set[Perm] = set()
@@ -177,12 +228,12 @@ def _search_core(
 
     while stack:
         sigma = stack.pop()
-        if not avoids_all(sigma, patterns):
+        if not avoids_all(sigma, pats):
             zero.add(sigma)
             if log is not None:
                 log.append({"sigma": list(sigma), "disposition": "zero"})
             continue
-        gaps = compute_gap_set(sigma, patterns)
+        gaps = compute_gap_set(sigma, pats)
         rank = next((r for r in range(1, len(sigma) + 1) if deletable(sigma, gaps, r)), None)
         if rank is not None:
             redu[sigma] = ReduEntry(rank, gaps)
@@ -213,53 +264,19 @@ def _search_core(
             if failure is not None:
                 failure.append(Stuck(sigma, all(reduce_word(sigma[:i]) in expa for i in range(len(sigma)))))
             return None
-    return Scheme(patterns, expa, redu, frozenset(zero), mode)
-
-
-def search(
-    patterns: Iterable[Perm],
-    max_depth: int,
-    log: "list[dict] | None" = None,
-    *,
-    failure: "list[Stuck] | None" = None,
-) -> Scheme | None:
-    """Depth-first discovery of a certified scheme, or None on failure.
-
-    Classes are examined depth-first, the refinements of a class in
-    refinement order; each is zeroed if its prefix contains a pattern,
-    reduced by the smallest rank that ``reasoning.certify_deletable``
-    certifies, expanded while below the depth bound, and otherwise the
-    whole search fails at once. ``log`` receives one record per class in
-    that order, so on failure its last record is the first stuck class
-    found. ``failure`` receives the ``Stuck`` report of a failing search.
-
-    Each rank is tested in two steps. First the single-place rule: for each
-    pattern q, the event that puts only q's first entry on the rank's place
-    is decided in closed form (``reasoning.single_place_rules``, derived
-    once per call), and a rank with such an event that is neither vacuous
-    nor bailed out is rejected at once. Only then does
-    ``certify_deletable`` examine every event. The rule is exact, so the
-    first step rejects only ranks that the second would reject too, and the
-    documents and logs are the same as with the second step alone.
-    """
-    pats = normalize_patterns(patterns)
-    rules = single_place_rules(pats)
-
-    def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
-        return not single_place_unresolved(sigma, gaps, rank, rules) and certify_deletable(sigma, pats, gaps, rank)
-
-    return _search_core(pats, max_depth, deletable, MODE_CERTIFIED, log, failure)
+    return Scheme(pats, expa, redu, frozenset(zero), mode)
 
 
 def search_with_symmetries(
-    patterns: Iterable[Perm], max_depth: int
+    patterns: Iterable[Perm], max_depth: int, mode: str = MODE_CERTIFIED
 ) -> "tuple[Scheme, str] | None":
     """Search the reverse/inverse images of the pattern set for a scheme.
 
-    Images are attempted in a fixed sorted order; the first success is
-    returned together with the generator word mapping the input set to the
-    image. Counting with the image's scheme is valid for the input set
-    because each symmetry is a bijection on permutations of every size.
+    Images are attempted in a fixed sorted order, each by ``search`` in the
+    given mode; the first success is returned together with the generator
+    word mapping the input set to the image. Counting with the image's
+    scheme is valid for the input set because each symmetry is a bijection
+    on permutations of every size.
 
     An image is skipped, unsearched, when the search on its complement
     already failed at a stuck class reached by expansion alone, since that
@@ -268,14 +285,19 @@ def search_with_symmetries(
     set of the complements of P's patterns. Then sigma^c contains a
     pattern of P^c exactly when sigma contains one of P; the refinements
     of sigma^c are the complements of those of sigma; and the prefixes of
-    s^c reduce to the complements of the prefixes of s. The certifier is
-    complement-equivariant: the event (q, places) of sigma maps to the
-    event (q^c, places) of sigma^c, ``order_facts`` maps a symbol's bounds
-    (floor, ceiling) to (k+1-ceiling, k+1-floor), the implied relations
-    swap "above" and "below", and so an implied embedding of a pattern p
-    maps to one of p^c. So gap j of sigma is forced exactly when gap k-j
-    of sigma^c is, and rank r of sigma is certified exactly when rank
-    k+1-r of sigma^c is; the single-place screen rejects only ranks that
+    s^c reduce to the complements of the prefixes of s. Complement maps
+    each member of sigma's class under P to one of sigma^c's class under
+    P^c, and deleting rank r to deleting rank k+1-r. So gap j of sigma is
+    forced exactly when gap k-j of sigma^c is, and both rank tests map rank
+    r of sigma to rank k+1-r of sigma^c. The exact test of mode
+    ``empirical`` does, since a member that deleting rank r loses maps to
+    one that deleting rank k+1-r loses. The certifier of mode
+    ``certified`` does, since it is complement-equivariant: the event
+    (q, places) of sigma maps to the event (q^c, places) of sigma^c,
+    ``order_facts`` maps a symbol's bounds (floor, ceiling) to
+    (k+1-ceiling, k+1-floor), the implied relations swap "above" and
+    "below", and so an implied embedding of a pattern p maps to one of
+    p^c; the single-place screen rejects only ranks that
     ``certify_deletable`` rejects, so it changes nothing. A class is thus
     zeroed, reduced or expanded exactly when its complement is, though a
     reduction may pick another rank and so hand off to another class. Now
@@ -285,9 +307,9 @@ def search_with_symmetries(
     expanded in turn, since its complement was; a scheduled class is
     always classified before the search can succeed. So the search on P^c
     reaches s^c unless it fails first, and s^c is stuck, since s is:
-    it avoids P^c, has no certified rank and has the maximal length.
-    Either way it fails, and skipping it leaves the first success, and
-    so the result, unchanged.
+    it avoids P^c, has no rank that passes the test and has the maximal
+    length. Either way it fails, and skipping it leaves the first success,
+    and so the result, unchanged.
     """
     images = symmetry_images(patterns)
     labels = {img: label for label, img in images}
@@ -296,7 +318,7 @@ def search_with_symmetries(
         if normalize_patterns(complement(q) for q in img) in refuted:
             continue
         failure: list[Stuck] = []
-        found = search(img, max_depth, failure=failure)
+        found = search(img, max_depth, failure=failure, mode=mode)
         if found is not None:
             return found, labels[img]
         if failure[0].by_expansion:

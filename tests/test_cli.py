@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import catalan
-from permscheme import cli, oracle
+from permscheme import cli, counting, oracle
 from permscheme.cli import BRUTE_FORCE_MAX_N, KEY_BUDGET, main
 from permscheme.scheme import deserialize
 
@@ -131,9 +131,15 @@ class TestSchemeFind:
         assert result.exit_code == 1
         assert json.loads(result.stdout)["result"] == "failure"
 
-    def test_contradictory_flags(self, runner):
-        result = runner.invoke(main, ["scheme", "find", "-p", "123", "--max-depth", "2", "--mode", "empirical", "--explain"])
-        assert result.exit_code == 2
+    def test_empirical_explain_records_stuck_class(self, runner):
+        # The exact mode writes the same log as the certified one, so a
+        # failure ends at its stuck class.
+        args = ["scheme", "find", "-p", "2143", "--max-depth", "6", "--mode", "empirical", "--explain"]
+        result = invoke(runner, args)
+        assert result.exit_code == 1
+        records = [json.loads(line) for line in result.stderr.splitlines()]
+        assert records[-1] == {"sigma": [1, 2, 3, 6, 4, 5], "disposition": "stuck-at-depth"}
+        assert json.loads(result.stdout)["result"] == "failure"
 
     @pytest.mark.parametrize("mode", ["certified", "empirical"])
     def test_empirical_n_is_no_option(self, runner, mode):
@@ -161,11 +167,14 @@ class TestSchemeFind:
         assert f"cannot write scheme file {path}" in result.stderr
         assert result.stdout == ""
 
-    def test_empirical_with_symmetries_is_usage_error(self, runner):
-        args = ["scheme", "find", "-p", "123", "--max-depth", "2", "--mode", "empirical", "--symmetries"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert "--symmetries requires --mode certified" in result.stderr
+    def test_empirical_with_symmetries(self, runner):
+        args = ["scheme", "find", "-p", "321", "--max-depth", "2", "--mode", "empirical", "--symmetries"]
+        result = invoke(runner, args)
+        assert result.exit_code == 0
+        assert "symmetry: reverse" in result.stderr
+        found = deserialize(result.stdout)
+        assert found.patterns == ((1, 2, 3),) and found.mode == "empirical"
+        assert counting.sequence(found, 10) == [catalan(n) for n in range(1, 11)]
 
     def test_failing_symmetric_search(self, runner):
         result = invoke(runner, ["scheme", "find", "-p", "1324", "--max-depth", "3", "--symmetries"])

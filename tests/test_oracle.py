@@ -22,10 +22,9 @@ from permscheme.perms import (
     parse_pattern_set,
     reduce_word,
     slot_bounds,
-    symmetry_images,
 )
 from permscheme.reasoning import GapSet, _deletion_counterexample, compute_gap_set
-from permscheme.scheme import serialize
+from permscheme.scheme import search_with_symmetries, serialize
 
 CORPUS = random_pattern_sets(97103, 50)
 P2143 = ((2, 1, 4, 3),)
@@ -81,8 +80,9 @@ def kernel_arguments(monkeypatch, run) -> list:
         return real_kernel(p, plans)
 
     with monkeypatch.context() as patch:
-        for module in (reasoning, oracle):
-            patch.setattr(module, "_deletion_walk", walk)
+        # The walk as reasoning calls it, and as scheme.search binds it.
+        for target in ("permscheme.reasoning._deletion_walk", "permscheme.scheme._deletion_walk"):
+            patch.setattr(target, walk)
         patch.setattr(reasoning, "closed_gaps", recorded)
         run()
     return asked
@@ -544,16 +544,15 @@ class TestEmpiricalSearch:
 
     def test_pair_classes_at_depth_five(self):
         # Each of the 56 symmetry classes of length-4 pairs is tried at its
-        # images in ``search_with_symmetries`` order, and counted once, at
-        # the first image whose exact search succeeds.
+        # images by ``search_with_symmetries`` in the exact mode, and
+        # counted once, at the first image whose search succeeds.
         found = 0
         for pats in PAIRS:
-            for img in sorted({img for _, img in symmetry_images(pats)}):
-                scheme = empirical_scheme_search(img, 5)
-                if scheme is not None:
-                    found += 1
-                    assert sequence(scheme, 8) == [count_avoiders(n, img) for n in range(1, 9)], img
-                    break
+            hit = search_with_symmetries(pats, 5, "empirical")
+            if hit is not None:
+                found += 1
+                img = hit[0].patterns
+                assert sequence(hit[0], 8) == [count_avoiders(n, img) for n in range(1, 9)], img
         assert found == 25
 
     def test_default_horizon_is_depth_plus_m_minus_one(self):

@@ -14,6 +14,7 @@ from permscheme.reasoning import (
     GapSet,
     OrderFacts,
     _deletion_counterexample,
+    _deletion_walk,
     analyze_deletable,
     certify_deletable,
     compute_gap_set,
@@ -484,6 +485,9 @@ class TestComplementEquivariance:
     def test_gaps_and_ranks_mirror(self, pats, longest):
         flipped = normalize_patterns(complement(q) for q in pats)
         rules, flipped_rules = single_place_rules(pats), single_place_rules(flipped)
+        # Each side's deletion walks share one mask table, as those of one
+        # search do.
+        masks, masks_c = {}, {}
         for k in range(longest + 1):
             for sigma in permutations(range(1, k + 1)):
                 if not avoids_all(sigma, pats):
@@ -500,4 +504,11 @@ class TestComplementEquivariance:
                     if not unresolved:
                         assert certify_deletable(sigma, pats, gaps, r) == certify_deletable(
                             sigma_c, flipped, gaps_c, k + 1 - r
+                        ), (sigma, r)
+                    # The exact test: a member that deleting rank r loses
+                    # maps to one that deleting rank k + 1 - r loses. Its walk
+                    # grows slow past length 4, so the check stops there.
+                    if k <= 4:
+                        assert (_deletion_walk(sigma, pats, gaps, r, masks) is None) == (
+                            _deletion_walk(sigma_c, flipped, gaps_c, k + 1 - r, masks_c) is None
                         ), (sigma, r)

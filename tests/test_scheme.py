@@ -17,12 +17,10 @@ from permscheme.perms import (
 )
 from permscheme.reasoning import GapSet, certify_deletable, compute_gap_set
 from permscheme.scheme import (
-    MODE_CERTIFIED,
     ExpaEntry,
     ReduEntry,
     Scheme,
     SchemeFormatError,
-    _search_core,
     deserialize,
     search,
     search_with_symmetries,
@@ -159,6 +157,11 @@ class TestSearch:
         for sigma in found.zero:
             assert any(contains(sigma, q) for q in found.patterns)
 
+    @pytest.mark.parametrize("run", [search, search_with_symmetries])
+    def test_unknown_mode_rejected(self, run):
+        with pytest.raises(ValueError, match="unknown mode 'checked'"):
+            run(P123, 2, mode="checked")
+
     def test_search_log_records_dispositions(self):
         log = []
         search(P123, 2, log)
@@ -243,19 +246,22 @@ class TestSearchOrderIndependence:
 
 
 class TestSinglePlaceScreen:
-    def test_same_bytes_as_certify_deletable_alone(self):
+    def test_same_bytes_as_certify_deletable_alone(self, monkeypatch):
         # The screen rejects only ranks that certify_deletable rejects too, so
         # the documents and the --explain records are the same bytes.
         jobs = [(image, 4) for pats in random_pattern_sets(97103, 50) for image in symmetry_closure(pats)]
         jobs += [(image, 5) for pats in SINGLETONS for image in symmetry_closure(pats)]
-        for image, depth in jobs:
-            log, reference_log = [], []
+
+        def run(image, depth):
+            log = []
             found = search(image, depth, log)
-            expected = _search_core(
-                image, depth, lambda s, g, r: certify_deletable(s, image, g, r), MODE_CERTIFIED, reference_log
-            )
-            assert (found and serialize(found)) == (expected and serialize(expected)), image
-            assert [json.dumps(r) for r in log] == [json.dumps(r) for r in reference_log], image
+            return (found and serialize(found)), [json.dumps(r) for r in log]
+
+        screened = [run(image, depth) for image, depth in jobs]
+        # A screen that passes every rank leaves certify_deletable alone.
+        monkeypatch.setattr("permscheme.scheme.single_place_unresolved", lambda *args: False)
+        for (image, depth), expected in zip(jobs, screened):
+            assert run(image, depth) == expected, image
 
 
 class TestSearchWithSymmetries:
@@ -285,9 +291,11 @@ class TestSearchWithSymmetries:
 
 
 SYMMETRIC_JOBS = (
-    [(pats, depth) for depth in (5, 6) for pats in PAIRS]
-    + [(pats, 6) for pats in SINGLETONS]
-    + [(pats, 5) for pats in random_pattern_sets(97103, 50)]
+    [(pats, depth, "certified") for depth in (5, 6) for pats in PAIRS]
+    + [(pats, 6, "certified") for pats in SINGLETONS]
+    + [(pats, 5, "certified") for pats in random_pattern_sets(97103, 50)]
+    + [(pats, 5, "empirical") for pats in PAIRS]
+    + [(pats, 6, "empirical") for pats in SINGLETONS]
 )
 
 
@@ -298,25 +306,25 @@ def every_image_searched():
     document and label found (or None), and each failing search's image,
     ``--explain`` log and ``Stuck`` report."""
     results = {}
-    for pats, depth in SYMMETRIC_JOBS:
+    for pats, depth, mode in SYMMETRIC_JOBS:
         labels = {img: label for label, img in symmetry_images(pats)}
         hit, failures = None, []
         for img in sorted(labels):
             log, failure = [], []
-            found = search(img, depth, log, failure=failure)
+            found = search(img, depth, log, failure=failure, mode=mode)
             if found is not None:
                 hit = serialize(found), labels[img]
                 break
             failures.append((img, log, *failure))
-        results[pats, depth] = hit, failures
+        results[pats, depth, mode] = hit, failures
     return results
 
 
 class TestComplementSkip:
     def test_same_results_as_searching_every_image(self, every_image_searched):
-        for (pats, depth), (expected, _) in every_image_searched.items():
-            hit = search_with_symmetries(pats, depth)
-            assert (hit and (serialize(hit[0]), hit[1])) == expected, (pats, depth)
+        for (pats, depth, mode), (expected, _) in every_image_searched.items():
+            hit = search_with_symmetries(pats, depth, mode)
+            assert (hit and (serialize(hit[0]), hit[1])) == expected, (pats, depth, mode)
 
     def test_failure_report_matches_log(self, every_image_searched):
         flags = set()
@@ -329,9 +337,10 @@ class TestComplementSkip:
                 flags.add(by_expansion)
         assert flags == {True, False}
 
-    def test_skip_happens(self, monkeypatch):
-        # {1342} fails at depth 5 in every image, and each of its four
-        # searches proves its complement image fails too.
+    @pytest.mark.parametrize("depth, mode", [(5, "certified"), (6, "empirical")])
+    def test_skip_happens(self, monkeypatch, depth, mode):
+        # {1342} fails in every image, and each of its four searches proves
+        # its complement image fails too.
         searched = []
 
         def spy(patterns, *args, **kwargs):
@@ -339,7 +348,7 @@ class TestComplementSkip:
             return search(patterns, *args, **kwargs)
 
         monkeypatch.setattr("permscheme.scheme.search", spy)
-        assert search_with_symmetries([(1, 3, 4, 2)], 5) is None
+        assert search_with_symmetries([(1, 3, 4, 2)], depth, mode) is None
         assert len(searched) == 4
         assert len(symmetry_closure([(1, 3, 4, 2)])) == 8
 
