@@ -54,7 +54,7 @@ from itertools import combinations
 from math import comb
 from typing import Callable
 
-from .perms import Perm, check_permutation, check_prefix_values, check_size, delete_rank
+from .perms import Perm, check_permutation, check_prefix_values, check_size, delete_rank, refinements
 from .scheme import Scheme
 
 
@@ -210,7 +210,7 @@ class _Plan:
         order = sorted(scheme.expa, key=lambda s: (-len(s), s))
         slots, reads = {}, {}
         for sigma in order:
-            chains = (_chain(scheme, followed, child) for child in scheme.expa[sigma].children)
+            chains = (_chain(scheme, followed, child) for child in refinements(sigma))
             slots[sigma] = [(j, c) for j, c in enumerate(chains, start=1) if c.target is not None]
             reads[sigma] = tuple(_read(j, c) for j, c in slots[sigma])
         # A class's sums are known once all of its readers are.
@@ -218,7 +218,7 @@ class _Plan:
         expa = []
         for sigma in order:
             own = tuple(sorted(c for t, c in summed if t == sigma))
-            source = _source(len(sigma), tuple(scheme.expa[sigma].gaps.sorted_list()), slots[sigma], own)
+            source = _source(len(sigma), tuple(scheme.expa[sigma].sorted_list()), slots[sigma], own)
             expa.append(_Expa(sigma, _table_function(source), reads[sigma], own))
         self.expa = tuple(expa)
         self.keep = 1 + max((drop for own in reads.values() for drop, _, _ in own), default=0)

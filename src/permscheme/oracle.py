@@ -151,7 +151,7 @@ def prefix_class_members(
     ``values`` are the prefix values in increasing order; ``sigma`` says how
     they are arranged over the first positions.
     """
-    vals = check_prefix_values(check_permutation(sigma), values, n)
+    vals = check_prefix_values(check_permutation(sigma), values, check_size(n))
     pats = normalize_patterns(patterns)
     # Position j of a class member holds the sigma_j-th smallest prefix value.
     return set(_iter_avoiders(n, pats, tuple(vals[s - 1] for s in sigma)))

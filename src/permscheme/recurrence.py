@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from .perms import is_int
+
 DEFAULT_GUARD = 5
 
 
@@ -172,6 +174,10 @@ def nullspace(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def required_terms(max_order: int, max_degree: int, guard: int = DEFAULT_GUARD) -> int:
     """Fewest terms that leave every shape within the bounds ``guard`` more equations than unknowns."""
+    if not all(is_int(v) and v >= 0 for v in (max_order, max_degree)):
+        raise ValueError(f"bounds must be nonnegative ints, got {max_order!r}, {max_degree!r}")
+    if not is_int(guard) or guard < 0:
+        raise ValueError(f"guard must be a nonnegative int, got {guard!r}")
     return (max_order + 1) * (max_degree + 1) + max_order + guard
 
 
@@ -204,14 +210,12 @@ def guess_recurrence(
 ) -> RecurrenceCandidate | None:
     """Search shapes (order, degree) for an exactly fitting recurrence.
 
-    Raises ValueError when too few terms are supplied for the requested
-    bounds; returns None when no shape within the bounds fits.
+    Raises ValueError on a bad term, bound or guard, or too few terms for
+    the bounds; returns None when no shape within the bounds fits.
     """
     terms = list(terms)
-    if max_order < 0 or max_degree < 0:
-        raise ValueError("bounds must be nonnegative")
-    if guard < 0:
-        raise ValueError("guard must be nonnegative")
+    if not all(is_int(t) for t in terms):
+        raise ValueError("terms must be ints")
     need = required_terms(max_order, max_degree, guard)
     if len(terms) < need:
         raise ValueError(

@@ -2,9 +2,9 @@
 
 A scheme classifies prefix permutations into three dispositions:
 
-* ``expa``: the class is split over its k+1 refinements (stored in
-  final-entry order), each refinement obtained by appending one more prefix
-  entry;
+* ``expa``: the class is split over its k+1 refinements (in final-entry
+  order, each obtained by appending one more prefix entry), so the table
+  holds only its forced gaps;
 * ``redu``: a deletable rank maps the class bijectively onto a
   one-shorter class at size n-1, subject to the class's forced gaps;
 * ``zero``: the prefix itself contains a forbidden pattern, so the class is
@@ -23,11 +23,11 @@ symbolic certificate in mode ``certified``, every concrete extension up to
 the proven size bound k+m-1 in mode ``empirical``
 (``reasoning._deletion_walk``), which is exact at every n too.
 
-A failing search can report its stuck class (``Stuck``), and whether the
-class was reached by expansion alone: every proper prefix of it was expanded.
-Complement maps the search on P onto the one on P^c class by class, in
-either mode, so such a failure proves that the search on P^c fails too, and
-``search_with_symmetries`` skips that image; its docstring holds the proof.
+A failing search's log is its failure report: the last record is the stuck
+class, and the ``expa`` records show whether every proper prefix of it was
+expanded. Complement maps the search on P onto the one on P^c class by
+class, in either mode, so such a failure proves that the search on P^c
+fails too, and ``search_with_symmetries`` skips that image (proof there).
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ class SchemeFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExpaEntry:
-    gaps: GapSet
-    children: tuple[Perm, ...]
-
-
-@dataclass(frozen=True)
 class ReduEntry:
     rank: int
     gaps: GapSet
@@ -82,23 +76,13 @@ class ReduEntry:
 @dataclass(frozen=True)
 class Scheme:
     patterns: PatternSet
-    expa: dict[Perm, ExpaEntry]
+    expa: dict[Perm, GapSet]
     redu: dict[Perm, ReduEntry]
     zero: frozenset[Perm]
     mode: str
 
     def classes(self) -> set[Perm]:
         return set(self.expa) | set(self.redu) | set(self.zero)
-
-
-@dataclass(frozen=True)
-class Stuck:
-    """Where a failing search stopped: the stuck class it found, and whether
-    every proper prefix of that class (``reduce_word`` of its first i
-    entries, i < len(sigma)) was expanded by the search."""
-
-    sigma: Perm
-    by_expansion: bool
 
 
 def validate(scheme: Scheme) -> list[str]:
@@ -120,15 +104,12 @@ def validate(scheme: Scheme) -> list[str]:
                 problems.append(f"{sigma} appears in both {seen[sigma]} and {name}")
             seen[sigma] = name
     all_classes = scheme.classes()
-    for sigma, entry in scheme.expa.items():
-        k = len(sigma)
-        if entry.children != tuple(refinements(sigma)):
-            problems.append(f"expa[{sigma}] refinements incomplete or misordered")
-        for child in entry.children:
+    for sigma, gaps in scheme.expa.items():
+        for child in refinements(sigma):
             if child not in all_classes:
                 problems.append(f"refinement {child} of {sigma} not classified")
-        if entry.gaps.k != k:
-            problems.append(f"expa[{sigma}] gap set sized for length {entry.gaps.k}")
+        if gaps.k != len(sigma):
+            problems.append(f"expa[{sigma}] gap set sized for length {gaps.k}")
     for sigma, rentry in scheme.redu.items():
         k = len(sigma)
         if not 1 <= rentry.rank <= k:
@@ -164,7 +145,6 @@ def search(
     max_depth: int,
     log: "list[dict] | None" = None,
     *,
-    failure: "list[Stuck] | None" = None,
     mode: str = MODE_CERTIFIED,
 ) -> Scheme | None:
     """Depth-first discovery of a scheme, or None on failure.
@@ -173,9 +153,8 @@ def search(
     refinement order; each is zeroed if its prefix contains a pattern,
     reduced by the smallest rank that passes the mode's rank test,
     expanded while below the depth bound, and otherwise the whole search
-    fails at once. ``log`` receives one record per class in that order, so
-    on failure its last record is the first stuck class found. ``failure``
-    receives the ``Stuck`` report of a failing search.
+    fails at once. ``log`` receives one record per class in that order; it
+    is the failure report, whose last record is the first stuck class found.
 
     In mode ``certified`` each rank is tested in two steps. First the
     single-place rule: for each pattern q, the event that puts only q's
@@ -211,7 +190,7 @@ def search(
 
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    expa: dict[Perm, ExpaEntry] = {}
+    expa: dict[Perm, GapSet] = {}
     redu: dict[Perm, ReduEntry] = {}
     zero: set[Perm] = set()
     # The empty prefix avoids every pattern, has no rank to delete and is
@@ -251,18 +230,15 @@ def search(
                     }
                 )
         elif len(sigma) < max_depth:
-            children = tuple(refinements(sigma))
-            expa[sigma] = ExpaEntry(gaps, children)
+            expa[sigma] = gaps
             # Pushed last-first, so the first refinement is popped first.
-            for child in reversed(children):
+            for child in reversed(refinements(sigma)):
                 schedule(child)
             if log is not None:
                 log.append({"sigma": list(sigma), "disposition": "expa", "gaps": gaps.sorted_list()})
         else:
             if log is not None:
                 log.append({"sigma": list(sigma), "disposition": "stuck-at-depth"})
-            if failure is not None:
-                failure.append(Stuck(sigma, all(reduce_word(sigma[:i]) in expa for i in range(len(sigma)))))
             return None
     return Scheme(pats, expa, redu, frozenset(zero), mode)
 
@@ -317,11 +293,13 @@ def search_with_symmetries(
     for img in sorted(labels):
         if normalize_patterns(complement(q) for q in img) in refuted:
             continue
-        failure: list[Stuck] = []
-        found = search(img, max_depth, failure=failure, mode=mode)
+        log: list[dict] = []
+        found = search(img, max_depth, log, mode=mode)
         if found is not None:
             return found, labels[img]
-        if failure[0].by_expansion:
+        stuck = log[-1]["sigma"]
+        expanded = {tuple(r["sigma"]) for r in log if r["disposition"] == "expa"}
+        if all(reduce_word(stuck[:i]) in expanded for i in range(len(stuck))):
             refuted.add(img)
     return None
 
@@ -339,8 +317,8 @@ def serialize(scheme: Scheme) -> str:
         "expa": [
             {
                 "sigma": list(s),
-                "gaps": scheme.expa[s].gaps.sorted_list(),
-                "refinements": [list(c) for c in scheme.expa[s].children],
+                "gaps": scheme.expa[s].sorted_list(),
+                "refinements": [list(c) for c in refinements(s)],
             }
             for s in sorted(scheme.expa)
         ],
@@ -403,7 +381,7 @@ def deserialize(text: str) -> Scheme:
         )
     except ValueError as exc:
         raise SchemeFormatError(str(exc)) from exc
-    expa: dict[Perm, ExpaEntry] = {}
+    expa: dict[Perm, GapSet] = {}
     redu: dict[Perm, ReduEntry] = {}
     if not isinstance(doc["expa"], list) or not isinstance(doc["redu"], list):
         raise SchemeFormatError("expa and redu must be lists")
@@ -413,13 +391,13 @@ def deserialize(text: str) -> Scheme:
         sigma = _perm_field(item["sigma"], "expa sigma")
         if sigma in expa:
             raise SchemeFormatError(f"expa lists {sigma} twice")
-        gaps = _gaps_field(item["gaps"], len(sigma), f"expa[{sigma}] gaps")
+        expa[sigma] = _gaps_field(item["gaps"], len(sigma), f"expa[{sigma}] gaps")
         if not isinstance(item["refinements"], list):
             raise SchemeFormatError(f"expa[{sigma}] refinements must be a list")
-        children = tuple(
-            _perm_field(c, f"expa[{sigma}] refinement") for c in item["refinements"]
-        )
-        expa[sigma] = ExpaEntry(gaps, children)
+        # Parsed first: JSON true equals 1, so [[true]] would match [(1,)].
+        listed = [_perm_field(c, f"expa[{sigma}] refinement") for c in item["refinements"]]
+        if listed != refinements(sigma):
+            raise SchemeFormatError(f"expa[{sigma}] refinements incomplete or misordered")
     for item in doc["redu"]:
         if not isinstance(item, dict) or set(item) != {"sigma", "delete_rank", "gaps"}:
             raise SchemeFormatError(f"bad redu entry: {item!r}")

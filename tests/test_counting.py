@@ -13,9 +13,9 @@ from permscheme.counting import (
     layer_keys,
     sequence,
 )
-from permscheme.perms import symmetry_images
+from permscheme.perms import refinements, symmetry_images
 from permscheme.reasoning import GapSet
-from permscheme.scheme import ExpaEntry, ReduEntry, Scheme, search
+from permscheme.scheme import ReduEntry, Scheme, search
 
 
 def reference_count(scheme, sigma, n, values):
@@ -23,18 +23,18 @@ def reference_count(scheme, sigma, n, values):
     # evaluator on purpose.
     if sigma in scheme.zero:
         return 0
-    entry = scheme.expa.get(sigma)
+    expa_gaps = scheme.expa.get(sigma)
     rentry = scheme.redu.get(sigma)
-    gaps = entry.gaps if entry is not None else rentry.gaps
+    gaps = expa_gaps if expa_gaps is not None else rentry.gaps
     ext = (0,) + values + (n + 1,)
     if any(ext[j + 1] != ext[j] + 1 for j in gaps.sorted_list()):
         return 0
     if n == len(sigma):
         return 1
-    if entry is not None:
+    if expa_gaps is not None:
         total = 0
         for j in range(1, len(sigma) + 2):
-            child = entry.children[j - 1]
+            child = refinements(sigma)[j - 1]
             for r in range(ext[j - 1] + 1, ext[j]):
                 total += reference_count(scheme, child, n, values[: j - 1] + (r,) + values[j - 1 :])
         return total
@@ -53,9 +53,9 @@ def hand_built_scheme():
     return Scheme(
         patterns=((1, 2),),
         expa={
-            (): ExpaEntry(gaps(0), ((1,),)),
-            (1,): ExpaEntry(gaps(1), ((2, 1), (1, 2))),
-            (2, 1): ExpaEntry(gaps(2, 1), ((3, 2, 1), (3, 1, 2), (2, 1, 3))),
+            (): gaps(0),
+            (1,): gaps(1),
+            (2, 1): gaps(2, 1),
         },
         redu={
             (3, 2, 1): ReduEntry(1, gaps(3)),
@@ -229,7 +229,7 @@ class TestZeroClasses:
         # length >= 1 is empty.
         scheme = Scheme(
             patterns=((1,),),
-            expa={(): ExpaEntry(GapSet(0, 1 << 0), ((1,),))},
+            expa={(): GapSet(0, 1 << 0)},
             redu={},
             zero=frozenset({(1,)}),
             mode="certified",
@@ -296,7 +296,7 @@ class TestKernelSums:
         def spy(e, n, window):
             table, sums = real(e, n, window)
             assert sorted(sums) == list(e.summed)
-            forced = scheme.expa[e.sigma].gaps.sorted_list()
+            forced = scheme.expa[e.sigma].sorted_list()
             for s, got in sums.items():
                 assert got == reference_prefix_sums(table, s), (e.sigma, n, s)
                 seen.add((e.sigma, s))

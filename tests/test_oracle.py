@@ -276,6 +276,10 @@ class TestPrefixClasses:
         for values in [(2.5,), (2.0,), (True,)]:
             with pytest.raises(ValueError, match="strictly increasing ints"):
                 prefix_class_members(5, P123, (1,), values)
+        # n is checked too: -1 with the empty prefix, True as 1, 2.5.
+        for n, sigma, values in [(-1, (), ()), (True, (1,), (1,)), (2.5, (), ())]:
+            with pytest.raises(ValueError, match="n must be"):
+                prefix_class_members(n, P123, sigma, values)
 
 
 class TestEmpiricalGaps:
@@ -486,7 +490,7 @@ class TestEmpiricalSearch:
     def test_single_point_pattern(self):
         scheme = empirical_scheme_search(((1,),), 1, 6)
         assert scheme is not None
-        assert scheme.expa[()].gaps.sorted_list() == [0]
+        assert scheme.expa[()].sorted_list() == [0]
         assert scheme.zero == {(1,)}
 
     def test_depth_failure(self):

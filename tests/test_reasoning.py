@@ -355,7 +355,7 @@ class TestFindDeletableRank:
     def test_known_ranks(self, sigma, pats, gaps, expect):
         found = search(pats, 2)
         if expect is None:
-            assert found.expa[sigma].gaps == gaps
+            assert found.expa[sigma] == gaps
         else:
             assert found.redu[sigma] == ReduEntry(expect, gaps)
 

@@ -97,11 +97,26 @@ class TestGuess:
 
     @pytest.mark.parametrize(
         "bounds, message",
-        [((-1, 2, 0), "bounds must be nonnegative"), ((2, -1, 0), "bounds must be nonnegative"), ((2, 2, -1), "guard")],
+        [
+            ((-1, 2, 0), "bounds must be nonnegative"),
+            ((2, -1, 0), "bounds must be nonnegative"),
+            ((2, 2, -1), "guard"),
+            # A bool is not read as 0 or 1, and a float is not rounded.
+            ((True, 2, 0), "bounds must be nonnegative ints"),
+            ((2, 2.0, 0), "bounds must be nonnegative ints"),
+            ((2, 2, 2.5), "guard must be a nonnegative int"),
+            ((2, 2, True), "guard must be a nonnegative int"),
+        ],
     )
     def test_negative_bounds_rejected(self, bounds, message):
-        with pytest.raises(ValueError, match=message):
-            guess_recurrence(CATALAN_30, *bounds)
+        for call in (required_terms, lambda *b: guess_recurrence(CATALAN_30, *b)):
+            with pytest.raises(ValueError, match=message):
+                call(*bounds)
+
+    @pytest.mark.parametrize("bad", [2.0, 2.5, True, "2"])
+    def test_non_int_terms_rejected(self, bad):
+        with pytest.raises(ValueError, match="terms must be ints"):
+            guess_recurrence([*CATALAN_30[:-1], bad], 3, 3)
 
     def test_insufficient_terms_reported(self):
         need = required_terms(3, 3)
