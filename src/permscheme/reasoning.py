@@ -61,9 +61,9 @@ permutations instead: ``_deletion_walk`` walks the extensions of
 sigma by at most m-1 entries for a member that the deletion loses, which
 is exact, since a lost member of any size cuts down to one of those. Each
 extension reads two ``closed_gaps`` masks, its own and that of it minus
-the rank entry, which decide all its one-longer extensions at once. The
-masks come from a table that the walks of one search share, so each
-permutation's mask is computed once per search, however many walks ask.
+the rank entry, which decide all its one-longer extensions at once. One
+table of masks per search serves the classes' gap sets and the walks, so
+each permutation's mask is computed once per search, however many ask.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .perms import (
     check_permutation,
     check_rank,
     closed_gaps,
+    delete_rank,
     ends_with_bounds,
     gap_plan,
     is_int,
@@ -101,6 +102,8 @@ class GapSet:
     mask: int
 
     def __post_init__(self) -> None:
+        if not is_int(self.k) or self.k < 0:
+            raise ValueError(f"gap set length {self.k!r} is not an int >= 0")
         if not is_int(self.mask) or self.mask < 0 or self.mask >> (self.k + 1):
             raise ValueError(f"gap mask {self.mask!r} is not a set of gaps in 0..{self.k}")
 
@@ -184,6 +187,8 @@ def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
         raise ValueError(f"event maps {d} slots onto a length-{min(len(q), k)} space")
     if list(places) != sorted(set(places)) or (places and not 1 <= places[0] <= places[-1] <= k):
         raise ValueError(f"places must be strictly increasing within 1..{k}: {places}")
+    if gaps.k != k:
+        raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {k}")
 
     # The prefix values are totally ordered by rank, so the pattern's demand
     # on the prefix-matched slots is decided outright: their ranks must be in
@@ -346,6 +351,8 @@ def find_bailout(
     ...              ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4)))
     Bailout(pattern=(1, 2, 3, 4), places=(3,), symbols=(1, 2, 3))
     """
+    if not is_int(excluded_place) or not 1 <= excluded_place <= len(sigma):
+        raise ValueError(f"excluded place {excluded_place!r} outside 1..{len(sigma)}")
     facts = order_facts(sigma, gaps, event)
     if facts is None:
         raise ValueError("event is vacuous; nothing to bail out")
@@ -354,8 +361,13 @@ def find_bailout(
 
 
 def _deletion_counterexample(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int) -> Perm | None:
-    """A member that deleting the rank-th prefix value loses, or None:
-    ``_deletion_walk`` on a mask table of its own."""
+    """A member that deleting the rank-th prefix value loses, or None, for any
+    sigma: None if sigma minus the rank entry contains a pattern (both classes
+    are empty), sigma if it contains one, else ``_deletion_walk``'s answer."""
+    if not avoids_all(delete_rank(sigma, rank), patterns):
+        return None
+    if not avoids_all(sigma, patterns):
+        return sigma
     return _deletion_walk(sigma, patterns, gaps, rank, {})
 
 
@@ -373,9 +385,9 @@ def _deletion_walk(
     any size cuts down to one of size at most k+m-1, and a walk up to that
     size is exact at every n.
 
-    First pi = sigma is decided: if sigma minus the rank entry contains a
-    pattern, both classes are empty; else sigma is a miss if it contains
-    one. Then at most m-1 entries are appended, one at a time. A node pi is
+    Sigma must avoid the patterns (``scheme.search`` zeroes a class whose
+    prefix contains one, ``_deletion_counterexample`` decides such roots).
+    The walk appends at most m-1 entries, one at a time. A node pi is
     a permutation of 1..K that avoids the patterns, whose first k entries
     reduce to sigma and whose entry at the rank's place has value rv; rest,
     pi minus that entry reduced to 1..K-1, avoids too. The child of pi
@@ -390,19 +402,12 @@ def _deletion_walk(
     steps into each other child below size k+m-1, highest gap first.
 
     ``masks`` maps each permutation to its mask under ``patterns``, and a
-    mask is computed only on the first ask. The walks of one search share
-    it: the walks of ranks 1, 2, ... of a class revisit the same pi, and
-    one class's rest is often another's pi. So the table must hold masks
-    under ``patterns`` only, and it lives no longer than its search.
+    mask is computed only on the first ask. A search shares it between its
+    gap sets and its walks: the root pi is the class itself, ranks 1, 2, ...
+    of a class revisit the same pi, and one class's rest is often another's
+    pi. So it holds masks under ``patterns`` only and outlives no search.
     """
     k = len(sigma)
-    t = sigma.index(rank)
-    plans = [slot_bounds(q) for q in patterns]
-    rest = sigma[:t] + sigma[t + 1 :]
-    if any(ends_with_bounds(rest[:e], rest[e], plans) for e in range(k - 1)):
-        return None
-    if any(ends_with_bounds(sigma[:e], sigma[e], plans) for e in range(k)):
-        return sigma
     size = k + max((len(q) - 1 for q in patterns), default=0)
     gap_plans = [gap_plan(q) for q in patterns]
 
@@ -424,7 +429,7 @@ def _deletion_walk(
             if not gaps.mask >> j & 1:
                 allowed |= (1 << edges[j + 1]) - (1 << edges[j])
         low = (1 << rv) - 1
-        closed = mask(tuple([v - 1 if v > rv else v for v in pi if v != rv]))
+        closed = mask(delete_rank(pi, rv))
         candidates = allowed & ~((closed & low) | (closed << 1 & ~low))
         hits = candidates & mask(pi)
         if hits:

@@ -112,7 +112,9 @@ def validate(scheme: Scheme) -> list[str]:
             problems.append(f"expa[{sigma}] gap set sized for length {gaps.k}")
     for sigma, rentry in scheme.redu.items():
         k = len(sigma)
-        if not 1 <= rentry.rank <= k:
+        if not is_int(rentry.rank):
+            problems.append(f"redu[{sigma}] delete rank {rentry.rank!r} is not an int")
+        elif not 1 <= rentry.rank <= k:
             problems.append(f"redu[{sigma}] delete rank {rentry.rank} outside 1..{k}")
         elif (target := delete_rank(sigma, rentry.rank)) not in all_classes:
             problems.append(f"reduction target {target} of {sigma} not classified")
@@ -170,12 +172,14 @@ def search(
     finds no member that its deletion loses. The walk checks every
     extension of sigma up to size k+m-1, m the longest pattern length, and
     a miss at any size cuts down to one of that size, so the scheme counts
-    exactly at every n. The walks of one call share one table of
-    ``closed_gaps`` masks, dropped when the call returns. Any other mode
-    raises ``ValueError``.
+    exactly at every n. Any other mode raises ``ValueError``.
+
+    One table of ``closed_gaps`` masks per call, in both modes, serves the
+    classes' gap sets and the walks, so no mask is computed twice in a call.
     """
     pats = normalize_patterns(patterns)
     check_depth(max_depth)
+    masks: dict[Perm, int] = {}
     if mode == MODE_CERTIFIED:
         rules = single_place_rules(pats)
 
@@ -183,8 +187,6 @@ def search(
             return not single_place_unresolved(sigma, gaps, rank, rules) and certify_deletable(sigma, pats, gaps, rank)
 
     elif mode == MODE_EMPIRICAL:
-        masks: dict[Perm, int] = {}
-
         def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
             return _deletion_walk(sigma, pats, gaps, rank, masks) is None
 
@@ -212,7 +214,8 @@ def search(
             if log is not None:
                 log.append({"sigma": list(sigma), "disposition": "zero"})
             continue
-        gaps = compute_gap_set(sigma, pats)
+        gaps = GapSet(len(sigma), masks[sigma]) if sigma in masks else compute_gap_set(sigma, pats)
+        masks[sigma] = gaps.mask
         rank = next((r for r in range(1, len(sigma) + 1) if deletable(sigma, gaps, r)), None)
         if rank is not None:
             redu[sigma] = ReduEntry(rank, gaps)

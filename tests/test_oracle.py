@@ -24,7 +24,7 @@ from permscheme.perms import (
     slot_bounds,
 )
 from permscheme.reasoning import GapSet, _deletion_counterexample, compute_gap_set
-from permscheme.scheme import search_with_symmetries, serialize
+from permscheme.scheme import search, search_with_symmetries, serialize
 
 CORPUS = random_pattern_sets(97103, 50)
 P2143 = ((2, 1, 4, 3),)
@@ -391,26 +391,26 @@ class TestEmpiricalDeletable:
                         assert _deletion_counterexample(sigma, pats, gaps, rank) == expect, (sigma, gaps, rank)
 
     @pytest.mark.parametrize(
-        "sigma,pats,rank,ends,closed",
+        "sigma,pats,rank,closed",
         [
-            ((1,), P123, 1, 1, 3),
-            ((2, 4, 1, 3), PTHREE, 2, 7, 34),
-            (tuple(range(1, 7)), P2143, 1, 11, 98),
+            ((1,), P123, 1, 3),
+            ((2, 4, 1, 3), PTHREE, 2, 34),
+            (tuple(range(1, 7)), P2143, 1, 98),
         ],
     )
-    def test_call_count(self, monkeypatch, sigma, pats, rank, ends, closed):
-        # Only the two root tests call ``ends_with_bounds``, at most 2k-1
-        # times; past them each node reads two closed-gap masks, one for pi
-        # and one for pi minus the rank entry, from a table that computes
-        # each permutation's mask once.
+    def test_call_count(self, monkeypatch, sigma, pats, rank, closed):
+        # The two root tests are ``avoids_all`` calls in front of the walk,
+        # and the walk itself calls no ``ends_with_bounds``: each node reads
+        # two closed-gap masks, one for pi and one for pi minus the rank
+        # entry, from a table that computes each permutation's mask once.
         gaps = compute_gap_set(sigma, pats)
         expect, nodes = midpoint_walk(sigma, pats, gaps, rank)
-        assert ends <= 2 * len(sigma) - 1
 
         def run():
             assert _deletion_counterexample(sigma, pats, gaps, rank) == expect
 
-        assert oracle_calls(monkeypatch, "ends_with_bounds", run, reasoning) == ends
+        assert oracle_calls(monkeypatch, "ends_with_bounds", run, reasoning) == 0
+        assert oracle_calls(monkeypatch, "avoids_all", run, reasoning) == 2
         asked = kernel_arguments(monkeypatch, run)
         assert len(asked) == closed <= 2 * nodes
         assert len(set(asked)) == len(asked)
@@ -545,6 +545,25 @@ class TestEmpiricalSearch:
         first = kernel_arguments(monkeypatch, run)
         assert len(set(first)) == len(first) > 0
         assert len(kernel_arguments(monkeypatch, run)) == len(first)
+
+    @pytest.mark.parametrize("pats,depth", [(PTHREE, 4), (parse_pattern_set("1234,4321"), 6), (P2143, 6)], ids=str)
+    def test_gap_sets_share_the_walks_mask_table(self, monkeypatch, pats, depth):
+        # A class's gap set reads the mask that a walk of the same search
+        # computed, and stores its own for the walks, so no permutation's
+        # mask is computed twice in one search, the gap sets' included.
+        asked = []
+        real = reasoning.closed_gaps
+
+        def recorded(p, plans):
+            asked.append(tuple(p))
+            return real(p, plans)
+
+        monkeypatch.setattr(reasoning, "closed_gaps", recorded)
+        log: list = []
+        search(pats, depth, log, mode="empirical")
+        classes = {tuple(r["sigma"]) for r in log if r["disposition"] != "zero"}
+        assert classes <= set(asked)
+        assert len(set(asked)) == len(asked)
 
     def test_pair_classes_at_depth_five(self):
         # Each of the 56 symmetry classes of length-4 pairs is tried at its

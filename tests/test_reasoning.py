@@ -37,6 +37,12 @@ class TestGapSet:
         with pytest.raises(ValueError):
             GapSet(2, mask)
 
+    @pytest.mark.parametrize("k", [True, -1, 2.5, 2.0, "2"], ids=["bool", "negative", "float", "integral-float", "str"])
+    def test_length_checked(self, k):
+        # True and -1 were accepted, and 2.5 raised TypeError.
+        with pytest.raises(ValueError, match="gap set length"):
+            GapSet(k, 1)
+
     def test_violation_semantics(self):
         gaps = GapSet(2, 1 << 2)
         assert not gaps.violated((1, 4), 4)  # i_2 = n
@@ -69,6 +75,12 @@ class TestOrderFacts:
             order_facts((2, 1), NO_GAPS_2, Event((1, 2, 3), (2, 1)))
         with pytest.raises(ValueError):
             order_facts((1,), NO_GAPS_1, Event((1, 2), (1, 1)))
+
+    def test_gap_set_sized_for_another_length_rejected(self):
+        # As in ``analyze_deletable``: a length-5 gap set says nothing about
+        # a length-2 prefix.
+        with pytest.raises(ValueError, match="sized for length 5"):
+            order_facts((1, 2), GapSet(5, 0), Event((1, 2, 3), (1,)))
 
     def test_derivation_idempotent(self):
         # Re-deriving from identical inputs reproduces identical facts.
@@ -137,6 +149,12 @@ class TestBailout:
     def test_vacuous_event_rejected(self):
         with pytest.raises(ValueError):
             find_bailout((2, 1), NO_GAPS_2, Event((1, 3, 2), (1, 2)), 1, P132)
+
+    @pytest.mark.parametrize("place", [0, 3, 7, True, 1.0], ids=["zero", "past-k", "seven", "bool", "float"])
+    def test_excluded_place_outside_prefix_rejected(self, place):
+        # Place 7 of a length-2 sigma used to exclude nothing and answer.
+        with pytest.raises(ValueError, match="excluded place"):
+            find_bailout((2, 1), NO_GAPS_2, Event((1, 2, 3), (1,)), place, P123)
 
 
 def implied(sigma, facts, candidate):

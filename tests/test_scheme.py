@@ -93,6 +93,18 @@ class TestValidate:
         )
         assert validate(broken) == ["redu[(1, 2)] gap set sized for length 1"]
 
+    @pytest.mark.parametrize("rank", [True, 1.0], ids=["bool", "float"])
+    def test_non_int_redu_rank_reported(self, scheme123, rank):
+        # Both used to reach ``delete_rank``, which raised ValueError.
+        broken = Scheme(
+            scheme123.patterns,
+            dict(scheme123.expa),
+            {**scheme123.redu, (1, 2): ReduEntry(rank, GapSet(2, 1 << 2))},
+            scheme123.zero,
+            scheme123.mode,
+        )
+        assert validate(broken) == [f"redu[(1, 2)] delete rank {rank!r} is not an int"]
+
 
 class TestSearch:
     def test_123_structure(self, scheme123):
