@@ -28,8 +28,10 @@ from .scheme import (
 )
 
 # Largest size layer, in table keys, that any command builds.
-# In 64-bit CPython a key held about 0.4 KiB at L=100 on {1234,1243,1324},
-# so the largest accepted layer stays near 0.4 GiB.
+# In 64-bit CPython, `sequence` on {1234,1243,1324} at L=60 peaks at 72
+# bytes traced (tracemalloc) per key of its largest layer, 66 at L=100, so
+# the largest accepted layer stays near 70 MiB. The budget is kept as set
+# for about 0.4 KiB per key; raising it waits on a measured peak RSS.
 KEY_BUDGET = 1_000_000
 # Largest size that a command brute-forces on its own (`scheme verify`'s
 # cross-check, `compare`'s fallback). The oracle's cost grows factorially:

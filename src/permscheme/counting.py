@@ -28,17 +28,26 @@ three forms:
   difference of two prefix sums along s of the target table at n-m.
 
 Gaps that do not involve r are checked once per key. Each expanded class's
-loop over its keys is generated as Python source from its slots and
-compiled; classes of the same shape share that code. The same loop fills
-the class's prefix sums along each coordinate its readers sum over: a
-running total along the last coordinate, and along any other the value
-plus the sum at the key one below. A key that breaks a forced gap holds 0
-and still carries every sum.
+table is a flat list: the key (i_1, ..., i_k) sits at its colex rank, sum
+over j of C(i_j - 1, j). That rank does not depend on n, so the keys of size
+n are the first C(n, k) ranks, and a slot reads its target at n - m by the
+same formula its writer used. Each expanded class's loop over its keys is
+generated as Python source from its slots and compiled; classes of the same
+shape share that code. The loop binds i_k outermost and i_1 innermost, so
+keys come in rank order and each value is appended. A slot's read index
+is one rank share per target coordinate, each summed in at the loop level
+of the value it depends on, and every read is guarded so that it only
+happens at a valid key (one rank from a non-increasing tuple would land on
+another key's slot). The same loop fills the class's prefix sums along each
+coordinate its readers sum over: a running total along coordinate 1,
+restarted at i_1 = 1, and along coordinate a > 1 the value plus the sum at
+the key one below, C(i_a - 2, a - 1) ranks back. A key that breaks a forced
+gap holds 0 and still carries every sum.
 
 The layers run bottom-up in n and tabulate the expanded classes only,
 longest first, so layer n holds sum over expanded sigma of C(n, len(sigma))
 keys, and only the last (longest chain + 1) layers are kept. ``count_class``
-follows its class's chain once per plan and reads one key of the same
+follows its class's chain once per plan and reads one rank of the same
 tables at n - m, so no evaluation recurses. All arithmetic is exact Python
 integers. The plan is built on first use and kept on the ``Scheme``
 instance. The tables of the last layer ``count_class`` read are kept as
@@ -50,7 +59,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Callable
 
@@ -104,89 +112,149 @@ def _read(j: int, chain: _Chain) -> tuple:
     return chain.drop, 0, chain.target
 
 
-def _source(k: int, forced: tuple[int, ...], slots: "list[tuple[int, _Chain]]", summed: tuple[int, ...]) -> str:
+def _source(k: int, forced: tuple[int, ...], slots: "tuple[tuple[int, _Chain], ...]", summed: tuple[int, ...]) -> str:
     """Python source of one expanded class's table, and its prefix sums
     along each coordinate in summed, at a size n >= k + 1.
 
-    Slot j comes with its child's chain, whose indices past j move down by
-    one into the parent's. The key (i_1, ..., i_k) is unpacked into locals
-    and every slot becomes one guarded sum term; slot t reads the table or
-    prefix sums passed as argument t, as ``_read`` places them.
+    The loops bind i_k outermost down to i_1 innermost, so keys come in
+    colex order and each is appended at its rank. Slot j comes with its
+    child's chain, whose indices past j move down by one into the parent's.
+    Every slot becomes one guarded sum term; slot t reads the table or
+    prefix sums passed as argument t, as ``_read`` places them, at the rank
+    of its target key. That rank is one share per target coordinate, and
+    each share is summed in at the loop level of the value it depends on.
+    Argument c holds the share rows: c[b][e] = C(e - 1, b), 0 at e = 0.
     """
     names = ["0", *(f"i{a}" for a in range(1, k + 1)), "top"]
 
     def at(a: int, c: int = 0) -> str:  # i_a + c
         if a == 0:
             return str(c)
-        return names[a] + (f" + {c}" if c > 0 else f" - {-c}" if c < 0 else "")
+        return names[a] + plus(c)
 
-    def key(*parts: "list[str]") -> str:
-        items = [x for part in parts for x in part]
-        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    def plus(c: int) -> str:
+        return f" + {c}" if c > 0 else f" - {-c}" if c < 0 else ""
 
-    params = "".join(f", t{t}" for t in range(len(slots)))
-    lines = [
-        f"def tabulate(n{params}):",
-        "    table = {}",
-        *(f"    p{s} = {{}}" for s in summed),
-        "    top = n + 1",
-        f"    for key in combinations(range(1, top), {k}):",
-    ]
-    if k:
-        lines.append(f"        {', '.join(names[1:k + 1])}, = key")
-    lines.append("        total = 0")
-    indent = " " * 8
+    # Lines run at the top of each loop level, k + 1 being before the loops.
+    hoisted: dict = {level: [] for level in range(1, k + 2)}
+    named: dict = {}  # hoisted expression -> its local
+    rows: set = set()  # the share rows the source reads
+
+    def rank(values: "list[tuple[int, int]]") -> str:
+        """The rank of the target key whose coordinates are i_a + c for
+        (a, c) in values. The shares of outer values are summed at their
+        levels; only those of i_1 are left to the innermost body.
+
+        Guard or not, each value a share reads lies in 0..n+1, which the
+        rows cover: a coordinate's shift is at most the number of values
+        below it, and a pinned r is at most n + 1. Only the table read
+        waits for the slot's guard."""
+        groups: dict = {level: [] for level in range(1, k + 2)}
+        const = 0
+        for b, (a, c) in enumerate(values, start=1):
+            if a == 0:
+                const += comb(c - 1, b)
+            elif b == 1:  # C(e - 1, 1) = e - 1 wherever the guard lets the read happen
+                groups[a].append(names[a])
+                const += c - 1
+            else:
+                rows.add(b)
+                groups[a].append(f"c{b}[{at(a, c)}]")
+        sofar: list = []
+        for level in range(k + 1, 1, -1):
+            if groups[level]:
+                expr = " + ".join(sofar + groups[level]) + plus(const)
+                const = 0
+                if expr not in named:
+                    named[expr] = f"x{len(named)}"
+                    hoisted[level].append(f"{named[expr]} = {expr}")
+                sofar = [named[expr]]
+        parts = sofar + groups[1]
+        return " + ".join(parts) + plus(const) if parts else str(const)
+
+    body = ["total = 0"]
+    indent = ""
     if forced and slots:
         # A key that breaks a forced gap holds 0 but still carries the sums.
-        lines.append(f"        if {' and '.join(f'{at(j + 1)} == {at(j, 1)}' for j in forced)}:")
-        indent += " " * 4
+        body.append(f"if {' and '.join(f'{at(j + 1)} == {at(j, 1)}' for j in forced)}:")
+        indent = " " * 4
     for t, (j, chain) in enumerate(slots):
         # A gap that touches j pins r (r == i_a + c); any other is checked as it stands.
         static, pins = [], []
         for q, p in chain.gaps:
             if p == j:
-                pins.append(at(q, p - q))
+                pins.append((q, p - q))
             elif q == j:
-                pins.append(at(p - 1, q - p))
+                pins.append((p - 1, q - p))
             else:
                 static.append(f"{at(p if p < j else p - 1)} - {at(q if q < j else q - 1)} == {p - q}")
-        head = [at(a, -sh) for a, sh in chain.coords if a < j]
-        tail = [at(a - 1, -sh) for a, sh in chain.coords if a > j]
+        head = [(a, -sh) for a, sh in chain.coords if a < j]
+        tail = [(a - 1, -sh) for a, sh in chain.coords if a > j]
         r_shift = dict(chain.coords).get(j)  # None when the chain deletes r
         if pins:
-            lines.append(f"{indent}r = {pins[0]}")
-            guard = [f"{at(j - 1)} < r < {at(j)}", *static, *(f"r == {x}" for x in pins[1:])]
-            mid = [] if r_shift is None else [f"r - {r_shift}" if r_shift else "r"]
-            term = f"t{t}[{key(head, mid, tail)}]"
+            body.append(f"{indent}r = {at(*pins[0])}")
+            guard = [f"{at(j - 1)} < r < {at(j)}", *static, *(f"r == {at(*x)}" for x in pins[1:])]
+            mid = [] if r_shift is None else [(pins[0][0], pins[0][1] - r_shift)]
+            terms = [f"total += t{t}[{rank(head + mid + tail)}]"]
         else:
             guard = [f"{at(j - 1, 1)} < {at(j)}", *static]
             if r_shift is None:
-                term = f"t{t}[{key(head, tail)}] * ({at(j, -1)} - {at(j - 1)})"
+                terms = [f"total += t{t}[{rank(head + tail)}] * ({at(j, -1)} - {at(j - 1)})"]
             else:
-                term = f"t{t}[{key(head, [at(j, -1 - r_shift)], tail)}]"
+                terms = [f"total += t{t}[{rank(head + [(j, -1 - r_shift)] + tail)}]"]
                 if j > 1 and j - 1 not in dict(chain.coords):
                     # r's lower neighbour was deleted, so its range starts
-                    # above the lowest value of the target coordinate.
-                    term += f" - t{t}.get({key(head, [at(j - 1, -r_shift)], tail)}, 0)"
-        lines += [f"{indent}if {' and '.join(guard)}:", f"{indent}    total += {term}"]
-    lines.append("        table[key] = total")
-    for s in summed:  # keys come in lexicographic order
+                    # above the lowest value of the target coordinate: the
+                    # sum up to low = i_{j-1} - r_shift comes off. Indices
+                    # a+1..j-1 are all deleted, a being the last alive one
+                    # below j (or 0), so low is at least the coordinate
+                    # under it, i_a - sh_a (or 0), and, under the slot's
+                    # guard, below r's upper bound. So the key is valid
+                    # exactly when low exceeds the coordinate under it;
+                    # otherwise the range below is empty and takes nothing
+                    # off.
+                    low, under = (j - 1, -r_shift), head[-1] if head else (0, 0)
+                    terms += [f"if {at(*low)} > {at(*under)}:", f"    total -= t{t}[{rank(head + [low] + tail)}]"]
+        body += [f"{indent}if {' and '.join(guard)}:", *(f"{indent}    {x}" for x in terms)]
+    body.append("table.append(total)")
+    for s in summed:
         a = s + 1
-        if a == k:
-            lines.append(f"        run = total if {at(a, -1)} == {at(a - 1)} else run + total")
-            lines.append(f"        p{s}[key] = run")
+        if a == 1:
+            # Coordinate 1 runs innermost: a running total, restarted at i_1 = 1.
+            hoisted[2].append("run = 0")
+            body += ["run += total", f"p{s}.append(run)"]
         else:
-            below = key([at(b) for b in range(1, a)], [at(a, -1)], [at(b) for b in range(a + 1, k + 1)])
-            lines.append(f"        p{s}[key] = total + p{s}[{below}] if {at(a, -1)} > {at(a - 1)} else total")
+            # The key one below along a sits C(i_a - 2, a - 1) ranks back,
+            # and p holds one sum per key so far.
+            rows.add(a - 1)
+            hoisted[a].append(f"d{a} = c{a - 1}[{at(a, -1)}]")
+            body.append(f"p{s}.append(total + p{s}[-d{a}] if {at(a, -1)} > {at(a - 1)} else total)")
+
+    params = "".join(f", t{t}" for t in range(len(slots)))
+    lines = [
+        f"def tabulate(n, c{params}):",
+        *(f"    c{b} = c[{b}]" for b in sorted(rows)),
+        "    table = []",
+        *(f"    p{s} = []" for s in summed),
+        "    top = n + 1",
+    ]
+    depth = 1
+    for level in range(k + 1, 0, -1):
+        if level <= k:
+            lines.append(f"{'    ' * depth}for {names[level]} in range({level}, {names[level + 1]}):")
+            depth += 1
+        lines += [f"{'    ' * depth}{x}" for x in hoisted[level]]
+    lines += [f"{'    ' * depth}{x}" for x in body]
     lines.append("    return table, {" + ", ".join(f"{s}: p{s}" for s in summed) + "}")
     return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=1024)
-def _table_function(source: str):
-    # Keyed by source, so schemes that share a class shape share its code.
-    namespace = {"combinations": combinations}
-    exec(compile(source, "<scheme table>", "exec"), namespace)
+def _kernel(k: int, forced: tuple[int, ...], slots: "tuple[tuple[int, _Chain], ...]", summed: tuple[int, ...]):
+    # Keyed by the class's shape, so a shape met again, in this scheme or a
+    # later one, reuses its code without generating the source again.
+    namespace: dict = {}
+    exec(compile(_source(k, forced, slots, summed), "<scheme table>", "exec"), namespace)
     return namespace.pop("tabulate")
 
 
@@ -195,7 +263,7 @@ class _Expa:
     """One expanded class as the layer step runs it."""
 
     sigma: Perm
-    tabulate: Callable[..., tuple]  # (table, sums) at a size n >= k + 1
+    tabulate: Callable[..., tuple]  # (table, sums) at a size n >= k + 1, as lists by rank
     reads: tuple[tuple[int, int, object], ...]  # per slot, as _read places them
     summed: tuple[int, ...]  # the coordinates its readers sum along
 
@@ -211,17 +279,19 @@ class _Plan:
         slots, reads = {}, {}
         for sigma in order:
             chains = (_chain(scheme, followed, child) for child in refinements(sigma))
-            slots[sigma] = [(j, c) for j, c in enumerate(chains, start=1) if c.target is not None]
+            slots[sigma] = tuple((j, c) for j, c in enumerate(chains, start=1) if c.target is not None)
             reads[sigma] = tuple(_read(j, c) for j, c in slots[sigma])
         # A class's sums are known once all of its readers are.
         summed = {key for own in reads.values() for _, part, key in own if part}
         expa = []
         for sigma in order:
             own = tuple(sorted(c for t, c in summed if t == sigma))
-            source = _source(len(sigma), tuple(scheme.expa[sigma].sorted_list()), slots[sigma], own)
-            expa.append(_Expa(sigma, _table_function(source), reads[sigma], own))
+            kernel = _kernel(len(sigma), tuple(scheme.expa[sigma].sorted_list()), slots[sigma], own)
+            expa.append(_Expa(sigma, kernel, reads[sigma], own))
         self.expa = tuple(expa)
         self.keep = 1 + max((drop for own in reads.values() for drop, _, _ in own), default=0)
+        # No key has more coordinates, so no share row past this one is read.
+        self.longest = len(order[0]) if order else 0
         # The chains count_class has read, so a loop over one class's keys
         # follows its chain once. Only those are kept: a plan lives as long
         # as its scheme, and most schemes are asked about few classes.
@@ -247,27 +317,36 @@ def _plan(scheme: Scheme) -> _Plan:
     return plan
 
 
-def _tabulate(e: _Expa, n: int, window: list) -> tuple:
+def _rank(values) -> int:
+    """The colex rank of the key i_1 < ... < i_k: sum over j of C(i_j - 1, j).
+    It does not depend on n, so the keys of size n are the first C(n, k)."""
+    return sum(comb(v - 1, j) for j, v in enumerate(values, start=1))
+
+
+def _tabulate(e: _Expa, n: int, window: list, shares: list) -> tuple:
     k = len(e.sigma)
     if n <= k:
         # Empty, or the one-key identity table, which is its own prefix sums.
-        table = {tuple(range(1, k + 1)): 1} if n == k else {}
+        table = [1] if n == k else []
         return table, dict.fromkeys(e.summed, table)
     # From n = k + 1 on, every slot's key lies within its target's layer;
     # at k + 1 that layer is the target's one-key identity table.
-    return e.tabulate(n, *[window[drop][part][key] for drop, part, key in e.reads])
+    return e.tabulate(n, shares, *[window[drop][part][key] for drop, part, key in e.reads])
 
 
 def _layers(plan: _Plan, upto: int):
     """Yield (n, tables) for n = 0..upto; tables maps each expanded class
-    to its value table at size n."""
+    to its value table at size n, a list indexed by ``_rank``."""
+    # shares[b][e] = C(e - 1, b), the rank share of value e at coordinate b,
+    # for every value 0..n+1 a kernel computes.
+    shares = [[comb(e - 1, b) if e else 0 for e in range(upto + 2)] for b in range(plan.longest + 1)]
     window: list = []  # window[m] holds the tables and prefix sums of layer n - m
     for n in range(upto + 1):
         tables: dict = {}
         sums: dict = {}
         window = [(tables, sums)] + window[: plan.keep - 1]
         for e in plan.expa:
-            tables[e.sigma], own = _tabulate(e, n, window)
+            tables[e.sigma], own = _tabulate(e, n, window, shares)
             sums.update(((e.sigma, s), p) for s, p in own.items())
         yield n, tables
 
@@ -298,7 +377,7 @@ def count_class(scheme: Scheme, sigma: Perm, n: int, values: "tuple[int, ...] | 
         return 1
     if chain.target is None:
         return 0
-    return _layer(plan, n - chain.drop)[chain.target][tuple([ext[a] - sh for a, sh in chain.coords])]
+    return _layer(plan, n - chain.drop)[chain.target][_rank([ext[a] - sh for a, sh in chain.coords])]
 
 
 def count(scheme: Scheme, n: int) -> int:
@@ -310,7 +389,7 @@ def sequence(scheme: Scheme, length: int) -> list[int]:
     """The counts for n = 1..length, computed bottom-up with layer reuse."""
     if check_size(length) < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    return [tables[()][()] for n, tables in _layers(_plan(scheme), length) if n >= 1]
+    return [tables[()][0] for n, tables in _layers(_plan(scheme), length) if n >= 1]
 
 
 def layer_key_counts(scheme: Scheme, length: int) -> list[int]:

@@ -13,14 +13,16 @@ from permscheme.counting import (
     layer_keys,
     sequence,
 )
-from permscheme.perms import refinements, symmetry_images
+from permscheme.perms import delete_rank, refinements, symmetry_images
 from permscheme.reasoning import GapSet
-from permscheme.scheme import ReduEntry, Scheme, search
+from permscheme.scheme import MODE_EMPIRICAL, ReduEntry, Scheme, search, search_with_symmetries
 
 
-def reference_count(scheme, sigma, n, values):
-    # Plain unmemoized recursion, kept independent of the library's
-    # evaluator on purpose.
+def reference_count(scheme, sigma, n, values, cache=None):
+    # Plain recursion, kept independent of the library's evaluator on
+    # purpose. A cache dict, when given, memoizes it by (sigma, n, values).
+    if cache is not None and (sigma, n, values) in cache:
+        return cache[sigma, n, values]
     if sigma in scheme.zero:
         return 0
     expa_gaps = scheme.expa.get(sigma)
@@ -36,12 +38,54 @@ def reference_count(scheme, sigma, n, values):
         for j in range(1, len(sigma) + 2):
             child = refinements(sigma)[j - 1]
             for r in range(ext[j - 1] + 1, ext[j]):
-                total += reference_count(scheme, child, n, values[: j - 1] + (r,) + values[j - 1 :])
-        return total
-    reduced = values[: rentry.rank - 1] + tuple(v - 1 for v in values[rentry.rank :])
-    from permscheme.perms import delete_rank
+                total += reference_count(scheme, child, n, values[: j - 1] + (r,) + values[j - 1 :], cache)
+    else:
+        reduced = values[: rentry.rank - 1] + tuple(v - 1 for v in values[rentry.rank :])
+        total = reference_count(scheme, delete_rank(sigma, rentry.rank), n - 1, reduced, cache)
+    if cache is not None:
+        cache[sigma, n, values] = total
+    return total
 
-    return reference_count(scheme, delete_rank(sigma, rentry.rank), n - 1, reduced)
+
+# Every non-empty set of length-3 patterns, written as strings.
+LENGTH_THREE_SETS = [
+    set(R) for size in range(1, 7) for R in combinations(["123", "132", "213", "231", "312", "321"], size)
+]
+
+
+def simion_schmidt(R, n):
+    """|S_n(R)| for a set R of length-3 patterns, as Simion and Schmidt
+    enumerate them (Restricted permutations, Europ. J. Combin. 6, 1985)."""
+    if n <= 2:
+        return math.factorial(n)
+    if {"123", "321"} <= R:
+        # Every permutation of size 5 or more contains 123 or 321
+        # (Erdos-Szekeres). At n = 4 those avoiding both are 2143, which
+        # contains 132 and 213, 3412, which contains 231 and 312, and 2413
+        # and 3142, which contain all four.
+        if n >= 5:
+            return 0
+        if n == 3:
+            return 6 - len(R)
+        four = {"132", "213", "231", "312"}
+        return sum(not R & others for others in ({"132", "213"}, {"231", "312"}, four, four))
+    if len(R) == 1:
+        return catalan(n)
+    if len(R) == 2:
+        quadratic = ({"123", "231"}, {"123", "312"}, {"132", "321"}, {"213", "321"})
+        return math.comb(n, 2) + 1 if R in quadratic else 2 ** (n - 1)
+    if len(R) == 3:
+        if R in ({"123", "132", "213"}, {"231", "312", "321"}):
+            a, b = 1, 1  # F_{n+1}
+            for _ in range(n - 1):
+                a, b = b, a + b
+            return b
+        return n
+    return 2 if len(R) == 4 else 1
+
+
+def as_patterns(R):
+    return [tuple(map(int, q)) for q in sorted(R)]
 
 
 def hand_built_scheme():
@@ -67,14 +111,19 @@ def hand_built_scheme():
     )
 
 
-def reference_prefix_sums(table, s):
-    # Plain re-summation of a table along coordinate s. Keys arrive in
-    # lexicographic order, so a key's predecessor along s is already summed;
-    # a missing one is below the range.
+def colex_keys(n, k):
+    # The keys of size n in colex order: by i_k, then i_{k-1}, and so on.
+    return sorted(combinations(range(1, n + 1), k), key=lambda key: key[::-1])
+
+
+def reference_prefix_sums(table, n, k, s):
+    # Plain re-summation of a table along coordinate s, by key. Keys arrive
+    # in colex order, so a key's predecessor along s is already summed; a
+    # missing one is below the range.
     out = {}
-    for key, value in table.items():
+    for key in colex_keys(n, k):
         below = key[:s] + (key[s] - 1,) + key[s + 1 :]
-        out[key] = value + out.get(below, 0)
+        out[key] = table[counting._rank(key)] + out.get(below, 0)
     return out
 
 
@@ -205,6 +254,53 @@ class TestEvaluatorAgreement:
         assert (sets, schemes) == (28, 98)
 
 
+class TestLayout:
+    def test_tables_are_flat_in_colex_order(self):
+        # Every table of size n holds C(n, k) entries, entry i the count at
+        # the i-th key in colex order, so a rank that misses its key shows.
+        classes = 0
+        for pats in random_pattern_sets(97103, 50):
+            scheme = search(pats, 5)
+            if scheme is None:
+                continue
+            cache: dict = {}
+            for n, tables in counting._layers(counting._plan(scheme), 9):
+                assert set(tables) == set(scheme.expa)
+                for sigma, table in tables.items():
+                    keys = colex_keys(n, len(sigma))
+                    assert [counting._rank(key) for key in keys] == list(range(len(keys)))
+                    assert len(table) == math.comb(n, len(sigma))
+                    assert table == [reference_count(scheme, sigma, n, key, cache) for key in keys], (pats, sigma, n)
+                    classes += 1
+        assert classes
+
+
+class TestLengthThreeSets:
+    """Every set of length-3 patterns against Simion and Schmidt's closed
+    forms, far past the oracle's reach: a layer boundary or a prefix-sum
+    restart one key off shows here."""
+
+    def test_closed_forms_match_the_oracle(self):
+        assert len(LENGTH_THREE_SETS) == 63
+        for R in LENGTH_THREE_SETS:
+            got = [oracle.count_avoiders(n, as_patterns(R)) for n in range(1, 11)]
+            assert got == [simion_schmidt(R, n) for n in range(1, 11)], R
+
+    def test_schemes_match_the_closed_forms_to_forty(self):
+        # A certified scheme of some image at depth 3 where there is one;
+        # the exact search's at depth 2 for the four sets with none.
+        uncertified = []
+        for R in LENGTH_THREE_SETS:
+            found = search_with_symmetries(as_patterns(R), 3)
+            if found is None:
+                uncertified.append(R)
+                scheme = search(as_patterns(R), 2, mode=MODE_EMPIRICAL)
+            else:
+                scheme = found[0]
+            assert sequence(scheme, 40) == [simion_schmidt(R, n) for n in range(1, 41)], R
+        assert uncertified == [{"132", "213"}, {"231", "312"}, {"123", "231", "312"}, {"132", "213", "321"}]
+
+
 class TestPolynomialGrowth:
     def test_key_count_is_quadratic_for_123(self, scheme123):
         for n, keys in enumerate(layer_key_counts(scheme123, 30)):
@@ -279,8 +375,8 @@ class TestLayerMemo:
             for n in (7, 8):
                 for scheme in (scheme123, scheme_three):
                     if v <= n:
-                        assert count_class(scheme, (1,), n, (v,)) == fresh[id(scheme), n][(1,)][(v,)]
-                    assert count(scheme, n) == fresh[id(scheme), n][()][()]
+                        assert count_class(scheme, (1,), n, (v,)) == fresh[id(scheme), n][(1,)][counting._rank((v,))]
+                    assert count(scheme, n) == fresh[id(scheme), n][()][counting._rank(())]
                     assert counting._layer.cache_info().currsize <= 1
 
 
@@ -293,16 +389,19 @@ class TestKernelSums:
         seen = set()
         real = counting._tabulate
 
-        def spy(e, n, window):
-            table, sums = real(e, n, window)
+        def spy(e, n, window, shares):
+            table, sums = real(e, n, window, shares)
             assert sorted(sums) == list(e.summed)
             forced = scheme.expa[e.sigma].sorted_list()
+            k = len(e.sigma)
             for s, got in sums.items():
-                assert got == reference_prefix_sums(table, s), (e.sigma, n, s)
+                want = reference_prefix_sums(table, n, k, s)
+                assert len(got) == len(want), (e.sigma, n, s)
+                assert all(got[counting._rank(key)] == v for key, v in want.items()), (e.sigma, n, s)
                 seen.add((e.sigma, s))
-                for key in table:
+                for key in want:
                     ext = (0, *key, n + 1)
-                    if got[key] and any(ext[j + 1] != ext[j] + 1 for j in forced):
+                    if got[counting._rank(key)] and any(ext[j + 1] != ext[j] + 1 for j in forced):
                         seen.add("carried")
             return table, sums
 
