@@ -47,9 +47,9 @@ gap holds 0 and still carries every sum.
 The layers run bottom-up in n and tabulate the expanded classes only,
 longest first, so layer n holds sum over expanded sigma of C(n, len(sigma))
 keys, and only the last (longest chain + 1) layers are kept. ``count_class``
-follows its class's chain once per plan and reads one rank of the same
-tables at n - m, so no evaluation recurses. All arithmetic is exact Python
-integers. The plan is built on first use and kept on the ``Scheme``
+reads its class's chain from the plan's one chain table and one rank of the
+same tables at n - m, so no evaluation recurses. All arithmetic is exact
+Python integers. The plan is built on first use and kept on the ``Scheme``
 instance. The tables of the last layer ``count_class`` read are kept as
 well, one layer of one scheme, so a loop over the keys of one size builds
 its layers once.
@@ -83,7 +83,12 @@ class _Chain:
     gaps: tuple[tuple[int, int], ...]  # (q, p): i_p - i_q must equal p - q
 
 
-def _follow(scheme: Scheme, sigma: Perm) -> _Chain:
+def _follow(scheme: Scheme, chains: dict, sigma: Perm) -> _Chain:
+    """sigma's chain, followed once per table ``chains`` and kept there. A
+    sigma the scheme does not define raises and is not kept."""
+    chain = chains.get(sigma)
+    if chain is not None:
+        return chain
     k = len(sigma)
     alive = list(range(1, k + 1))
     gaps: list[tuple[int, int]] = []
@@ -101,7 +106,8 @@ def _follow(scheme: Scheme, sigma: Perm) -> _Chain:
         cur = delete_rank(cur, entry.rank)
     target = None if cur in scheme.zero else cur
     coords = tuple((a, a - 1 - pos) for pos, a in enumerate(alive))
-    return _Chain(target, k - len(alive), coords, tuple(gaps))
+    chain = chains[sigma] = _Chain(target, k - len(alive), coords, tuple(gaps))
+    return chain
 
 
 def _read(j: int, chain: _Chain) -> tuple:
@@ -272,13 +278,15 @@ class _Plan:
     """The compiled form of one scheme; it holds no counts."""
 
     def __init__(self, scheme: Scheme) -> None:
-        followed: dict = {}
+        # The chain of every reduced class and of every refinement, so
+        # count_class follows none of them again.
+        self.chains: dict = {}
         for sigma in scheme.redu:
-            _chain(scheme, followed, sigma)  # an absent class fails here, not mid-count
+            _follow(scheme, self.chains, sigma)  # an absent class fails here, not mid-count
         order = sorted(scheme.expa, key=lambda s: (-len(s), s))
         slots, reads = {}, {}
         for sigma in order:
-            chains = (_chain(scheme, followed, child) for child in refinements(sigma))
+            chains = (_follow(scheme, self.chains, child) for child in refinements(sigma))
             slots[sigma] = tuple((j, c) for j, c in enumerate(chains, start=1) if c.target is not None)
             reads[sigma] = tuple(_read(j, c) for j, c in slots[sigma])
         # A class's sums are known once all of its readers are.
@@ -292,19 +300,6 @@ class _Plan:
         self.keep = 1 + max((drop for own in reads.values() for drop, _, _ in own), default=0)
         # No key has more coordinates, so no share row past this one is read.
         self.longest = len(order[0]) if order else 0
-        # The chains count_class has read, so a loop over one class's keys
-        # follows its chain once. Only those are kept: a plan lives as long
-        # as its scheme, and most schemes are asked about few classes.
-        self.chains: dict = {}
-
-
-def _chain(scheme: Scheme, chains: dict, sigma: Perm) -> _Chain:
-    """sigma's chain, followed once per dict. A sigma the scheme does not
-    define raises in _follow and is not stored."""
-    chain = chains.get(sigma)
-    if chain is None:
-        chain = chains[sigma] = _follow(scheme, sigma)
-    return chain
 
 
 def _plan(scheme: Scheme) -> _Plan:
@@ -369,7 +364,7 @@ def count_class(scheme: Scheme, sigma: Perm, n: int, values: "tuple[int, ...] | 
     if sigma in scheme.zero:
         return 0
     plan = _plan(scheme)
-    chain = _chain(scheme, plan.chains, sigma)
+    chain = _follow(scheme, plan.chains, sigma)
     ext = (0, *values, n + 1)
     if any(ext[p] - ext[q] != p - q for q, p in chain.gaps):
         return 0

@@ -13,7 +13,7 @@ containment is hereditary, so a pruned branch could never recover.
   one of them cannot follow is dropped: no completion of it avoids the
   set.
 * ``count_avoiders`` walks the refinement tree of standardized prefixes
-  (``perms.refinements``), where each avoider of size k+1 has exactly one
+  (``perms.refine``), where each avoider of size k+1 has exactly one
   parent, its first k entries reduced. It reads one ``perms.closed_gaps``
   mask per avoider of size k, on the patterns' ``perms.gap_plan``, which
   decides all k+1 refinements in one pass, so counting costs far fewer
@@ -50,6 +50,7 @@ from .perms import (
     gap_plan,
     is_int,
     normalize_patterns,
+    refine,
     slot_bounds,
 )
 from .reasoning import GapSet, _deletion_counterexample, compute_gap_set
@@ -101,13 +102,13 @@ def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
     """Number of avoiders of size n, counted on the refinement tree.
 
     Each avoider p of size k < n gets one ``closed_gaps`` mask, whose
-    unset bits are its avoiding refinements: below n - 1 the walk steps
-    into each, at n - 1 it counts them. So counting size n makes sum over
-    k < n of |Av_k| ``closed_gaps`` calls: 1,779 for {1234, 1243, 1324} at
-    n = 8, where the value search of ``iter_avoiders`` makes 30,004
-    ``ends_with_bounds`` calls. The leaves at size n are counted, never
-    built, and the walk keeps one avoider per size, so its memory is
-    O(n^2).
+    unset bits g are its avoiding refinements ``refine(p, g)``: below
+    n - 1 the walk steps into each, at n - 1 it counts them. So counting
+    size n makes sum over k < n of |Av_k| ``closed_gaps`` calls: 1,779 for
+    {1234, 1243, 1324} at n = 8, where the value search of
+    ``iter_avoiders`` makes 30,004 ``ends_with_bounds`` calls. The leaves
+    at size n are counted, never built, and the walk keeps one avoider per
+    size, so its memory is O(n^2).
 
     >>> [count_avoiders(n, [(1, 2, 3)]) for n in range(7)]
     [1, 1, 2, 5, 14, 42, 132]
@@ -117,8 +118,7 @@ def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
     if n == 0:
         return 1
     # path[d] is the avoider of size d on the current branch, and todo[d]
-    # the bits of its open gaps not yet stepped into. The refinement of p
-    # through gap j ends in j+1.
+    # the bits of its open gaps not yet stepped into.
     path: "list[tuple[int, ...]]" = []
     todo: "list[int]" = []
     total = 0
@@ -139,8 +139,7 @@ def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
         gaps = todo[-1]
         low = gaps & -gaps
         todo[-1] = gaps ^ low
-        j = low.bit_length() - 1
-        p = tuple([v + 1 if v > j else v for v in path[-1]]) + (j + 1,)
+        p = refine(path[-1], low.bit_length() - 1)
 
 
 def prefix_class_members(

@@ -208,10 +208,10 @@ def closed_gaps(p: Sequence[int], plans: Iterable[tuple]) -> int:
     j+1 of the permutation p of 1..k completes an occurrence of a pattern
     whose ``gap_plan`` is in ``plans``.
 
-    Setting bit j is ``ends_with_bounds`` on the refinement of p that ends
-    in j+1, but all k+1 answers come from one pass over the occurrences of
-    each pattern's head in p: an occurrence whose values bounding the last
-    entry are a < b (0 and k+1 where there is none) closes gaps a..b-1.
+    Setting bit j is ``ends_with_bounds`` on ``refine(p, j)``, but all k+1
+    answers come from one pass over the occurrences of each pattern's head
+    in p: an occurrence whose values bounding the last entry are a < b (0
+    and k+1 where there is none) closes gaps a..b-1.
 
     >>> bin(closed_gaps((1, 2), [gap_plan((1, 2, 3))]))
     '0b100'
@@ -301,11 +301,20 @@ def avoids_all(host: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
     return not any(ends_with_bounds(host_t[:e], host_t[e], plans) for e in range(len(host_t)))
 
 
-def refinements(sigma: Perm) -> list[Perm]:
-    """The k+1 one-longer permutations whose last-entry deletion reduces to sigma.
+def refine(p: Sequence[int], g: int) -> Perm:
+    """The refinement of p whose new last entry lies in gap g (0 <= g <= k):
+    p's values above g raised by one, then g + 1. Like ``closed_gaps``,
+    it does not check g, since callers read their gaps off a mask.
 
-    The list is indexed by final entry: element j-1 (0-based) is the unique
-    refinement ending in j.
+    >>> refine((2, 1), 1)
+    (3, 1, 2)
+    """
+    return tuple([v + 1 if v > g else v for v in p]) + (g + 1,)
+
+
+def refinements(sigma: Perm) -> list[Perm]:
+    """The k+1 one-longer permutations whose last-entry deletion reduces to
+    sigma, indexed by gap: element g is ``refine(sigma, g)``.
 
     >>> refinements(())
     [(1,)]
@@ -314,12 +323,7 @@ def refinements(sigma: Perm) -> list[Perm]:
     >>> sorted(refinements((3, 1, 2)))
     [(3, 1, 2, 4), (4, 1, 2, 3), (4, 1, 3, 2), (4, 2, 3, 1)]
     """
-    k = len(sigma)
-    out = []
-    for j in range(1, k + 2):
-        bumped = tuple(v + 1 if v >= j else v for v in sigma)
-        out.append(bumped + (j,))
-    return out
+    return [refine(sigma, g) for g in range(len(sigma) + 1)]
 
 
 def check_rank(sigma: Perm, r: object) -> int:
@@ -345,11 +349,8 @@ def delete_rank(sigma: Perm, r: int) -> Perm:
     >>> delete_rank((1,), 1)
     ()
     """
-    # The evaluator's reduction chains call this often, so a plain int in
-    # range skips the call; ``check_rank`` decides every other rank.
-    if type(r) is not int or not 1 <= r <= len(sigma):
-        check_rank(sigma, r)
-    return tuple(v - 1 if v > r else v for v in sigma if v != r)
+    check_rank(sigma, r)
+    return tuple([v - 1 if v > r else v for v in sigma if v != r])
 
 
 def reverse(p: Perm) -> Perm:

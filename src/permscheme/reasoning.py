@@ -85,6 +85,7 @@ from .perms import (
     gap_plan,
     is_int,
     reduce_word,
+    refine,
     slot_bounds,
 )
 
@@ -391,13 +392,13 @@ def _deletion_walk(
     a permutation of 1..K that avoids the patterns, whose first k entries
     reduce to sigma and whose entry at the rank's place has value rv; rest,
     pi minus that entry reduced to 1..K-1, avoids too. The child of pi
-    through gap g (0 <= g <= K) ends in g+1, pi's values above g raised by
-    one. Its new entry lies in the prefix gap numbered by pi's prefix
-    values at most g, and in gap g (g < rv) or g-1 (g >= rv) of rest. So
-    the ``perms.closed_gaps`` masks of pi and of rest decide every child:
-    one in a forced prefix gap, or whose new entry ends an occurrence in
-    rest, re-inserts no reduced member and is skipped; of the others, one
-    whose new entry ends an occurrence in pi is a miss. The walk returns
+    through gap g (0 <= g <= K) is ``refine(pi, g)``. Its new entry lies in
+    the prefix gap numbered by pi's prefix values at most g, and in gap g
+    (g < rv) or g-1 (g >= rv) of rest. So the ``perms.closed_gaps`` masks
+    of pi and of rest decide every child: one in a forced prefix gap, or
+    whose new entry ends an occurrence in rest, re-inserts no reduced
+    member and is skipped; of the others, one whose new entry ends an
+    occurrence in pi is a miss. The walk returns
     the lowest-gap miss of the first node that has one, and otherwise
     steps into each other child below size k+m-1, highest gap first.
 
@@ -433,14 +434,13 @@ def _deletion_walk(
         candidates = allowed & ~((closed & low) | (closed << 1 & ~low))
         hits = candidates & mask(pi)
         if hits:
-            g = (hits & -hits).bit_length() - 1
-            return tuple([v + 1 if v > g else v for v in pi]) + (g + 1,)
+            return refine(pi, (hits & -hits).bit_length() - 1)
         if top + 1 < size:
             while candidates:
                 bit = candidates & -candidates
                 candidates ^= bit
                 g = bit.bit_length() - 1
-                stack.append((tuple([v + 1 if v > g else v for v in pi]) + (g + 1,), rv + 1 if rv > g else rv))
+                stack.append((refine(pi, g), rv + 1 if rv > g else rv))
     return None
 
 
@@ -448,13 +448,12 @@ def compute_gap_set(sigma: Perm, patterns: PatternSet) -> GapSet:
     """Every forced gap of sigma, read off one ``perms.closed_gaps`` mask.
 
     Gap j is forced when i_{j+1} = i_j + 1 in every class member. Let rho
-    be the refinement of sigma whose last entry j+1 lies in gap j: sigma
-    with its values above j raised by one, then j+1. If a member has a
-    value v strictly between i_j and i_{j+1}, it comes after the prefix,
-    and keeping only the prefix and v leaves an avoider that reduces to
-    rho. Conversely, if rho avoids every pattern, it is itself a member of
-    size k+1 with gap j open. So the gap is forced exactly when some
-    pattern ends at rho's last entry, which is bit j of the mask: the
+    be ``refine(sigma, j)``, whose last entry lies in gap j. If a member
+    has a value v strictly between i_j and i_{j+1}, it comes after the
+    prefix, and keeping only the prefix and v leaves an avoider that
+    reduces to rho. Conversely, if rho avoids every pattern, it is itself a
+    member of size k+1 with gap j open. So the gap is forced exactly when
+    some pattern ends at rho's last entry, which is bit j of the mask: the
     answer is exact, not just sound, and all k+1 gaps cost one pass over
     the occurrences of the patterns' heads in sigma.
 

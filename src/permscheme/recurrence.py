@@ -34,23 +34,28 @@ def _poly_eval(coeffs: Sequence[int], n: int) -> int:
     return total
 
 
+def _signed_sum(terms: Iterable[tuple[bool, str]], pad: str = "") -> str:
+    """Join (negative, body) terms: the first as body or -body, each later
+    one as + body or - body, with ``pad`` on both sides of its sign."""
+    out = ""
+    for negative, body in terms:
+        if out:
+            out += f"{pad}{'-' if negative else '+'}{pad}{body}"
+        else:
+            out = f"-{body}" if negative else body
+    return out
+
+
 def _poly_str(coeffs: Sequence[int]) -> str:
-    parts = []
+    terms = []
     for s in range(len(coeffs) - 1, -1, -1):
         c = coeffs[s]
         if c == 0:
             continue
-        if s == 0:
-            parts.append(f"{c}" if not parts else f"{'+' if c > 0 else '-'}{abs(c)}")
-            continue
         mag = abs(c)
         var = "n" if s == 1 else f"n^{s}"
-        body = var if mag == 1 else f"{mag}*{var}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'}{body}")
-    return "".join(parts) if parts else "0"
+        terms.append((c < 0, str(mag) if s == 0 else var if mag == 1 else f"{mag}*{var}"))
+    return _signed_sum(terms) or "0"
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,7 @@ class RecurrenceCandidate:
 
     def rendered(self) -> str:
         """Human form, e.g. ``(n+2)*a(n+1) - (4*n+2)*a(n) = 0``."""
-        parts = []
+        terms = []
         for j in range(self.order, -1, -1):
             poly = self.coeffs[j]
             if not any(poly):
@@ -94,11 +99,8 @@ class RecurrenceCandidate:
                 term = f"a({arg})"
             else:
                 term = f"({_poly_str(signed)})*a({arg})"
-            if not parts:
-                parts.append(term if sign > 0 else f"-{term}")
-            else:
-                parts.append(f" {'+' if sign > 0 else '-'} {term}")
-        return "".join(parts) + " = 0"
+            terms.append((sign < 0, term))
+        return _signed_sum(terms, " ") + " = 0"
 
     def to_json(self) -> dict:
         return {

@@ -407,11 +407,9 @@ def deserialize(text: str) -> Scheme:
         sigma = _perm_field(item["sigma"], "redu sigma")
         if sigma in redu:
             raise SchemeFormatError(f"redu lists {sigma} twice")
-        rank = item["delete_rank"]
-        if not is_int(rank):
-            raise SchemeFormatError(f"redu[{sigma}] delete_rank must be an integer")
+        # ``validate`` reports a rank that is not an int in range.
         gaps = _gaps_field(item["gaps"], len(sigma), f"redu[{sigma}] gaps")
-        redu[sigma] = ReduEntry(rank, gaps)
+        redu[sigma] = ReduEntry(item["delete_rank"], gaps)
     if not isinstance(doc["zero"], list):
         raise SchemeFormatError("zero must be a list")
     zeros = [_perm_field(s, "zero sigma") for s in doc["zero"]]

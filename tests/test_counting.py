@@ -232,11 +232,30 @@ class TestEvaluatorAgreement:
             scheme = search(pats, 4)
             if scheme is None:
                 continue
+            cache: dict = {}
             for sigma in (*scheme.expa, *scheme.redu, *scheme.zero):
                 for n in range(len(sigma), 9):
                     for values in combinations(range(1, n + 1), len(sigma)):
                         got = count_class(scheme, sigma, n, values)
-                        assert got == reference_count(scheme, sigma, n, values), (pats, sigma, n, values)
+                        assert got == reference_count(scheme, sigma, n, values, cache), (pats, sigma, n, values)
+
+    def test_a_built_plan_follows_no_chain_again(self, monkeypatch):
+        # The compile pass fills the plan's chain table with every reduced
+        # class and every refinement, so count_class deletes no rank.
+        schemes = [s for s in (search(pats, 4) for pats in random_pattern_sets(97103, 50)) if s is not None]
+        for scheme in schemes:
+            counting._plan(scheme)
+        calls = []
+
+        def spy(sigma, rank):
+            calls.append((sigma, rank))
+            return delete_rank(sigma, rank)
+
+        monkeypatch.setattr(counting, "delete_rank", spy)
+        for scheme in schemes:
+            for sigma in scheme.classes():
+                count_class(scheme, sigma, len(sigma) + 1, tuple(range(1, len(sigma) + 1)))
+        assert calls == []
 
     def test_symmetric_images_agree_to_forty(self):
         # Schemes for different symmetric images of one set are different

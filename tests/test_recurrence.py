@@ -59,6 +59,25 @@ class TestCandidate:
         # A zero coefficient and a zero polynomial drop out of the sum.
         assert RecurrenceCandidate(2, 1, ((-1, 0), (0, 0), (0, 1))).rendered() == "(n)*a(n+2) - a(n) = 0"
 
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [
+            # A negative leading polynomial puts a bare minus on the first term.
+            (((1,), (-1,)), "-a(n+1) + a(n) = 0"),
+            (((1, 0, 0), (1, -1, -1)), "-(n^2+n-1)*a(n+1) + a(n) = 0"),
+            # A constant polynomial other than 1 keeps its parentheses.
+            (((0, -2), (3, 0)), "(3)*a(n+1) - (2*n)*a(n) = 0"),
+            (((-5, 0), (0, 0), (-1, 3)), "(3*n-1)*a(n+2) - (5)*a(n) = 0"),
+        ],
+    )
+    def test_rendering_signs(self, coeffs, text):
+        assert RecurrenceCandidate(len(coeffs) - 1, len(coeffs[0]) - 1, coeffs).rendered() == text
+
+    def test_polynomial_text(self):
+        assert recurrence._poly_str([0, 0, 0]) == "0"
+        assert recurrence._poly_str([-3, 0, 2]) == "2*n^2-3"
+        assert recurrence._poly_str([4, -1]) == "-n+4"
+
     def test_json_form(self):
         doc = CATALAN_REC.to_json()
         assert doc["status"] == "conjecture"

@@ -105,6 +105,15 @@ class TestValidate:
         )
         assert validate(broken) == [f"redu[(1, 2)] delete rank {rank!r} is not an int"]
 
+    @pytest.mark.parametrize("rank", [True, "2", 1.5, None], ids=["bool", "string", "float", "null"])
+    def test_non_int_document_rank_reported_by_validate(self, scheme123, rank):
+        doc = json.loads(serialize(scheme123))
+        entry = next(e for e in doc["redu"] if e["sigma"] == [1, 2])
+        entry["delete_rank"] = rank
+        with pytest.raises(SchemeFormatError) as info:
+            deserialize(json.dumps(doc))
+        assert str(info.value) == f"redu[(1, 2)] delete rank {rank!r} is not an int"
+
 
 class TestSearch:
     def test_123_structure(self, scheme123):
@@ -437,6 +446,10 @@ class TestSerialization:
             # Range-checked before the shift: no huge int is built.
             lambda d: d["redu"][0].update(gaps=[-1]),
             lambda d: d["redu"][0].update(gaps=[10**12]),
+            # ``validate`` reports every rank that is not an int.
+            lambda d: d["redu"][0].update(delete_rank="2"),
+            lambda d: d["redu"][0].update(delete_rank=1.5),
+            lambda d: d["redu"][0].update(delete_rank=None),
         ],
     )
     def test_bad_documents_rejected(self, scheme123, mangle):
