@@ -14,12 +14,15 @@ containment is hereditary, so a pruned branch could never recover.
   set.
 * ``count_avoiders`` walks the refinement tree of standardized prefixes
   (``perms.refine``), where each avoider of size k+1 has exactly one
-  parent, its first k entries reduced. It reads one ``perms.closed_gaps``
-  mask per avoider of size k, on the patterns' ``perms.gap_plan``, which
-  decides all k+1 refinements in one pass, so counting costs far fewer
-  tests than listing.
+  parent, its first k entries reduced. Each avoider keeps its closed-gap
+  mask, whose unset bits are its avoiding refinements, and a child gets
+  its mask from its parent's in one ``perms.tail_gaps`` call, on the
+  patterns' ``perms.tail_plan``: that lists only the occurrences through
+  the child's new last entry, so counting costs far fewer tests than
+  listing.
 
-The two walks share no containment code, so each checks the other.
+The two walks share no containment code with each other, nor with the
+``perms.closed_gaps`` of discovery, so each checks the others.
 The routines are exact but exponential; they exist to cross-check the
 certified machinery up to n around 10.
 
@@ -44,14 +47,14 @@ from .perms import (
     check_permutation,
     check_prefix_values,
     check_size,
-    closed_gaps,
     delete_rank,
     ends_with_bounds,
-    gap_plan,
     is_int,
     normalize_patterns,
     refine,
     slot_bounds,
+    tail_gaps,
+    tail_plan,
 )
 from .reasoning import GapSet, _deletion_counterexample, compute_gap_set
 from .scheme import MODE_EMPIRICAL, Scheme, check_depth, search
@@ -101,38 +104,54 @@ def iter_avoiders(n: int, patterns: Iterable[Perm]) -> Iterator[Perm]:
 def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
     """Number of avoiders of size n, counted on the refinement tree.
 
-    Each avoider p of size k < n gets one ``closed_gaps`` mask, whose
-    unset bits g are its avoiding refinements ``refine(p, g)``: below
-    n - 1 the walk steps into each, at n - 1 it counts them. So counting
-    size n makes sum over k < n of |Av_k| ``closed_gaps`` calls: 1,779 for
-    {1234, 1243, 1324} at n = 8, where the value search of
-    ``iter_avoiders`` makes 30,004 ``ends_with_bounds`` calls. The leaves
-    at size n are counted, never built, and the walk keeps one avoider per
-    size, so its memory is O(n^2).
+    Each avoider p of size k < n has a mask whose bit g is set when
+    ``refine(p, g)`` contains a pattern (``perms.closed_gaps``): below
+    n - 1 the walk steps into each unset bit, at n - 1 it counts them.
+    The root's mask is 1 exactly when the set holds (1,). A child
+    c = ``refine(p, g)`` gets D_g(mask(p)) | T(c), one ``tail_gaps``
+    call, where D_g doubles bit g and T(c) holds the gaps closed by the
+    occurrences of a pattern's head (its first m-1 entries) whose last
+    slot is c's last entry. This is c's mask: an occurrence of a head in c
+    either misses c's last entry, and is then an occurrence in p with its
+    values above g raised by one, so that the gaps it closes are D_g of
+    those it closes in p; or it uses that entry, which can then only fill
+    the head's last slot.
+
+    So counting size n makes sum over 1 <= k < n of |Av_k| ``tail_gaps``
+    calls: 1,778 for {1234, 1243, 1324} at n = 8, where the value search
+    of ``iter_avoiders`` makes 30,004 ``ends_with_bounds`` calls. The
+    leaves at size n are counted, never built, and the walk keeps one
+    avoider and one mask per size, so its memory is O(n^2).
 
     >>> [count_avoiders(n, [(1, 2, 3)]) for n in range(7)]
     [1, 1, 2, 5, 14, 42, 132]
     """
     check_size(n)
-    plans = [gap_plan(q) for q in normalize_patterns(patterns)]
+    pats = normalize_patterns(patterns)
+    plans = [tail_plan(q) for q in pats]
     if n == 0:
         return 1
-    # path[d] is the avoider of size d on the current branch, and todo[d]
-    # the bits of its open gaps not yet stepped into.
+    # path[d] is the avoider of size d on the current branch, masks[d] its
+    # closed-gap mask, and todo[d] the bits of its open gaps not yet
+    # stepped into.
     path: "list[tuple[int, ...]]" = []
+    masks: "list[int]" = []
     todo: "list[int]" = []
     total = 0
     p: "tuple[int, ...]" = ()
+    mask = int((1,) in pats)
     while True:
         k = len(p)
-        gaps = ((1 << (k + 1)) - 1) ^ closed_gaps(p, plans)
+        gaps = ((1 << (k + 1)) - 1) ^ mask
         if k == n - 1:
             total += gaps.bit_count()
         else:
             path.append(p)
+            masks.append(mask)
             todo.append(gaps)
         while todo and not todo[-1]:
             path.pop()
+            masks.pop()
             todo.pop()
         if not todo:
             return total
@@ -140,6 +159,7 @@ def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
         low = gaps & -gaps
         todo[-1] = gaps ^ low
         p = refine(path[-1], low.bit_length() - 1)
+        mask = tail_gaps(p, plans, masks[-1])
 
 
 def prefix_class_members(

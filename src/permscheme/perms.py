@@ -274,6 +274,105 @@ def closed_gaps(p: Sequence[int], plans: Iterable[tuple]) -> int:
     return mask
 
 
+@lru_cache(maxsize=1024)
+def tail_plan(q: Perm) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
+    """Where ``tail_gaps`` reads bounds from, for a pattern q of length m.
+
+    The last slot of q's head (its first m-1 entries) is pinned to the
+    permutation's last entry, so the free slots are the head's others, on
+    ``slot_bounds`` of the head. Then come the two places that bound q's
+    last entry, in ``slot_bounds``' terms (a free slot, -1 for the pinned
+    one, -3 and -2 for none), and ``fix``, the number of free slots an
+    occurrence fills before both are known. A length-1 pattern has an
+    empty head, so no occurrence of it uses the last entry: both of its
+    bounds name -3 and it closes no gap.
+
+    >>> tail_plan((1, 3, 2, 4))
+    (((-3, -1), (-1, -2)), 1, -2, 2)
+    >>> tail_plan((1, 2))
+    ((), -1, -2, 0)
+    """
+    head = q[:-1]
+    if not head:
+        return (), _NO_LOWER, _NO_LOWER, 0
+    free = len(head) - 1
+    below = [(v, t) for t, v in enumerate(head) if v < q[-1]]
+    above = [(v, t) for t, v in enumerate(head) if v > q[-1]]
+    lo_at = max(below)[1] if below else _NO_LOWER
+    hi_at = min(above)[1] if above else _NO_UPPER
+    lo_at, hi_at = (_LAST if t == free else t for t in (lo_at, hi_at))
+    return slot_bounds(head), lo_at, hi_at, max(lo_at, hi_at, -1) + 1
+
+
+def tail_gaps(c: Sequence[int], plans: Iterable[tuple], parent: int) -> int:
+    """``closed_gaps(c)`` for c = ``refine(p, g)``, from parent =
+    ``closed_gaps(p)``, where the ``tail_plan`` of each pattern is in plans.
+
+    An occurrence of a pattern's head in c either misses c's last entry
+    or fills the head's last slot with it. One that misses it is an
+    occurrence in p with its values above g raised by one, so its bounding
+    values a < b become a + [a > g] and b + [b > g] (the sentinels 0 and
+    len(p) + 1 become 0 and len(c) + 1), and the gaps it closes are a..b-1
+    with bit g doubled: all of them together are the parent's mask with
+    bit g doubled. The others are listed here, on the patterns' free slots
+    alone, starting from that mask: a branch that closes no gap still
+    open is left.
+
+    >>> bin(tail_gaps((1, 3, 2), [tail_plan((1, 2, 3))], 0b100))
+    '0b1100'
+    """
+    g = c[-1] - 1
+    mask = (parent & ((2 << g) - 1)) | (parent >> g << (g + 1))
+    k = len(c)
+    full = (1 << (k + 1)) - 1
+    for bounds, lo_at, hi_at, fix in plans:
+        need = len(bounds)
+        # Free slot s may take indices below stop + s of c[:-1], which
+        # leaves room for the slots after it. row[s] is the value matched
+        # to free slot s, chosen[s] its index in c, and row[-3:] the
+        # sentinels and the last entry; past a completed occurrence, slot
+        # fix-1 moves on, so with fix = 0 one occurrence ends the pattern.
+        stop = k - need
+        row = [0] * need + [0, k + 1, c[-1]]
+        chosen = [0] * need
+        if not fix:
+            gaps = (1 << row[hi_at]) - (1 << row[lo_at])
+            if not gaps & ~mask:
+                continue
+        depth = 0
+        idx = 0
+        while depth >= 0:
+            if depth == need:
+                mask |= gaps
+                if mask == full:
+                    return mask
+                depth = fix - 1
+                if depth >= 0:
+                    idx = chosen[depth] + 1
+                continue
+            lo, hi = bounds[depth]
+            lo = row[lo]
+            hi = row[hi]
+            for idx in range(idx, stop + depth):
+                v = c[idx]
+                if lo < v < hi:
+                    break
+            else:
+                depth -= 1
+                if depth >= 0:
+                    idx = chosen[depth] + 1
+                continue
+            row[depth] = v
+            chosen[depth] = idx
+            depth += 1
+            idx += 1
+            if depth == fix:
+                gaps = (1 << row[hi_at]) - (1 << row[lo_at])
+                if not gaps & ~mask:
+                    depth -= 1
+    return mask
+
+
 def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:
     """True if some subsequence of host is order-isomorphic to pattern.
 

@@ -15,7 +15,7 @@ from permscheme.counting import (
 )
 from permscheme.perms import delete_rank, refinements, symmetry_images
 from permscheme.reasoning import GapSet
-from permscheme.scheme import MODE_EMPIRICAL, ReduEntry, Scheme, search, search_with_symmetries
+from permscheme.scheme import MODE_CERTIFIED, MODE_EMPIRICAL, ReduEntry, Scheme, search, search_with_symmetries
 
 
 def reference_count(scheme, sigma, n, values, cache=None):
@@ -82,6 +82,34 @@ def simion_schmidt(R, n):
             return b
         return n
     return 2 if len(R) == 4 else 1
+
+
+def partitions(n, largest):
+    """The partitions of n with parts at most largest, parts decreasing."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), 0, -1):
+        for rest in partitions(n - part, part):
+            yield (part,) + rest
+
+
+def increasing_avoiders(n, k):
+    """|S_n(12...k)|. By Schensted's theorem (Canad. J. Math. 13, 1961) the
+    longest increasing subsequence of a permutation is the first row of its
+    Robinson-Schensted shape, so this is the sum of (f^lambda)^2 over the
+    partitions lambda of n with parts at most k - 1, f^lambda by the
+    hook-length formula of Frame, Robinson and Thrall (Canad. J. Math. 6,
+    1954)."""
+    total = 0
+    for shape in partitions(n, k - 1):
+        columns = [sum(part > j for part in shape) for j in range(shape[0] if shape else 0)]
+        hooks = 1
+        for i, part in enumerate(shape):
+            for j in range(part):
+                hooks *= part - j + columns[j] - i - 1
+        total += (math.factorial(n) // hooks) ** 2
+    return total
 
 
 def as_patterns(R):
@@ -318,6 +346,43 @@ class TestLengthThreeSets:
                 scheme = found[0]
             assert sequence(scheme, 40) == [simion_schmidt(R, n) for n in range(1, 41)], R
         assert uncertified == [{"132", "213"}, {"231", "312"}, {"123", "231", "312"}, {"132", "213", "321"}]
+
+
+class TestIncreasingPatterns:
+    """{12...k} against the hook-length formula, far past the oracle's reach."""
+
+    def test_hook_lengths_match_the_oracle(self):
+        assert [increasing_avoiders(n, 3) for n in range(10)] == [catalan(n) for n in range(10)]
+        for k in (3, 4, 5):
+            got = [oracle.count_avoiders(n, [tuple(range(1, k + 1))]) for n in range(10)]
+            assert got == [increasing_avoiders(n, k) for n in range(10)], k
+
+    def test_schemes_match_the_hook_lengths(self):
+        # The certified depth-4 {1234} scheme to 40, and the exact depth-7
+        # {12345} scheme, the shallowest there is, to 20.
+        scheme = search([(1, 2, 3, 4)], 4)
+        assert sequence(scheme, 40) == [increasing_avoiders(n, 4) for n in range(1, 41)]
+        assert search([(1, 2, 3, 4, 5)], 6, mode=MODE_EMPIRICAL) is None
+        scheme = search([(1, 2, 3, 4, 5)], 7, mode=MODE_EMPIRICAL)
+        assert sequence(scheme, 20) == [increasing_avoiders(n, 5) for n in range(1, 21)]
+
+
+class TestErdosSzekeres:
+    """A set holding 12...a and b...1 has no avoider of size above
+    (a-1)(b-1) (Erdos and Szekeres, Compositio Math. 2, 1935), and some of
+    that size."""
+
+    @pytest.mark.parametrize("R", [("123", "321"), ("1234", "321"), ("123", "4321"), ("1234", "4321")], ids=",".join)
+    def test_no_avoider_past_the_bound(self, R):
+        bound = (len(R[0]) - 1) * (len(R[1]) - 1)
+        pats = as_patterns(R)
+        brute = [oracle.count_avoiders(n, pats) for n in range(1, 11)]
+        assert brute[bound - 1] > 0
+        assert brute[bound:] == [0] * (10 - bound)
+        for mode in (MODE_CERTIFIED, MODE_EMPIRICAL):
+            terms = sequence(search(pats, 6, mode=mode), 14)
+            assert terms[:10] == brute, mode
+            assert terms[bound:] == [0] * (14 - bound), mode
 
 
 class TestPolynomialGrowth:

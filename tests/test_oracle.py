@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -16,6 +17,7 @@ from permscheme.oracle import (
 )
 from permscheme.perms import (
     avoids_all,
+    closed_gaps,
     delete_rank,
     ends_with_bounds,
     normalize_patterns,
@@ -57,6 +59,24 @@ def oracle_calls(monkeypatch, name: str, run, module=oracle) -> int:
 
     monkeypatch.setattr(module, name, counted)
     run()
+    return made
+
+
+def code_calls(func, run) -> int:
+    """How many times run() enters func's code, under whatever name it is
+    bound by."""
+    made = 0
+
+    def profile(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code is func.__code__:
+            made += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
     return made
 
 
@@ -215,16 +235,18 @@ class TestCount:
         # stack in exact integers.
         assert count_avoiders(60, P12) == 1
 
-    @pytest.mark.parametrize("pats,calls", [(PTHREE, 1779), (((1, 2, 3, 4),), 3410)])
+    @pytest.mark.parametrize("pats,calls", [(PTHREE, 1778), (((1, 2, 3, 4),), 3409)])
     def test_call_count_closed_form(self, monkeypatch, pats, calls):
-        # Each avoider of size k < n gets one closed-gap mask: the walk makes
-        # sum over k < n of |Av_k| ``closed_gaps`` calls, and it shares no
-        # containment test with the value search.
+        # Each avoider of size 1 <= k < n gets its closed-gap mask from its
+        # parent's in one ``tail_gaps`` call, and the root's needs none: the
+        # walk makes sum over 1 <= k < n of |Av_k| calls, no ``closed_gaps``
+        # call, and no containment test shared with the value search.
         n = 8
-        closed = sum(len(list(iter_avoiders(k, pats))) for k in range(n))
-        assert closed == calls
-        assert oracle_calls(monkeypatch, "closed_gaps", lambda: count_avoiders(n, pats)) == calls
+        tails = sum(len(list(iter_avoiders(k, pats))) for k in range(1, n))
+        assert tails == calls
+        assert oracle_calls(monkeypatch, "tail_gaps", lambda: count_avoiders(n, pats)) == calls
         assert oracle_calls(monkeypatch, "ends_with_bounds", lambda: count_avoiders(n, pats)) == 0
+        assert code_calls(closed_gaps, lambda: count_avoiders(n, pats)) == 0
 
     def test_symmetry_invariance(self):
         from permscheme.perms import complement, inverse, reverse

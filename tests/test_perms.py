@@ -25,6 +25,8 @@ from permscheme.perms import (
     slot_bounds,
     symmetry_closure,
     symmetry_images,
+    tail_gaps,
+    tail_plan,
 )
 
 
@@ -167,6 +169,82 @@ class TestClosedGaps:
     def test_matches_end_anchored_test(self, p, pats):
         gaps = [gap_plan(q) for q in pats]
         assert closed_gaps(p, gaps) == refinement_ends(refinements(p), [slot_bounds(q) for q in pats])
+
+
+def check_grown_masks(pats, parents) -> int:
+    """For every p in parents and every gap g, ``tail_gaps`` on
+    c = ``refine(p, g)`` from p's ``closed_gaps`` mask must be c's
+    ``closed_gaps`` mask. Returns the number of children checked."""
+    gaps = [gap_plan(q) for q in pats]
+    tails = [tail_plan(q) for q in pats]
+    checked = 0
+    for p in parents:
+        parent = closed_gaps(p, gaps)
+        for g, fine in enumerate(refinements(p)):
+            assert tail_gaps(fine, tails, parent) == closed_gaps(fine, gaps), (p, g, pats)
+            checked += 1
+    return checked
+
+
+def every_perm(k: int):
+    """Every permutation of length at most k, shortest first."""
+    return (p for size in range(k + 1) for p in permutations(range(1, size + 1)))
+
+
+class TestTailGaps:
+    def test_examples(self):
+        # 12 ends at the last entry of 132 with 1 below it, so 123 closes
+        # the gaps above 2, whatever the parent's mask.
+        assert tail_gaps((1, 3, 2), [tail_plan((1, 2, 3))], 0b100) == 0b1100
+        assert tail_gaps((1, 3, 2), [tail_plan((1, 2, 3))], 0) == 0b1100
+        # The parent 12 closed the gap above 2 for 123. Its child 123 has
+        # that bit doubled: both gaps next to the new entry 3 are closed.
+        assert tail_gaps((1, 2, 3), [tail_plan((1, 2, 3))], 0b100) == 0b1100
+        # The point pattern's empty head never uses the last entry, and the
+        # empty set adds nothing to the parent's mask but bit g doubled.
+        assert tail_gaps((2, 1, 3), [tail_plan((1,))], 0) == 0
+        assert tail_gaps((2, 1, 3), [], 0b101) == 0b1101
+
+    def test_tail_alone_matches_a_scan(self):
+        # From a parent mask of 0, bit j is set when a new last entry in
+        # gap j completes a pattern through c's last entry: a scan of the
+        # subsequences of refine(c, j) that end at its last two entries.
+        singles = [q for m in range(1, 6) for q in permutations(range(1, m + 1))]
+        for c in every_perm(6):
+            if not c:
+                continue
+            through = dict.fromkeys(singles, 0)
+            for j, fine in enumerate(refinements(c)):
+                *rest, last, new = fine
+                for m in range(2, min(len(c) + 1, 5) + 1):
+                    for sub in combinations(rest, m - 2):
+                        through[reduce_word(list(sub) + [last, new])] |= 1 << j
+            for q in singles:
+                assert tail_gaps(c, [tail_plan(q)], 0) == through[q], (c, q)
+
+    def test_single_patterns_exhaustive(self):
+        # Every pattern of length 1-5 on its own, at every gap g of every p
+        # of length <= 5 (length 6 takes 10 s): the parent's mask with bit
+        # g doubled, joined with the occurrences through the new last
+        # entry, is the child's.
+        checked = 0
+        for m in range(1, 6):
+            for q in permutations(range(1, m + 1)):
+                checked += check_grown_masks([q], every_perm(5))
+        assert checked == 153 * 873
+
+    def test_corpus_sets_exhaustive(self):
+        # Every set of the 50-set corpus at every gap of every p of length
+        # <= 5, and of every avoider of length 6, which are the parents the
+        # count walk reaches there.
+        for pats in random_pattern_sets(97103, 50):
+            check_grown_masks(pats, every_perm(5))
+            check_grown_masks(pats, (p for p in permutations(range(1, 7)) if avoids_all(p, pats)))
+
+    @given(perms_up_to(8), st.lists(perms_up_to(5), min_size=1, max_size=3))
+    @settings(max_examples=300)
+    def test_matches_closed_gaps(self, p, pats):
+        check_grown_masks(pats, [p])
 
 
 class TestRefinements:
