@@ -52,11 +52,14 @@ Such an event of q is vacuous when q has entries above (below) its first
 and the gaps above (below) the rank are all forced. It bails out when some
 pattern occurs in the rest of q, or is a direct (skew) sum alpha (+) beta
 whose alpha occurs among the prefix values below (above) the rank and
-whose beta occurs among q's entries above (below) its first. ``scheme.search``
-screens each rank with ``single_place_unresolved`` first, and only a rank
-that passes goes to ``certify_deletable``; ``analyze_deletable`` still
-examines every event, so its transcripts do not depend on the screen.
-The empirical search decides deletion on concrete
+whose beta occurs among q's entries above (below) its first.
+``analyze_deletable``'s verdict decides those events by that rule
+(``single_place_unresolved``), and of the other events it sends to the
+bail-out search only those whose ranks are in the pattern's order and
+whose symbols each have an open gap, the ones ``order_facts`` keeps. It
+builds no transcript: ``DeletionAnalysis.outcomes`` examines every event
+in order when it is first read, so a transcript is the same with or
+without the rule. The empirical search decides deletion on concrete
 permutations instead: ``_deletion_walk`` walks the extensions of
 sigma by at most m-1 entries for a member that the deletion loses, which
 is exact, since a lost member of any size cuts down to one of those. Each
@@ -69,7 +72,7 @@ each permutation's mask is computed once per search, however many ask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterator
 
@@ -197,8 +200,14 @@ def order_facts(sigma: Perm, gaps: GapSet, event: Event) -> OrderFacts | None:
     ranks = [sigma[p - 1] for p in places]
     if d > 1 and sorted(range(d), key=ranks.__getitem__) != sorted(range(d), key=q.__getitem__):
         return None
+    return _symbol_facts(k, gaps.mask, q, ranks)
 
-    mask = gaps.mask
+
+def _symbol_facts(k: int, mask: int, q: Perm, ranks: list[int]) -> OrderFacts | None:
+    """The facts of an event whose prefix slots, of ranks ``ranks`` in a
+    length-k prefix, are in q's order; None if a symbol's region lies in
+    the forced gaps of ``mask``."""
+    d = len(ranks)
     lower = []
     upper = []
     for value in q[d:]:
@@ -476,12 +485,39 @@ class EventOutcome:
 
 @dataclass(frozen=True)
 class DeletionAnalysis:
-    """Transcript of the deletability check for one (sigma, rank) pair."""
+    """The deletability check for one (sigma, rank) pair.
+
+    ``certified`` is the verdict. ``outcomes``, the transcript, is built
+    the first time it is read: every event on the rank's place in
+    ``_events_at_place`` order, each with its verdict and first bail-out,
+    up to and including the first unresolved one. When sigma avoids the
+    patterns, ``certified`` is True exactly when no outcome is unresolved.
+    """
 
     sigma: Perm
+    patterns: PatternSet
+    gaps: GapSet
     rank: int
     certified: bool
-    outcomes: tuple[EventOutcome, ...]
+
+    @cached_property
+    def outcomes(self) -> tuple[EventOutcome, ...]:
+        sigma, gaps, patterns = self.sigma, self.gaps, self.patterns
+        t = sigma.index(self.rank) + 1
+        avail = [p for p in range(1, len(sigma) + 1) if p != t]
+        rows = _place_rows(sigma, avail)
+        outcomes: list[EventOutcome] = []
+        for event in _events_at_place(sigma, patterns, t):
+            facts = order_facts(sigma, gaps, event)
+            if facts is None:
+                outcomes.append(EventOutcome(event, "vacuous", None))
+                continue
+            bailout = _bailout(avail, rows, facts, patterns)
+            if bailout is None:
+                outcomes.append(EventOutcome(event, "unresolved", None))
+                break
+            outcomes.append(EventOutcome(event, "bailed-out", bailout))
+        return tuple(outcomes)
 
 
 def _events_at_place(sigma: Perm, patterns: PatternSet, t: int) -> Iterator[Event]:
@@ -495,40 +531,108 @@ def _events_at_place(sigma: Perm, patterns: PatternSet, t: int) -> Iterator[Even
                 yield Event(q, tuple(sorted((*rest, t))))
 
 
-def analyze_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int) -> DeletionAnalysis:
+def _consistent_ranks(up: list[int], down: list[int], sigma: Perm, q: Perm, t: int) -> Iterator[list[int]]:
+    """The ranks on the places of each event of q with two places or more,
+    t among them, whose ranks are in the order of q's first entries.
+
+    ``up[x]`` (``down[x]``) has bit y when sigma's entry y is above (below)
+    its entry x, both 0-based. As in ``_first_embedding``, slots 0, 1, ...
+    take increasing entries, each kept only if it relates as q demands to
+    every slot before it; until one slot takes place t, none lies past it.
+    Every such assignment of two slots or more that holds place t is an
+    event's.
+    """
+    k = len(sigma)
+    m = min(len(q), k)
+    tests = _slot_tests(q)
+    chosen: list[int] = []
+    untried: list[int] = []
+    mask = (1 << t) - 1  # slot 0 lies at or before place t
+    while True:
+        while not mask:
+            if not chosen:
+                return
+            chosen.pop()
+            mask = untried.pop()
+        low = mask & -mask
+        untried.append(mask ^ low)
+        x = low.bit_length() - 1
+        chosen.append(x)
+        i = len(chosen)
+        held = x >= t - 1  # some slot is on place t
+        if held and i >= 2:
+            yield [sigma[y] for y in chosen]
+        if i == m:
+            mask = 0
+            continue
+        mask = (1 << (k if held else t)) - (2 << x)
+        for j, is_below in tests[i]:
+            mask &= up[chosen[j]] if is_below else down[chosen[j]]
+
+
+def _verdict(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int, rules: list[SinglePlaceRule]) -> bool:
+    """True if every event on the rank's place is vacuous or bailed out.
+
+    The single-place events are decided by ``single_place_unresolved``.
+    Of the others, only those ``order_facts`` keeps reach the bail-out
+    search: their ranks are in the pattern's order and no symbol's region
+    is all forced gaps.
+    """
+    if single_place_unresolved(sigma, gaps, rank, rules):
+        return False
+    k = len(sigma)
+    t = sigma.index(rank) + 1
+    _, up, down = _place_rows(sigma, list(range(1, k + 1)))
+    avail = [p for p in range(1, k + 1) if p != t]
+    rows = None
+    for q in patterns:
+        for ranks in _consistent_ranks(up, down, sigma, q, t):
+            facts = _symbol_facts(k, gaps.mask, q, ranks)
+            if facts is None:
+                continue
+            if rows is None:
+                rows = _place_rows(sigma, avail)
+            if _bailout(avail, rows, facts, patterns) is None:
+                return False
+    return True
+
+
+def analyze_deletable(
+    sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int, rules: list[SinglePlaceRule] | None = None
+) -> DeletionAnalysis:
     """Examine every event involving the place of value ``rank`` in sigma.
 
     The rank is certified deletable when each event is vacuous or bailed
     out: re-inserting the value can then never be the sole cause of a
     forbidden pattern, so deletion is a bijection onto the smaller class for
     every size n and every value tuple obeying the forced gaps.
+
+    ``rules`` are the set's ``single_place_rules``, derived here when
+    omitted; a caller that tests many ranks passes them once. The verdict
+    builds no transcript: ``DeletionAnalysis.outcomes`` does, when read.
+
+    The caller guarantees sigma itself avoids the patterns, as for
+    ``compute_gap_set``; ``scheme.search`` zeroes the other classes first.
+    The single-place rule is exact only then; for any sigma, the
+    transcript of a certified rank has no unresolved event.
     """
     sigma = check_permutation(sigma)
     check_rank(sigma, rank)
     if gaps.k != len(sigma):
         raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {len(sigma)}")
-    t = sigma.index(rank) + 1
-    avail = [p for p in range(1, len(sigma) + 1) if p != t]
-    rows = _place_rows(sigma, avail)
-    outcomes: list[EventOutcome] = []
-    certified = True
-    for event in _events_at_place(sigma, patterns, t):
-        facts = order_facts(sigma, gaps, event)
-        if facts is None:
-            outcomes.append(EventOutcome(event, "vacuous", None))
-            continue
-        bailout = _bailout(avail, rows, facts, patterns)
-        if bailout is None:
-            outcomes.append(EventOutcome(event, "unresolved", None))
-            certified = False
-            break
-        outcomes.append(EventOutcome(event, "bailed-out", bailout))
-    return DeletionAnalysis(sigma, rank, certified, tuple(outcomes))
+    if rules is None:
+        rules = single_place_rules(patterns)
+    return DeletionAnalysis(sigma, patterns, gaps, rank, _verdict(sigma, patterns, gaps, rank, rules))
 
 
-def certify_deletable(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int) -> bool:
-    """True if deleting the rank-th smallest prefix value is provably safe."""
-    return analyze_deletable(sigma, patterns, gaps, rank).certified
+def certify_deletable(
+    sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int, rules: list[SinglePlaceRule] | None = None
+) -> bool:
+    """True if deleting the rank-th smallest prefix value is provably safe.
+
+    The arguments and the precondition are ``analyze_deletable``'s.
+    """
+    return analyze_deletable(sigma, patterns, gaps, rank, rules).certified
 
 
 # One pattern q's single-place rule: whether q[1:] has entries above q[0],

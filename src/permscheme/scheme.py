@@ -55,7 +55,6 @@ from .reasoning import (
     certify_deletable,
     compute_gap_set,
     single_place_rules,
-    single_place_unresolved,
 )
 
 SCHEMA_VERSION = 1
@@ -158,15 +157,14 @@ def search(
     fails at once. ``log`` receives one record per class in that order; it
     is the failure report, whose last record is the first stuck class found.
 
-    In mode ``certified`` each rank is tested in two steps. First the
-    single-place rule: for each pattern q, the event that puts only q's
-    first entry on the rank's place is decided in closed form
-    (``reasoning.single_place_rules``, derived once per call), and a rank
-    with such an event that is neither vacuous nor bailed out is rejected
-    at once. Only then does ``certify_deletable`` examine every event. The
-    rule is exact, so the first step rejects only ranks that the second
-    would reject too, and the documents and logs are the same as with the
-    second step alone.
+    In mode ``certified`` a rank passes when ``certify_deletable`` certifies
+    it, given the set's ``reasoning.single_place_rules``, derived once per
+    call. For each pattern q, the event that puts only q's first entry on
+    the rank's place is decided by that closed-form rule, and only the
+    other events that ``order_facts`` keeps go to the bail-out search. Both
+    steps are exact for a class that avoids the set, which every class
+    tested here does, so the documents and logs are the same as when every
+    event goes to the bail-out search.
 
     In mode ``empirical`` a rank passes when ``reasoning._deletion_walk``
     finds no member that its deletion loses. The walk checks every
@@ -184,7 +182,7 @@ def search(
         rules = single_place_rules(pats)
 
         def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
-            return not single_place_unresolved(sigma, gaps, rank, rules) and certify_deletable(sigma, pats, gaps, rank)
+            return certify_deletable(sigma, pats, gaps, rank, rules)
 
     elif mode == MODE_EMPIRICAL:
         def deletable(sigma: Perm, gaps: GapSet, rank: int) -> bool:
@@ -276,8 +274,8 @@ def search_with_symmetries(
     ``order_facts`` maps a symbol's bounds (floor, ceiling) to
     (k+1-ceiling, k+1-floor), the implied relations swap "above" and
     "below", and so an implied embedding of a pattern p maps to one of
-    p^c; the single-place screen rejects only ranks that
-    ``certify_deletable`` rejects, so it changes nothing. A class is thus
+    p^c; its verdict on a class that avoids the set is that of the
+    bail-out search on every event, so it maps the same way. A class is thus
     zeroed, reduced or expanded exactly when its complement is, though a
     reduction may pick another rank and so hand off to another class. Now
     let the search on P fail at s, with every proper prefix of s expanded.

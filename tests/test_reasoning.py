@@ -266,6 +266,31 @@ class TestSearchAgainstReference:
                     assert bool(mask >> j & 1) == reference_gap(sigma, pats, j), (pats, sigma, j)
 
 
+class TestVerdictAgainstTranscript:
+    SIGMAS = TestSearchAgainstReference.SIGMAS
+
+    def test_certified_is_the_transcript_verdict(self):
+        # ``certified`` skips the transcript: single-place events by their
+        # rule, the others only when order_facts keeps them. Every avoiding
+        # sigma up to length 4 and every rank, with the rules passed in and
+        # derived.
+        sets = random_pattern_sets(97103, 50) + random_pattern_sets(4207, 30) + SINGLETONS
+        checked = 0
+        for pats in sets:
+            rules = single_place_rules(pats)
+            for sigma in self.SIGMAS:
+                if not avoids_all(sigma, pats):
+                    continue
+                gaps = compute_gap_set(sigma, pats)
+                for rank in range(1, len(sigma) + 1):
+                    analysis = analyze_deletable(sigma, pats, gaps, rank)
+                    expect = all(o.verdict != "unresolved" for o in analysis.outcomes)
+                    assert analysis.certified == expect, (pats, sigma, rank)
+                    assert analyze_deletable(sigma, pats, gaps, rank, rules).certified == expect, (pats, sigma, rank)
+                    checked += 1
+        assert checked > 7000
+
+
 class TestCertifyGap:
     """Single gaps, each decided as one bit of ``compute_gap_set``'s mask."""
 

@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 
 from conftest import P12, P123, P132, PAIRS, PBOTH, PTHREE, SINGLETONS, catalan, random_pattern_sets
-from permscheme import counting, oracle
+from permscheme import counting, oracle, reasoning
 from permscheme.perms import (
     avoids_all,
     contains,
@@ -15,7 +15,7 @@ from permscheme.perms import (
     symmetry_closure,
     symmetry_images,
 )
-from permscheme.reasoning import GapSet, certify_deletable, compute_gap_set
+from permscheme.reasoning import GapSet, analyze_deletable, certify_deletable, compute_gap_set
 from permscheme.scheme import (
     ReduEntry,
     Scheme,
@@ -253,23 +253,43 @@ class TestSearchOrderIndependence:
         assert log != records
 
 
+def document_and_log(pats, depth):
+    """A search's document (None on failure) and its --explain records."""
+    log = []
+    found = search(pats, depth, log)
+    return (found and serialize(found)), [json.dumps(r) for r in log]
+
+
 class TestSinglePlaceScreen:
     def test_same_bytes_as_certify_deletable_alone(self, monkeypatch):
-        # The screen rejects only ranks that certify_deletable rejects too, so
-        # the documents and the --explain records are the same bytes.
+        # The verdict decides single-place events by their closed-form rule and
+        # sends only the events that order_facts keeps to the bail-out search.
+        # Both are exact, so the documents and the --explain records are the
+        # same bytes as with the transcript's verdict, which searches for a
+        # bail-out on every event.
         jobs = [(image, 4) for pats in random_pattern_sets(97103, 50) for image in symmetry_closure(pats)]
         jobs += [(image, 5) for pats in SINGLETONS for image in symmetry_closure(pats)]
-
-        def run(image, depth):
-            log = []
-            found = search(image, depth, log)
-            return (found and serialize(found)), [json.dumps(r) for r in log]
-
-        screened = [run(image, depth) for image, depth in jobs]
-        # A screen that passes every rank leaves certify_deletable alone.
-        monkeypatch.setattr("permscheme.scheme.single_place_unresolved", lambda *args: False)
+        screened = [document_and_log(image, depth) for image, depth in jobs]
+        monkeypatch.setattr(
+            "permscheme.scheme.certify_deletable",
+            lambda s, p, g, r, rules: all(o.verdict != "unresolved" for o in analyze_deletable(s, p, g, r).outcomes),
+        )
         for (image, depth), expected in zip(jobs, screened):
-            assert run(image, depth) == expected, image
+            assert document_and_log(image, depth) == expected, image
+
+    def test_search_builds_no_transcript(self, monkeypatch):
+        # The verdict never lists the transcript's events, so a search whose
+        # event listing raises still writes the same documents and logs: two
+        # successes at depth 4 and {1342}'s failure at depth 5.
+        jobs = [(PTHREE, 4), (((1, 2, 3, 4),), 4), (((1, 3, 4, 2),), 5)]
+        expected = [document_and_log(pats, depth) for pats, depth in jobs]
+        assert expected[0][0] and expected[1][0] and expected[2][0] is None
+
+        def listing(*args):
+            raise AssertionError("transcript events listed")
+
+        monkeypatch.setattr(reasoning, "_events_at_place", listing)
+        assert [document_and_log(pats, depth) for pats, depth in jobs] == expected
 
 
 class TestSearchWithSymmetries:
