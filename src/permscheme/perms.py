@@ -38,7 +38,7 @@ def check_permutation(entries: Iterable[int]) -> Perm:
     (2, 1, 3)
     """
     perm = tuple(entries)
-    if not all(is_int(v) for v in perm) or sorted(perm) != list(range(1, len(perm) + 1)):
+    if not all(map(is_int, perm)) or sorted(perm) != list(range(1, len(perm) + 1)):
         raise ValueError(f"not a permutation of 1..{len(perm)}: {perm!r}")
     return perm
 
@@ -509,6 +509,9 @@ def symmetry_images(patterns: Iterable[Sequence[int]]) -> list[tuple[str, Patter
     image's label is a shortest generator word, written in application order
     ("reverse+inverse" applies reverse first). The first entry is always
     ("identity", the canonicalized input).
+
+    The input is validated once: the images of a pattern set are pattern
+    sets, so each is only deduplicated and sorted.
     """
     start = normalize_patterns(patterns)
     labels: dict[PatternSet, str] = {start: "identity"}
@@ -517,7 +520,7 @@ def symmetry_images(patterns: Iterable[Sequence[int]]) -> list[tuple[str, Patter
     while queue:
         cur = queue.popleft()
         for name, fn in _SYMMETRY_GENERATORS:
-            img = normalize_patterns(fn(q) for q in cur) if cur else cur
+            img = tuple(sorted({fn(q) for q in cur}))
             if img not in labels:
                 prev = labels[cur]
                 labels[img] = name if prev == "identity" else f"{prev}+{name}"

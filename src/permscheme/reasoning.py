@@ -44,7 +44,10 @@ first and then symbols, each at a larger index than the one before, and
 checks each new slot only against the slots already chosen. Complete
 assignments come out in the order in which ``combinations`` over places
 and then symbols would list the candidates, so the first hit is the one an
-exhaustive scan finds.
+exhaustive scan finds. The transcript keeps that first bail-out, trying
+the number of slots on places split by split; the verdict asks only
+whether some embedding exists, so it searches each pattern once over
+every split.
 
 The events that put only a pattern's first entry on the examined place, the
 single-place events, are decided in closed form (``single_place_rules``).
@@ -286,7 +289,7 @@ def _slot_tests(q: Perm) -> tuple[tuple[tuple[int, bool], ...], ...]:
 
 
 def _first_embedding(
-    above: list[int], below: list[int], n_places: int, q: Perm, d: int
+    above: list[int], below: list[int], n_places: int, q: Perm, d: int | None
 ) -> tuple[int, ...] | None:
     """First implied embedding of q with d slots on places, in table order.
 
@@ -297,6 +300,12 @@ def _first_embedding(
     complete assignments come out in the order of ``combinations`` over the
     places and then over the symbols, minus those the table refutes. Only
     the bail-out search uses it; gaps are decided on a concrete refinement.
+
+    With ``d`` None the split is free: slot i takes any node after the
+    previous slot's that leaves enough nodes for the slots after it, the
+    union of the ranges of every d. That embedding exists exactly when one
+    exists for some d, which is all the verdict asks; the transcript passes
+    each d in turn to keep the first bail-out in order.
     """
     m = len(q)
     tests = _slot_tests(q)
@@ -306,7 +315,12 @@ def _first_embedding(
         i = len(chosen)
         if i == m:
             return tuple(chosen)
-        first, last = (i, n_places - d + i) if i < d else (n_places + i - d, len(above) - m + i)
+        if d is None:
+            first, last = i, len(above) - m + i
+        elif i < d:
+            first, last = i, n_places - d + i
+        else:
+            first, last = n_places + i - d, len(above) - m + i
         if chosen and chosen[-1] >= first:
             first = chosen[-1] + 1
         mask = (1 << (last + 1)) - (1 << first) if first <= last else 0
@@ -576,7 +590,10 @@ def _verdict(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int, rules: 
     The single-place events are decided by ``single_place_unresolved``.
     Of the others, only those ``order_facts`` keeps reach the bail-out
     search: their ranks are in the pattern's order and no symbol's region
-    is all forced gaps.
+    is all forced gaps. An event needs only that some implied embedding
+    exists, so each pattern gets one any-split ``_first_embedding`` search
+    over its relation table, where the transcript's ``_bailout`` tries
+    split by split for the first bail-out in order.
     """
     if single_place_unresolved(sigma, gaps, rank, rules):
         return False
@@ -592,7 +609,8 @@ def _verdict(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int, rules: 
                 continue
             if rows is None:
                 rows = _place_rows(sigma, avail)
-            if _bailout(avail, rows, facts, patterns) is None:
+            above, below = _relation_rows(rows, facts)
+            if not any(_first_embedding(above, below, len(avail), p, None) is not None for p in patterns):
                 return False
     return True
 
@@ -670,20 +688,25 @@ def single_place_rules(patterns: PatternSet) -> list[SinglePlaceRule]:
     the symbols lie on one side of q[0] and the places on the other side
     of r, each place below (above) each symbol: (ii) or (iii). Conversely,
     each case names an embedding whose every relation is implied.
+
+    Each pattern's direct and skew splits, (alpha, reduced beta), are
+    listed once, and every q reads the same two lists.
     """
+    direct, skew = [], []
+    for p in patterns:
+        m = len(p)
+        for d in range(1, m):
+            beta = reduce_word(p[d:])
+            if max(p[:d]) == d:
+                direct.append((p[:d], beta))
+            if min(p[:d]) == m - d + 1:
+                skew.append((tuple(v - m + d for v in p[:d]), beta))
     rules = []
     for q in patterns:
         rises = [v for v in q[1:] if v > q[0]]
         falls = [v for v in q[1:] if v < q[0]]
-        below_alphas, above_alphas = set(), set()
-        for p in patterns:
-            m = len(p)
-            for d in range(1, m):
-                beta = reduce_word(p[d:])
-                if max(p[:d]) == d and not avoids_all(rises, [beta]):
-                    below_alphas.add(p[:d])
-                if min(p[:d]) == m - d + 1 and not avoids_all(falls, [beta]):
-                    above_alphas.add(tuple(v - m + d for v in p[:d]))
+        below_alphas = {alpha for alpha, beta in direct if not avoids_all(rises, [beta])}
+        above_alphas = {alpha for alpha, beta in skew if not avoids_all(falls, [beta])}
         always = not avoids_all(q[1:], patterns)
         plans = [[slot_bounds(a) for a in alphas] for alphas in (below_alphas, above_alphas)]
         rules.append((bool(rises), bool(falls), always, *plans))
@@ -705,8 +728,8 @@ def single_place_unresolved(sigma: Perm, gaps: GapSet, rank: int, rules: list[Si
     for rises, falls, always, below_plans, above_plans in rules:
         if always or (rises and top_closed) or (falls and bottom_closed):
             continue
-        if any(ends_with_bounds(low[:e], low[e], below_plans) for e in range(len(low))):
+        if below_plans and any(ends_with_bounds(low[:e], low[e], below_plans) for e in range(len(low))):
             continue
-        if not any(ends_with_bounds(high[:e], high[e], above_plans) for e in range(len(high))):
+        if not (above_plans and any(ends_with_bounds(high[:e], high[e], above_plans) for e in range(len(high)))):
             return True
     return False

@@ -292,7 +292,7 @@ def search_with_symmetries(
     labels = {img: label for label, img in images}
     refuted: set[PatternSet] = set()
     for img in sorted(labels):
-        if normalize_patterns(complement(q) for q in img) in refuted:
+        if tuple(sorted({complement(q) for q in img})) in refuted:
             continue
         log: list[dict] = []
         found = search(img, max_depth, log, mode=mode)

@@ -1,12 +1,14 @@
+from collections import deque
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PBOTH, end_order_types, naive_contains, random_pattern_sets
+from conftest import PAIRS, PBOTH, SINGLETONS, end_order_types, naive_contains, random_pattern_sets
 from permscheme.perms import (
     avoids_all,
+    check_permutation,
     closed_gaps,
     complement,
     contains,
@@ -28,6 +30,7 @@ from permscheme.perms import (
     tail_gaps,
     tail_plan,
 )
+from permscheme.scheme import search_with_symmetries
 
 
 perms_up_to = lambda k: st.integers(1, k).flatmap(
@@ -329,6 +332,57 @@ class TestSymmetries:
         images = dict((img, label) for label, img in symmetry_images([(3, 2, 1)]))
         assert images[((3, 2, 1),)] == "identity"
         assert images[((1, 2, 3),)] == "reverse"
+
+    def test_images_match_normalizing_every_image(self):
+        for pats in [(), *random_pattern_sets(97103, 50), *SINGLETONS, *PAIRS]:
+            expect = reference_symmetry_images(pats)
+            assert symmetry_images(pats) == expect, pats
+            assert symmetry_closure(pats) == sorted(img for _, img in expect), pats
+
+    # Each rejected input with its whole message; the set functions see the
+    # bad pattern after a good one.
+    BAD_PATTERNS = [
+        ((True, 2), "not a permutation of 1..2: (True, 2)"),
+        ((1.0, 2), "not a permutation of 1..2: (1.0, 2)"),
+        ((1, 1), "not a permutation of 1..2: (1, 1)"),
+        ((2, 3), "not a permutation of 1..2: (2, 3)"),
+        ((), "patterns must have length >= 1"),
+    ]
+
+    @pytest.mark.parametrize("bad, message", BAD_PATTERNS, ids=str)
+    def test_set_functions_reject(self, bad, message):
+        for call in (symmetry_images, symmetry_closure, lambda pats: search_with_symmetries(pats, 2)):
+            with pytest.raises(ValueError) as info:
+                call([(1, 2, 3), list(bad)])
+            assert str(info.value) == message, call
+
+    @pytest.mark.parametrize("bad, message", BAD_PATTERNS[:-1], ids=str)
+    def test_check_permutation_rejects(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            check_permutation(list(bad))
+        assert str(info.value) == message
+
+    def test_check_permutation_accepts_the_empty_permutation(self):
+        # The empty prefix is a class; only a pattern must be nonempty.
+        assert check_permutation([]) == ()
+
+
+def reference_symmetry_images(patterns):
+    # Every image normalized, validation included, as the images were built
+    # before they were only deduplicated and sorted.
+    start = normalize_patterns(patterns)
+    labels = {start: "identity"}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        cur = queue.popleft()
+        for name, fn in (("reverse", reverse), ("inverse", inverse)):
+            img = normalize_patterns(fn(q) for q in cur)
+            if img not in labels:
+                labels[img] = name if labels[cur] == "identity" else f"{labels[cur]}+{name}"
+                order.append(img)
+                queue.append(img)
+    return [(labels[img], img) for img in order]
 
 
 class TestTextForms:

@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P12, P123, P132, PTHREE, SINGLETONS, random_pattern_sets
+from conftest import P12, P123, P132, PAIRS, PTHREE, SINGLETONS, random_pattern_sets
 from permscheme.oracle import empirical_deletable, empirical_gap_set, iter_avoiders, prefix_class_members
-from permscheme.perms import avoids_all, complement, normalize_patterns, reduce_word, symmetry_closure
+from permscheme.perms import avoids_all, complement, normalize_patterns, reduce_word, slot_bounds, symmetry_closure
 from permscheme.reasoning import (
     Bailout,
     Event,
     GapSet,
     OrderFacts,
+    _bailout,
+    _consistent_ranks,
     _deletion_counterexample,
     _deletion_walk,
+    _first_embedding,
+    _place_rows,
+    _relation_rows,
+    _symbol_facts,
     analyze_deletable,
     certify_deletable,
     compute_gap_set,
@@ -27,6 +33,7 @@ from permscheme.scheme import ReduEntry, search
 
 NO_GAPS_1 = GapSet(1, 0)
 NO_GAPS_2 = GapSet(2, 0)
+CORPUS = random_pattern_sets(97103, 50)
 
 
 class TestGapSet:
@@ -289,6 +296,94 @@ class TestVerdictAgainstTranscript:
                     assert analyze_deletable(sigma, pats, gaps, rank, rules).certified == expect, (pats, sigma, rank)
                     checked += 1
         assert checked > 7000
+
+
+class TestAnySplitEmbedding:
+    SIGMAS = [s for k in range(1, 6) for s in permutations(range(1, k + 1))]
+
+    def test_existence_matches_the_split_by_split_search(self):
+        # The verdict searches each pattern once over every split; the
+        # transcript's ``_bailout`` tries split by split. Both must agree on
+        # whether a bail-out exists for every event the verdict examines:
+        # every avoiding sigma of length <= 5 under its own gaps, every
+        # place, every event of two places or more that ``order_facts``
+        # keeps, for every set. ``_bailout`` tries a set's patterns one by
+        # one, so it finds one for the set exactly when it finds one for
+        # some pattern alone, and both searches read only the event's
+        # relation table: each (table, pattern) is searched once. Per sigma,
+        # the ranks of each (place, pattern) are listed once, and the
+        # distinct tables of the events that each (pattern, gaps) keeps are
+        # derived once.
+        exists, ids = {}, {}
+        for sigma in self.SIGMAS:
+            k = len(sigma)
+            _, up, down = _place_rows(sigma, list(range(1, k + 1)))
+            places = []
+            for t in range(1, k + 1):
+                avail = [p for p in range(1, k + 1) if p != t]
+                places.append((t, avail, _place_rows(sigma, avail)))
+            listed, tables, kept = {}, {}, {}
+            for pats in CORPUS + SINGLETONS + PAIRS:
+                if not avoids_all(sigma, pats):
+                    continue
+                mask = compute_gap_set(sigma, pats).mask
+                for q in pats:
+                    if (q, mask) not in kept:
+                        kept[q, mask] = {}
+                        for t, avail, rows in places:
+                            if (t, q) not in listed:
+                                listed[t, q] = list(_consistent_ranks(up, down, sigma, q, t))
+                            for ranks in listed[t, q]:
+                                facts = _symbol_facts(k, mask, q, ranks)
+                                if facts is None:
+                                    continue
+                                if (t, facts) not in tables:
+                                    above, below = _relation_rows(rows, facts)
+                                    tables[t, facts] = above, below, ids.setdefault((k, *above, *below), len(ids))
+                                above, below, table = tables[t, facts]
+                                kept[q, mask].setdefault(table, (t, avail, rows, ranks, facts, above, below))
+                    for table, (t, avail, rows, ranks, facts, above, below) in kept[q, mask].items():
+                        for p in pats:
+                            if (table, p) not in exists:
+                                any_split = _first_embedding(above, below, k - 1, p, None) is not None
+                                split_by_split = _bailout(avail, rows, facts, (p,)) is not None
+                                assert any_split == split_by_split, (p, sigma, t, ranks)
+                                exists[table, p] = any_split
+        assert len(exists) > 20000 and 0 < sum(exists.values()) < len(exists)
+
+
+def reference_single_place_rules(patterns):
+    # The per-q derivation: every q lists every pattern's splits again.
+    rules = []
+    for q in patterns:
+        rises = [v for v in q[1:] if v > q[0]]
+        falls = [v for v in q[1:] if v < q[0]]
+        below_alphas, above_alphas = set(), set()
+        for p in patterns:
+            m = len(p)
+            for d in range(1, m):
+                beta = reduce_word(p[d:])
+                if max(p[:d]) == d and not avoids_all(rises, [beta]):
+                    below_alphas.add(p[:d])
+                if min(p[:d]) == m - d + 1 and not avoids_all(falls, [beta]):
+                    above_alphas.add(tuple(v - m + d for v in p[:d]))
+        always = not avoids_all(q[1:], patterns)
+        plans = [[slot_bounds(a) for a in alphas] for alphas in (below_alphas, above_alphas)]
+        rules.append((bool(rises), bool(falls), always, *plans))
+    return rules
+
+
+class TestSinglePlaceRules:
+    def test_matches_the_per_pattern_derivation(self):
+        rng = random.Random(3407)
+        sets = set()
+        while len(sets) < 2000:
+            sizes = rng.choices(range(1, 6), k=rng.randint(1, 4))
+            sets.add(normalize_patterns(rng.sample(range(1, m + 1), m) for m in sizes))
+        assert {len(pats) for pats in sets} == {1, 2, 3, 4}
+        assert {len(q) for pats in sets for q in pats} == {1, 2, 3, 4, 5}
+        for pats in sorted(sets) + CORPUS + SINGLETONS + PAIRS:
+            assert single_place_rules(pats) == reference_single_place_rules(pats), pats
 
 
 class TestCertifyGap:

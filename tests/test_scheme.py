@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import deque
 
@@ -290,6 +291,27 @@ class TestSinglePlaceScreen:
 
         monkeypatch.setattr(reasoning, "_events_at_place", listing)
         assert [document_and_log(pats, depth) for pats, depth in jobs] == expected
+
+
+class TestOutputBytes:
+    def test_documents_logs_and_labels_pinned(self):
+        # One SHA-256 over what the certified search writes: each document
+        # (or "null" on failure) and --explain log, as the CLI prints them,
+        # for the 50-set corpus at depth 5 and the 7 singletons at depth 6,
+        # then each symmetric (document, label) of the 56 pair classes at
+        # depth 5. A change to the verdict, the gaps or the order of the
+        # images that alters one byte fails here.
+        digest = hashlib.sha256()
+        for pats, depth in [(p, 5) for p in random_pattern_sets(97103, 50)] + [(p, 6) for p in SINGLETONS]:
+            log = []
+            found = search(pats, depth, log)
+            digest.update((serialize(found) if found else "null\n").encode())
+            for record in log:
+                digest.update((json.dumps(record, separators=(",", ":")) + "\n").encode())
+        for pats in PAIRS:
+            hit = search_with_symmetries(pats, 5)
+            digest.update((f"{serialize(hit[0])}{hit[1]}\n" if hit else "null\n").encode())
+        assert digest.hexdigest() == "61d7a8fed777b624ff8590918e1b78422345a65c9b16dd02eee21f6ac4af65f7"
 
 
 class TestSearchWithSymmetries:
