@@ -381,10 +381,36 @@ def count(scheme: Scheme, n: int) -> int:
 
 
 def sequence(scheme: Scheme, length: int) -> list[int]:
-    """The counts for n = 1..length, computed bottom-up with layer reuse."""
+    """The counts for n = 1..length, computed bottom-up with layer reuse.
+
+    The layers stop early once the counts can only be 0. Let layers
+    n - keep + 1, ..., n hold only zeros (keep being the plan's window),
+    with n at least the longest expanded class's length. Then layer n + 1
+    is zero: n + 1 exceeds every expanded class's length, so each table is
+    its kernel's sum of slot reads, each read times a width or subtracted.
+    A slot at drop m >= 1 reads a table, or its prefix sums, of layer
+    n + 1 - m, one of the zero layers. A slot at drop 0 reads the table of
+    an expanded refinement, one entry longer, which layer n + 1 tabulated
+    first. The longest classes have no drop-0 slot, so by induction on
+    length every read, and so every entry and prefix sum, is 0. Layer n + 1
+    then closes the next such window, so every later layer is zero too, and
+    the rest of the counts are padded with 0. The tables are scanned only
+    at a layer whose count is 0, so a scheme whose counts never reach 0
+    pays nothing for this.
+    """
     if check_size(length) < 1:
         raise ValueError(f"length must be >= 1, got {length}")
-    return [tables[()][0] for n, tables in _layers(_plan(scheme), length) if n >= 1]
+    plan = _plan(scheme)
+    terms: list[int] = []
+    zeros = 0  # consecutive layers, up to this one, that hold only zeros
+    for n, tables in _layers(plan, length):
+        term = tables[()][0]
+        if n >= 1:
+            terms.append(term)
+        zeros = 0 if term or any(map(any, tables.values())) else zeros + 1
+        if zeros >= plan.keep and n >= plan.longest:
+            break
+    return terms + [0] * (length - len(terms))
 
 
 def layer_key_counts(scheme: Scheme, length: int) -> list[int]:

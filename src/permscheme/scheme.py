@@ -21,7 +21,12 @@ reaches instead of first classifying every shallower one.
 and reduces a class by the smallest rank that passes the mode's test: a
 symbolic certificate in mode ``certified``, every concrete extension up to
 the proven size bound k+m-1 in mode ``empirical``
-(``reasoning._deletion_walk``), which is exact at every n too.
+(``reasoning._deletion_walk``), which is exact at every n too. No class
+but the root is scanned for a pattern: refinement g of an expanded class
+is zeroed exactly when the class's gap g is forced, which is the fact
+``compute_gap_set`` reads off its mask, and a deletion target is never
+zeroed, since it is contained in the avoiding prefix it was deleted from.
+The empty root has no parent, so it is tested directly.
 
 A failing search's log is its failure report: the last record is the stuck
 class, and the ``expa`` records show whether every proper prefix of it was
@@ -46,6 +51,7 @@ from .perms import (
     is_int,
     normalize_patterns,
     reduce_word,
+    refine,
     refinements,
     symmetry_images,
 )
@@ -157,6 +163,16 @@ def search(
     fails at once. ``log`` receives one record per class in that order; it
     is the failure report, whose last record is the first stuck class found.
 
+    Containment is decided without scanning the prefix. Only the empty
+    root is tested by ``avoids_all``. A refinement ``refine(sigma, g)`` of
+    an expanded (so avoiding) sigma contains a pattern exactly when gap g
+    of sigma is forced (proof at ``compute_gap_set``), so it is zeroed by
+    bit g of the gap mask sigma already holds, and the forced gaps of an
+    expanded class are exactly its zero refinements. A deletion target of
+    an avoiding sigma is contained in sigma, so it avoids as well and is
+    never zeroed. Either way the answer is the scan's, so documents and
+    logs are the same as when every class is scanned.
+
     In mode ``certified`` a rank passes when ``certify_deletable`` certifies
     it, given the set's ``reasoning.single_place_rules``, derived once per
     call. For each pattern q, the event that puts only q's first entry on
@@ -193,21 +209,23 @@ def search(
     expa: dict[Perm, GapSet] = {}
     redu: dict[Perm, ReduEntry] = {}
     zero: set[Perm] = set()
-    # The empty prefix avoids every pattern, has no rank to delete and is
-    # shorter than any legal depth, so the loop expands it like any class.
-    # A class's disposition depends on the class alone, so the visiting
-    # order changes only the log and which stuck class ends a failure.
-    stack: list[Perm] = [()]
+    # The empty prefix has no parent, so it alone is tested for
+    # containment; it has no rank to delete and is shorter than any legal
+    # depth, so the loop expands it like any class. Each stack entry carries
+    # whether its prefix contains a pattern. A class's disposition depends
+    # on the class alone, so the visiting order changes only the log and
+    # which stuck class ends a failure.
+    stack: list[tuple[Perm, int]] = [((), not avoids_all((), pats))]
     scheduled: set[Perm] = {()}
 
-    def schedule(sigma: Perm) -> None:
+    def schedule(sigma: Perm, empty: int) -> None:
         if sigma not in scheduled:
             scheduled.add(sigma)
-            stack.append(sigma)
+            stack.append((sigma, empty))
 
     while stack:
-        sigma = stack.pop()
-        if not avoids_all(sigma, pats):
+        sigma, empty = stack.pop()
+        if empty:
             zero.add(sigma)
             if log is not None:
                 log.append({"sigma": list(sigma), "disposition": "zero"})
@@ -219,8 +237,9 @@ def search(
             redu[sigma] = ReduEntry(rank, gaps)
             # The counting recurrence hands this class off to its deletion
             # target, so the target must be classified as well even when no
-            # expansion ever refines into it.
-            schedule(delete_rank(sigma, rank))
+            # expansion ever refines into it. It avoids every pattern, since
+            # sigma does and containment is hereditary.
+            schedule(delete_rank(sigma, rank), 0)
             if log is not None:
                 log.append(
                     {
@@ -233,8 +252,10 @@ def search(
         elif len(sigma) < max_depth:
             expa[sigma] = gaps
             # Pushed last-first, so the first refinement is popped first.
-            for child in reversed(refinements(sigma)):
-                schedule(child)
+            # Refinement g contains a pattern exactly when gap g is forced
+            # (``compute_gap_set``), so the mask zeroes it.
+            for g in range(len(sigma), -1, -1):
+                schedule(refine(sigma, g), gaps.mask >> g & 1)
             if log is not None:
                 log.append({"sigma": list(sigma), "disposition": "expa", "gaps": gaps.sorted_list()})
         else:

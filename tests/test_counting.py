@@ -384,6 +384,36 @@ class TestErdosSzekeres:
             assert terms[:10] == brute, mode
             assert terms[bound:] == [0] * (14 - bound), mode
 
+    @pytest.mark.parametrize("R", [("123", "321"), ("1234", "321"), ("123", "4321"), ("1234", "4321")], ids=",".join)
+    def test_sequence_stops_at_an_all_zero_window(self, monkeypatch, R):
+        # Past the bound every layer holds only zeros, so sequence stops
+        # once the plan's window of them is built and pads the rest: its
+        # terms are the full tabulation's, at each L tried up to 60, while
+        # layer_key_counts still tabulates every layer.
+        bound = (len(R[0]) - 1) * (len(R[1]) - 1)
+        pats = as_patterns(R)
+        real = counting._layers
+        for mode in (MODE_CERTIFIED, MODE_EMPIRICAL):
+            scheme = search(pats, 6, mode=mode)
+            plan = counting._plan(scheme)
+            upto = 60 if plan.longest <= 2 else 30 if plan.longest <= 4 else 16
+            full = [tables[()][0] for n, tables in real(plan, upto) if n >= 1]
+            assert full[bound:] == [0] * (upto - bound), mode
+            built = []
+
+            def spy(plan, length):
+                for n, tables in real(plan, length):
+                    built.append(n)
+                    yield n, tables
+
+            monkeypatch.setattr(counting, "_layers", spy)
+            for L in (*range(1, 16), 30, 60):
+                built.clear()
+                assert sequence(scheme, L) == (full + [0] * 60)[:L], (mode, L)
+            assert built[-1] == bound + plan.keep, mode
+            monkeypatch.undo()
+            assert layer_key_counts(scheme, upto) == [layer_keys(scheme, n) for n in range(upto + 1)], mode
+
 
 class TestPolynomialGrowth:
     def test_key_count_is_quadratic_for_123(self, scheme123):

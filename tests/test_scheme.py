@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from conftest import P12, P123, P132, PAIRS, PBOTH, PTHREE, SINGLETONS, catalan, random_pattern_sets
+from conftest import P12, P123, P132, PAIRS, PBOTH, PTHREE, SINGLETONS, catalan, naive_contains, random_pattern_sets
 from permscheme import counting, oracle, reasoning
 from permscheme.perms import (
     avoids_all,
@@ -187,6 +187,39 @@ class TestSearch:
         assert search(((1, 3, 2, 4),), 6, log) is None
         assert len(log) == 10
         assert log[-1] == {"sigma": [5, 6, 3, 4, 1, 2], "disposition": "stuck-at-depth"}
+
+
+class TestZeroFromMask:
+    """The search zeroes a refinement by its parent's forced gap and never a
+    deletion target; only the empty root is tested for containment."""
+
+    @pytest.mark.parametrize("mode", ["certified", "empirical"])
+    def test_zero_records_are_the_containing_classes(self, mode):
+        # Every class a search classifies is zeroed exactly when its prefix
+        # contains a pattern, by a subsequence scan independent of perms.
+        for pats in random_pattern_sets(97103, 50) + PAIRS:
+            log = []
+            found = search(pats, 5, log, mode=mode)
+            if found is not None:
+                assert validate(found) == [], pats
+            for rec in log:
+                contained = any(naive_contains(rec["sigma"], q) for q in pats)
+                assert contained == (rec["disposition"] == "zero"), (pats, rec)
+
+    @pytest.mark.parametrize("mode", ["certified", "empirical"])
+    def test_one_containment_test_per_search(self, monkeypatch, mode):
+        calls = []
+
+        def counted(sigma, pats):
+            calls.append(tuple(sigma))
+            return avoids_all(sigma, pats)
+
+        monkeypatch.setattr("permscheme.scheme.avoids_all", counted)
+        jobs = [(P123, 2), (PTHREE, 4), (((1,),), 1), ((), 1), (((1, 3, 2, 4),), 6), (((1, 2, 3), (3, 2, 1)), 6)]
+        for pats, depth in jobs:
+            calls.clear()
+            search(pats, depth, mode=mode)
+            assert calls == [()], pats
 
 
 def reference_search(patterns, max_depth):
