@@ -69,9 +69,17 @@ def _check_budget(loaded: Scheme, n: int) -> None:
 
 
 def _sequence(loaded: Scheme, length: int) -> list[int]:
-    """The counts for n = 1..length, once the largest layer fits the budget."""
-    _check_budget(loaded, length)
-    return counting.sequence(loaded, length)
+    """The counts for n = 1..length, each layer built within the budget.
+
+    The layers can stop short of ``length`` only for a finite class, whose
+    set holds an increasing and a decreasing pattern (Erdos-Szekeres), so
+    each layer is checked before it is built. Otherwise the last layer is
+    the largest, and it is checked before any is built.
+    """
+    pats = loaded.patterns
+    if not (any(list(q) == sorted(q) for q in pats) and any(list(q) == sorted(q, reverse=True) for q in pats)):
+        _check_budget(loaded, length)
+    return counting._sequence(loaded, length, lambda n: _check_budget(loaded, n))
 
 
 def _check_brute_force(n: int) -> None:

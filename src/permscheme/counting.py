@@ -398,6 +398,12 @@ def sequence(scheme: Scheme, length: int) -> list[int]:
     at a layer whose count is 0, so a scheme whose counts never reach 0
     pays nothing for this.
     """
+    return _sequence(scheme, length, lambda n: None)
+
+
+def _sequence(scheme: Scheme, length: int, check: Callable[[int], None]) -> list[int]:
+    # ``sequence``, calling ``check(n)`` before it builds layer n >= 1, so
+    # that a caller can bound the layers actually built.
     if check_size(length) < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     plan = _plan(scheme)
@@ -410,6 +416,8 @@ def sequence(scheme: Scheme, length: int) -> list[int]:
         zeros = 0 if term or any(map(any, tables.values())) else zeros + 1
         if zeros >= plan.keep and n >= plan.longest:
             break
+        if n < length:
+            check(n + 1)
     return terms + [0] * (length - len(terms))
 
 

@@ -39,15 +39,12 @@ or every symbol just below its upper bound, symbols that share a bound
 ordered as the pattern orders them. The tests decide "implied" on exactly
 those two concrete rows, with code that shares nothing with the table.
 The place rows depend on sigma alone and are built once per analysis. A
-pruned depth-first search assigns the pattern's slots in order, places
-first and then symbols, each at a larger index than the one before, and
-checks each new slot only against the slots already chosen. Complete
-assignments come out in the order in which ``combinations`` over places
-and then symbols would list the candidates, so the first hit is the one an
-exhaustive scan finds. The transcript keeps that first bail-out, trying
-the number of slots on places split by split; the verdict asks only
-whether some embedding exists, so it searches each pattern once over
-every split.
+pruned depth-first search assigns the pattern's slots in order, each at a
+larger node than the one before, places before symbols among the nodes,
+and checks each new slot only against the slots already chosen. Complete
+assignments come out in the order in which ``combinations`` over the
+nodes would list them, so the first hit is the one an exhaustive scan
+finds, and one search per pattern decides whether any bail-out exists.
 
 The events that put only a pattern's first entry on the examined place, the
 single-place events, are decided in closed form (``single_place_rules``).
@@ -56,27 +53,28 @@ and the gaps above (below) the rank are all forced. It bails out when some
 pattern occurs in the rest of q, or is a direct (skew) sum alpha (+) beta
 whose alpha occurs among the prefix values below (above) the rank and
 whose beta occurs among q's entries above (below) its first.
-``analyze_deletable``'s verdict decides those events by that rule
-(``single_place_unresolved``), and of the other events it sends to the
-bail-out search only those whose ranks are in the pattern's order and
-whose symbols each have an open gap, the ones ``order_facts`` keeps. It
-builds no transcript: ``DeletionAnalysis.outcomes`` examines every event
-in order when it is first read, so a transcript is the same with or
-without the rule. The empirical search decides deletion on concrete
-permutations instead: ``_deletion_walk`` walks the extensions of
-sigma by at most m-1 entries for a member that the deletion loses, which
-is exact, since a lost member of any size cuts down to one of those. Each
-extension reads two ``closed_gaps`` masks, its own and that of it minus
-the rank entry, which decide all its one-longer extensions at once. One
-table of masks per search serves the classes' gap sets and the walks, so
-each permutation's mask is computed once per search, however many ask.
+One walk (``_walk``) decides a rank: each pattern's single-place event by
+that rule, then the other events whose ranks are in the pattern's order
+(the rest are vacuous and never listed), each vacuous when some symbol
+has no open gap and otherwise sent to the bail-out search. The verdict
+runs the walk bare; ``DeletionAnalysis.outcomes`` runs it again, when
+first read, to record each event it examines, so the transcript shows
+what the verdict examined.
+
+The empirical search decides deletion on concrete permutations instead:
+``_deletion_walk`` walks the extensions of sigma by at most m-1 entries
+for a member that the deletion loses, which is exact, since a lost
+member of any size cuts down to one of those. Each extension reads two
+``closed_gaps`` masks, its own and that of it minus the rank entry, which
+decide all its one-longer extensions at once. One table of masks per
+search serves the classes' gap sets and the walks, so each permutation's
+mask is computed once per search, however many ask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Iterator
 
 from .perms import (
@@ -231,15 +229,16 @@ def _symbol_facts(k: int, mask: int, q: Perm, ranks: list[int]) -> OrderFacts | 
 
 
 # The relation table of one event: node x < len(avail) is prefix place
-# avail[x], node len(avail) + u is suffix symbol u (0-based). Row x is a
-# pair of bit masks over the nodes: ``above[x]`` has bit y when x < y is
-# implied, ``below[x]`` has bit y when y < x is. The place rows come from
-# sigma alone, so one analysis builds them once for all its events.
-PlaceRows = tuple[list[int], list[int], list[int]]  # ranks of avail, above, below
+# avail[x] (avail omits the examined place), node len(avail) + u is suffix
+# symbol u (0-based). Row x is two bit masks over the nodes: ``above[x]``
+# has bit y when x < y is implied, ``below[x]`` when y < x is. The place
+# rows come from sigma alone, so an analysis builds them once.
+PlaceRows = tuple[list[int], list[int], list[int], list[int]]  # avail, its ranks, above, below
 
 
-def _place_rows(sigma: Perm, avail: list[int]) -> PlaceRows:
+def _place_rows(sigma: Perm, excluded: int) -> PlaceRows:
     """The place-place part of the table: prefix values compare by rank."""
+    avail = [p for p in range(1, len(sigma) + 1) if p != excluded]
     ranks = [sigma[p - 1] for p in avail]
     below = [0] * len(ranks)
     seen = 0
@@ -247,7 +246,7 @@ def _place_rows(sigma: Perm, avail: list[int]) -> PlaceRows:
         below[x] = seen
         seen |= 1 << x
     above = [seen ^ mask ^ (1 << x) for x, mask in enumerate(below)]
-    return ranks, above, below
+    return avail, ranks, above, below
 
 
 def _relation_rows(rows: PlaceRows, facts: OrderFacts) -> tuple[list[int], list[int]]:
@@ -259,12 +258,12 @@ def _relation_rows(rows: PlaceRows, facts: OrderFacts) -> tuple[list[int], list[
     sits just above its lower bound and when every symbol sits just below
     its upper bound.
     """
-    ranks = rows[0]
+    _, ranks, above, below = rows
     n_places = len(ranks)
     order = facts.order
     n_syms = len(order)
-    above = rows[1] + [0] * n_syms
-    below = rows[2] + [0] * n_syms
+    above = above + [0] * n_syms
+    below = below + [0] * n_syms
     for u, (floor, ceiling) in enumerate(zip(facts.lower, facts.upper)):
         node = n_places + u
         bit = 1 << node
@@ -288,26 +287,20 @@ def _slot_tests(q: Perm) -> tuple[tuple[tuple[int, bool], ...], ...]:
     return tuple(tuple((j, q[j] < q[i]) for j in range(i)) for i in range(len(q)))
 
 
-def _first_embedding(
-    above: list[int], below: list[int], n_places: int, q: Perm, d: int | None
-) -> tuple[int, ...] | None:
-    """First implied embedding of q with d slots on places, in table order.
+def _first_embedding(above: list[int], below: list[int], q: Perm) -> tuple[int, ...] | None:
+    """First implied embedding of q in the table, in lexicographic node order.
 
     Slots are assigned in order, each at a larger node than the one before
-    (places precede symbols among the nodes) and leaving enough nodes of its
-    kind for the slots after it; a slot's candidate mask keeps only the
-    nodes that relate as q demands to every slot already chosen. So
-    complete assignments come out in the order of ``combinations`` over the
-    places and then over the symbols, minus those the table refutes. Only
-    the bail-out search uses it; gaps are decided on a concrete refinement.
-
-    With ``d`` None the split is free: slot i takes any node after the
-    previous slot's that leaves enough nodes for the slots after it, the
-    union of the ranges of every d. That embedding exists exactly when one
-    exists for some d, which is all the verdict asks; the transcript passes
-    each d in turn to keep the first bail-out in order.
+    and leaving enough nodes for the slots after it; a slot's candidate mask
+    keeps only the nodes that relate as q demands to every slot already
+    chosen. So complete assignments come out in the order of
+    ``combinations`` over the nodes, places before symbols, minus those the
+    table refutes. Only the bail-out search uses it; gaps are decided on a
+    concrete refinement.
     """
     m = len(q)
+    if m > len(above):
+        return None
     tests = _slot_tests(q)
     chosen: list[int] = []
     untried: list[int] = []  # the candidates left for each chosen slot
@@ -315,15 +308,8 @@ def _first_embedding(
         i = len(chosen)
         if i == m:
             return tuple(chosen)
-        if d is None:
-            first, last = i, len(above) - m + i
-        elif i < d:
-            first, last = i, n_places - d + i
-        else:
-            first, last = n_places + i - d, len(above) - m + i
-        if chosen and chosen[-1] >= first:
-            first = chosen[-1] + 1
-        mask = (1 << (last + 1)) - (1 << first) if first <= last else 0
+        # From the previous slot's node + 1 to the last node that leaves room.
+        mask = (2 << (len(above) - m + i)) - (2 << chosen[-1] if chosen else 1)
         for j, is_below in tests[i]:
             mask &= above[chosen[j]] if is_below else below[chosen[j]]
         while not mask:
@@ -336,27 +322,27 @@ def _first_embedding(
         chosen.append(low.bit_length() - 1)
 
 
-def _bailout(avail: list[int], rows: PlaceRows, facts: OrderFacts, patterns: PatternSet) -> Bailout | None:
+def _bailout(rows: PlaceRows, facts: OrderFacts, patterns: PatternSet) -> tuple[Perm, tuple[int, ...]] | None:
+    """The first pattern in the set's order with an implied embedding in the
+    event's table, and that embedding's nodes; None if there is none."""
     above, below = _relation_rows(rows, facts)
-    n_places = len(avail)
-    n_syms = len(facts.order)
     for q in patterns:
-        m = len(q)
-        for d in range(min(m, n_places), max(m - n_syms, 0) - 1, -1):
-            nodes = _first_embedding(above, below, n_places, q, d)
-            if nodes is not None:
-                places = tuple(avail[x] for x in nodes[:d])
-                return Bailout(q, places, tuple(x - n_places + 1 for x in nodes[d:]))
+        nodes = _first_embedding(above, below, q)
+        if nodes is not None:
+            return q, nodes
     return None
 
 
-def find_bailout(
-    sigma: Perm,
-    gaps: GapSet,
-    event: Event,
-    excluded_place: int,
-    patterns: PatternSet,
-) -> Bailout | None:
+def _witness(rows: PlaceRows, hit: tuple[Perm, tuple[int, ...]] | None) -> Bailout | None:
+    """The ``Bailout`` that a ``_bailout`` hit on the table of ``rows`` names."""
+    if hit is None:
+        return None
+    (q, nodes), avail = hit, rows[0]
+    n = len(avail)
+    return Bailout(q, tuple(avail[x] for x in nodes if x < n), tuple(x - n + 1 for x in nodes if x >= n))
+
+
+def find_bailout(sigma: Perm, gaps: GapSet, event: Event, excluded_place: int, patterns: PatternSet) -> Bailout | None:
     """Search for an implied forbidden occurrence avoiding ``excluded_place``.
 
     Candidate occurrences draw their entries from the remaining prefix places
@@ -364,12 +350,12 @@ def find_bailout(
     order). A hit certifies that the event cannot be the only violation.
 
     Candidates are tried pattern by pattern in the set's order; within a
-    pattern, by the number of prefix places d, largest first; within d, by
-    the places in lexicographic order, then by the symbols in lexicographic
-    order. The first candidate whose every relation is implied is returned.
-    For the class 2413 of {1234,1243,1324} and the event that puts the 1 of
-    1234 on place 1, the smallest prefix value starts an occurrence on the
-    three symbols:
+    pattern, in the lexicographic order of their entries, the places in
+    index order coming before the symbols, as ``combinations`` over places
+    and then symbols lists them. The first candidate whose every relation
+    is implied is returned. For the class 2413 of {1234,1243,1324} and the
+    event that puts the 1 of 1234 on place 1, the smallest prefix value
+    starts an occurrence on the three symbols:
 
     >>> find_bailout((2, 4, 1, 3), GapSet(4, 1 << 4), Event((1, 2, 3, 4), (1,)), 1,
     ...              ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4)))
@@ -380,8 +366,8 @@ def find_bailout(
     facts = order_facts(sigma, gaps, event)
     if facts is None:
         raise ValueError("event is vacuous; nothing to bail out")
-    avail = [p for p in range(1, len(sigma) + 1) if p != excluded_place]
-    return _bailout(avail, _place_rows(sigma, avail), facts, patterns)
+    rows = _place_rows(sigma, excluded_place)
+    return _witness(rows, _bailout(rows, facts, patterns))
 
 
 def _deletion_counterexample(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int) -> Perm | None:
@@ -501,11 +487,12 @@ class EventOutcome:
 class DeletionAnalysis:
     """The deletability check for one (sigma, rank) pair.
 
-    ``certified`` is the verdict. ``outcomes``, the transcript, is built
-    the first time it is read: every event on the rank's place in
-    ``_events_at_place`` order, each with its verdict and first bail-out,
-    up to and including the first unresolved one. When sigma avoids the
-    patterns, ``certified`` is True exactly when no outcome is unresolved.
+    ``certified`` is the verdict of ``_walk``. ``outcomes``, the transcript,
+    is built the first time it is read, by the same walk recording each
+    event it examines with its verdict and first bail-out: every
+    single-place event, then the other events whose ranks are in the
+    pattern's order, up to and including the first unresolved one. So
+    ``certified`` is True exactly when no outcome is unresolved.
     """
 
     sigma: Perm
@@ -516,47 +503,22 @@ class DeletionAnalysis:
 
     @cached_property
     def outcomes(self) -> tuple[EventOutcome, ...]:
-        sigma, gaps, patterns = self.sigma, self.gaps, self.patterns
-        t = sigma.index(self.rank) + 1
-        avail = [p for p in range(1, len(sigma) + 1) if p != t]
-        rows = _place_rows(sigma, avail)
         outcomes: list[EventOutcome] = []
-        for event in _events_at_place(sigma, patterns, t):
-            facts = order_facts(sigma, gaps, event)
-            if facts is None:
-                outcomes.append(EventOutcome(event, "vacuous", None))
-                continue
-            bailout = _bailout(avail, rows, facts, patterns)
-            if bailout is None:
-                outcomes.append(EventOutcome(event, "unresolved", None))
-                break
-            outcomes.append(EventOutcome(event, "bailed-out", bailout))
+        _walk(self.sigma, self.patterns, self.gaps, self.rank, single_place_rules(self.patterns), outcomes)
         return tuple(outcomes)
 
 
-def _events_at_place(sigma: Perm, patterns: PatternSet, t: int) -> Iterator[Event]:
-    # Adding t to two (d-1)-sets of the other places leaves their symmetric
-    # difference alone, so the events come in the lexicographic order of
-    # their place tuples, as if every d-tuple were listed and filtered.
-    others = [p for p in range(1, len(sigma) + 1) if p != t]
-    for q in patterns:
-        for d in range(1, min(len(q), len(sigma)) + 1):
-            for rest in combinations(others, d - 1):
-                yield Event(q, tuple(sorted((*rest, t))))
-
-
-def _consistent_ranks(up: list[int], down: list[int], sigma: Perm, q: Perm, t: int) -> Iterator[list[int]]:
-    """The ranks on the places of each event of q with two places or more,
-    t among them, whose ranks are in the order of q's first entries.
+def _consistent_places(up: list[int], down: list[int], q: Perm, t: int) -> Iterator[list[int]]:
+    """The 0-based places of each event of q with two places or more, t
+    among them, whose ranks are in the order of q's first entries, in
+    lexicographic order, each as a list that the next step changes.
 
     ``up[x]`` (``down[x]``) has bit y when sigma's entry y is above (below)
-    its entry x, both 0-based. As in ``_first_embedding``, slots 0, 1, ...
-    take increasing entries, each kept only if it relates as q demands to
-    every slot before it; until one slot takes place t, none lies past it.
-    Every such assignment of two slots or more that holds place t is an
-    event's.
+    its entry x. As in ``_first_embedding``, slots 0, 1, ... take
+    increasing entries, each kept only if it relates as q demands to every
+    slot before it; until one slot takes place t, none lies past it.
     """
-    k = len(sigma)
+    k = len(up)
     m = min(len(q), k)
     tests = _slot_tests(q)
     chosen: list[int] = []
@@ -575,7 +537,7 @@ def _consistent_ranks(up: list[int], down: list[int], sigma: Perm, q: Perm, t: i
         i = len(chosen)
         held = x >= t - 1  # some slot is on place t
         if held and i >= 2:
-            yield [sigma[y] for y in chosen]
+            yield chosen
         if i == m:
             mask = 0
             continue
@@ -584,33 +546,55 @@ def _consistent_ranks(up: list[int], down: list[int], sigma: Perm, q: Perm, t: i
             mask &= up[chosen[j]] if is_below else down[chosen[j]]
 
 
-def _verdict(sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int, rules: list[SinglePlaceRule]) -> bool:
+def _walk(
+    sigma: Perm, patterns: PatternSet, gaps: GapSet, rank: int, rules: list[SinglePlaceRule], outcomes: list | None = None
+) -> bool:
     """True if every event on the rank's place is vacuous or bailed out.
 
-    The single-place events are decided by ``single_place_unresolved``.
-    Of the others, only those ``order_facts`` keeps reach the bail-out
-    search: their ranks are in the pattern's order and no symbol's region
-    is all forced gaps. An event needs only that some implied embedding
-    exists, so each pattern gets one any-split ``_first_embedding`` search
-    over its relation table, where the transcript's ``_bailout`` tries
-    split by split for the first bail-out in order.
+    Each pattern's single-place event is decided by its rule in ``rules``,
+    then, pattern by pattern, each event that ``_consistent_places`` lists
+    is vacuous by ``_symbol_facts`` or goes to ``_bailout``; the walk stops
+    at the first unresolved event. With ``outcomes`` a list, it appends
+    each event's ``EventOutcome``, a bailed-out one with its first
+    bail-out; only then does it build an ``Event`` or a ``Bailout``.
     """
-    if single_place_unresolved(sigma, gaps, rank, rules):
-        return False
     k = len(sigma)
     t = sigma.index(rank) + 1
-    _, up, down = _place_rows(sigma, list(range(1, k + 1)))
-    avail = [p for p in range(1, k + 1) if p != t]
-    rows = None
+    rows = None  # the place rows without place t, built on first need
+    top = (1 << (k + 1)) - (1 << rank)  # gaps rank..k
+    bottom = (1 << rank) - 1  # gaps 0..rank-1
+    top_closed, bottom_closed = gaps.mask & top == top, gaps.mask & bottom == bottom
+    low = [v for v in sigma if v < rank]
+    high = [v - rank for v in sigma if v > rank]
+    for q, (rises, falls, always, below_plans, above_plans) in zip(patterns, rules):
+        if (rises and top_closed) or (falls and bottom_closed):
+            verdict = "vacuous"
+        elif (
+            always
+            or (below_plans and any(ends_with_bounds(low[:e], low[e], below_plans) for e in range(len(low))))
+            or (above_plans and any(ends_with_bounds(high[:e], high[e], above_plans) for e in range(len(high))))
+        ):
+            verdict = "bailed-out"
+        else:
+            verdict = "unresolved"
+        if outcomes is not None:
+            rows = rows or _place_rows(sigma, t)
+            hit = _bailout(rows, _symbol_facts(k, gaps.mask, q, [rank]), patterns) if verdict == "bailed-out" else None
+            outcomes.append(EventOutcome(Event(q, (t,)), verdict, _witness(rows, hit)))
+        if verdict == "unresolved":
+            return False
+    _, _, up, down = _place_rows(sigma, 0)  # over every place: none is excluded
     for q in patterns:
-        for ranks in _consistent_ranks(up, down, sigma, q, t):
-            facts = _symbol_facts(k, gaps.mask, q, ranks)
-            if facts is None:
-                continue
-            if rows is None:
-                rows = _place_rows(sigma, avail)
-            above, below = _relation_rows(rows, facts)
-            if not any(_first_embedding(above, below, len(avail), p, None) is not None for p in patterns):
+        for chosen in _consistent_places(up, down, q, t):
+            facts = _symbol_facts(k, gaps.mask, q, [sigma[y] for y in chosen])
+            hit = None
+            if facts is not None:
+                rows = rows or _place_rows(sigma, t)
+                hit = _bailout(rows, facts, patterns)
+            verdict = "vacuous" if facts is None else "unresolved" if hit is None else "bailed-out"
+            if outcomes is not None:
+                outcomes.append(EventOutcome(Event(q, tuple([y + 1 for y in chosen])), verdict, _witness(rows, hit)))
+            if verdict == "unresolved":
                 return False
     return True
 
@@ -628,11 +612,19 @@ def analyze_deletable(
     ``rules`` are the set's ``single_place_rules``, derived here when
     omitted; a caller that tests many ranks passes them once. The verdict
     builds no transcript: ``DeletionAnalysis.outcomes`` does, when read.
+    For the class 2413 of {1234,1243,1324}, rank 2 sits on place 1, and the
+    transcript's first event is ``find_bailout``'s example:
+
+    >>> pats = ((1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4))
+    >>> first = analyze_deletable((2, 4, 1, 3), pats, GapSet(4, 1 << 4), 2).outcomes[0]
+    >>> first.event, first.verdict
+    (Event(pattern=(1, 2, 3, 4), places=(1,)), 'bailed-out')
+    >>> first.bailout
+    Bailout(pattern=(1, 2, 3, 4), places=(3,), symbols=(1, 2, 3))
 
     The caller guarantees sigma itself avoids the patterns, as for
     ``compute_gap_set``; ``scheme.search`` zeroes the other classes first.
-    The single-place rule is exact only then; for any sigma, the
-    transcript of a certified rank has no unresolved event.
+    The single-place rule is exact only then.
     """
     sigma = check_permutation(sigma)
     check_rank(sigma, rank)
@@ -640,7 +632,7 @@ def analyze_deletable(
         raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {len(sigma)}")
     if rules is None:
         rules = single_place_rules(patterns)
-    return DeletionAnalysis(sigma, patterns, gaps, rank, _verdict(sigma, patterns, gaps, rank, rules))
+    return DeletionAnalysis(sigma, patterns, gaps, rank, _walk(sigma, patterns, gaps, rank, rules))
 
 
 def certify_deletable(
@@ -711,25 +703,3 @@ def single_place_rules(patterns: PatternSet) -> list[SinglePlaceRule]:
         plans = [[slot_bounds(a) for a in alphas] for alphas in (below_alphas, above_alphas)]
         rules.append((bool(rises), bool(falls), always, *plans))
     return rules
-
-
-def single_place_unresolved(sigma: Perm, gaps: GapSet, rank: int, rules: list[SinglePlaceRule]) -> bool:
-    """True if some event on rank's place alone is neither vacuous nor bailed out.
-
-    ``rules`` are the set's ``single_place_rules``, and sigma avoids the
-    set. The answer is ``analyze_deletable``'s verdict on those events, so
-    a rank for which it is True is never certified.
-    """
-    top = (1 << (len(sigma) + 1)) - (1 << rank)  # gaps rank..k
-    bottom = (1 << rank) - 1  # gaps 0..rank-1
-    top_closed, bottom_closed = gaps.mask & top == top, gaps.mask & bottom == bottom
-    low = [v for v in sigma if v < rank]
-    high = [v - rank for v in sigma if v > rank]
-    for rises, falls, always, below_plans, above_plans in rules:
-        if always or (rises and top_closed) or (falls and bottom_closed):
-            continue
-        if below_plans and any(ends_with_bounds(low[:e], low[e], below_plans) for e in range(len(low))):
-            continue
-        if not (above_plans and any(ends_with_bounds(high[:e], high[e], above_plans) for e in range(len(high)))):
-            return True
-    return False

@@ -175,12 +175,12 @@ def search(
 
     In mode ``certified`` a rank passes when ``certify_deletable`` certifies
     it, given the set's ``reasoning.single_place_rules``, derived once per
-    call. For each pattern q, the event that puts only q's first entry on
-    the rank's place is decided by that closed-form rule, and only the
-    other events that ``order_facts`` keeps go to the bail-out search. Both
-    steps are exact for a class that avoids the set, which every class
-    tested here does, so the documents and logs are the same as when every
-    event goes to the bail-out search.
+    call. Its one event walk (``reasoning._walk``) decides each pattern's
+    single-place event by that closed-form rule and sends only the other
+    events that ``order_facts`` keeps to the bail-out search, recording
+    nothing. Both steps are exact for a class that avoids the set, which
+    every class tested here does, so the documents and logs are the same
+    as when every event goes to the bail-out search.
 
     In mode ``empirical`` a rank passes when ``reasoning._deletion_walk``
     finds no member that its deletion loses. The walk checks every

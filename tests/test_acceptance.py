@@ -88,7 +88,7 @@ def test_criterion_06_three_length_four_patterns():
         gaps.sorted_list() == [4]
         and analysis.certified
         and len(live) == 6
-        and all(o.verdict == "bailed-out" for o in live)
+        and all(o.verdict == "bailed-out" and o.bailout is not None for o in live)
         and seq == brute
         and elapsed < 60.0
     )

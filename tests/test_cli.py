@@ -300,6 +300,22 @@ class TestSequenceAndCount:
             # No success line from a command that fails.
             assert "structure: ok" not in result.stdout
 
+    def test_finite_class_checks_only_the_layers_built(self, runner, tmp_path):
+        # {1234,4321} has no avoider past n = 9, and layer 60 of its depth-6
+        # scheme would hold 139,087,369 keys. The counts stop a few layers
+        # past n = 9, so the commands that read a sequence check the budget
+        # against those layers only, and run within it.
+        path = tmp_path / "e4.json"
+        invoke(runner, ["scheme", "find", "-p", "1234,4321", "--max-depth", "6", "--mode", "empirical", "-o", str(path)])
+        assert counting.layer_keys(deserialize(path.read_text()), 60) > KEY_BUDGET
+        result = invoke(runner, ["sequence", "--scheme", str(path), "-L", "60"])
+        assert result.exit_code == 0
+        lines = result.stdout.split()
+        assert len(lines) == 60 and lines[-1] == "0"
+        assert lines[:10] == ["1", "2", "6", "22", "86", "306", "882", "1764", "1764", "0"]
+        for args in (["sequence", "--scheme", str(path), "-L", "25"], ["guess", "--scheme", str(path), "-L", "60"]):
+            assert runner.invoke(main, args).exit_code == 0, args
+
     def test_brute_force_over_cap_is_usage_error(self, runner, tmp_path):
         # Both fit the key budget; past the cap the brute force takes minutes.
         path = tmp_path / "c123.json"

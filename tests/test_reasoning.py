@@ -13,8 +13,7 @@ from permscheme.reasoning import (
     Event,
     GapSet,
     OrderFacts,
-    _bailout,
-    _consistent_ranks,
+    _consistent_places,
     _deletion_counterexample,
     _deletion_walk,
     _first_embedding,
@@ -27,7 +26,6 @@ from permscheme.reasoning import (
     find_bailout,
     order_facts,
     single_place_rules,
-    single_place_unresolved,
 )
 from permscheme.scheme import ReduEntry, search
 
@@ -180,18 +178,35 @@ def implied(sigma, facts, candidate):
 
 
 def reference_bailout(sigma, gaps, event, excluded_place, patterns):
-    # Every candidate in the documented order, each checked by ``implied``.
+    # Every candidate in the documented order, each checked by ``implied``:
+    # within a pattern, the lexicographic order of its entries, the places
+    # in index order before the symbols.
     facts = order_facts(sigma, gaps, event)
     avail = [p for p in range(1, len(sigma) + 1) if p != excluded_place]
+    entries = [(p, 0) for p in avail] + [(0, u) for u in range(1, len(facts.order) + 1)]
     for q in patterns:
-        m = len(q)
-        for d in range(min(m, len(avail)), -1, -1):
-            for places in combinations(avail, d):
-                for symbols in combinations(range(1, len(event.pattern) - len(event.places) + 1), m - d):
-                    candidate = Bailout(q, places, symbols)
-                    if implied(sigma, facts, candidate):
-                        return candidate
+        for chosen in combinations(entries, len(q)):
+            candidate = Bailout(q, tuple(p for p, _ in chosen if p), tuple(u for _, u in chosen if u))
+            if implied(sigma, facts, candidate):
+                return candidate
     return None
+
+
+def walk_events(sigma, pats, t):
+    # The events the walk lists through place t, found by filtering every
+    # place tuple: each pattern's single-place event, then, pattern by
+    # pattern, those of two places or more whose ranks are in the
+    # pattern's order, in lexicographic order of their places.
+    k = len(sigma)
+    events = [Event(q, (t,)) for q in pats]
+    for q in pats:
+        tuples = [places for d in range(2, min(len(q), k) + 1) for places in combinations(range(1, k + 1), d)]
+        events += [
+            Event(q, places)
+            for places in sorted(tuples)
+            if t in places and reduce_word([sigma[p - 1] for p in places]) == reduce_word(q[: len(places)])
+        ]
+    return events
 
 
 def reference_gap(sigma, patterns, j):
@@ -218,19 +233,21 @@ class TestSearchAgainstReference:
                 k = len(sigma)
                 gaps = compute_gap_set(sigma, pats)
                 for t in range(1, k + 1):
-                    # Every event through place t, listed by filtering all place tuples.
-                    events = [
+                    events = walk_events(sigma, pats, t)
+                    analysis = analyze_deletable(sigma, pats, gaps, sigma[t - 1])
+                    assert [o.event for o in analysis.outcomes] == events[: len(analysis.outcomes)]
+                    if analysis.certified:
+                        assert len(analysis.outcomes) == len(events)
+                    # find_bailout answers for any event, those the walk
+                    # never lists included.
+                    every = [
                         Event(q, places)
                         for q in pats
                         for d in range(1, min(len(q), k) + 1)
                         for places in combinations(range(1, k + 1), d)
                         if t in places
                     ]
-                    analysis = analyze_deletable(sigma, pats, gaps, sigma[t - 1])
-                    assert [o.event for o in analysis.outcomes] == events[: len(analysis.outcomes)]
-                    if analysis.certified:
-                        assert len(analysis.outcomes) == len(events)
-                    for event in events:
+                    for event in every:
                         if order_facts(sigma, gaps, event) is None:
                             continue
                         expect = reference_bailout(sigma, gaps, event, t, pats)
@@ -254,12 +271,25 @@ class TestSearchAgainstReference:
                 random_gaps = GapSet(k, rng.getrandbits(k + 1))
                 for gaps in (compute_gap_set(sigma, pats), random_gaps):
                     for t, rank in enumerate(sigma, 1):
-                        events = [Event(q, (t,)) for q in pats]
-                        expect = any(
-                            order_facts(sigma, gaps, e) is not None and find_bailout(sigma, gaps, e, t, pats) is None
-                            for e in events
-                        )
-                        assert single_place_unresolved(sigma, gaps, rank, rules) == expect, (pats, sigma, gaps, rank)
+                        # The transcript opens with the single-place events,
+                        # each decided by its rule, up to the first
+                        # unresolved one; the search must agree, witness
+                        # included.
+                        expect = []
+                        for q in pats:
+                            e = Event(q, (t,))
+                            if order_facts(sigma, gaps, e) is None:
+                                expect.append((e, "vacuous", None))
+                                continue
+                            witness = find_bailout(sigma, gaps, e, t, pats)
+                            expect.append((e, "unresolved" if witness is None else "bailed-out", witness))
+                            if witness is None:
+                                break
+                        outcomes = analyze_deletable(sigma, pats, gaps, rank, rules).outcomes
+                        got = [(o.event, o.verdict, o.bailout) for o in outcomes[: len(expect)]]
+                        assert got == expect, (pats, sigma, gaps, rank)
+                        if expect[-1][1] == "unresolved":
+                            assert len(outcomes) == len(expect)
         assert lengths == {2, 3, 4, 5}
 
     @pytest.mark.parametrize("seed", [97103, 4207])
@@ -276,11 +306,14 @@ class TestSearchAgainstReference:
 class TestVerdictAgainstTranscript:
     SIGMAS = TestSearchAgainstReference.SIGMAS
 
-    def test_certified_is_the_transcript_verdict(self):
-        # ``certified`` skips the transcript: single-place events by their
-        # rule, the others only when order_facts keeps them. Every avoiding
+    def test_verdict_and_transcript_match_exhaustive_scan(self):
+        # The scan lists every event through the rank's place from all place
+        # tuples, drops those order_facts finds vacuous and gives each of the
+        # others its first bail-out by ``reference_bailout``. Every avoiding
         # sigma up to length 4 and every rank, with the rules passed in and
-        # derived.
+        # derived: ``certified`` is the scan's verdict, the transcript's
+        # non-vacuous events are the scan's (up to the first unresolved one),
+        # and each witness is the scan's and passes ``implied``.
         sets = random_pattern_sets(97103, 50) + random_pattern_sets(4207, 30) + SINGLETONS
         checked = 0
         for pats in sets:
@@ -288,40 +321,66 @@ class TestVerdictAgainstTranscript:
             for sigma in self.SIGMAS:
                 if not avoids_all(sigma, pats):
                     continue
+                k = len(sigma)
                 gaps = compute_gap_set(sigma, pats)
-                for rank in range(1, len(sigma) + 1):
+                for t, rank in enumerate(sigma, 1):
+                    scan = {}
+                    for q in pats:
+                        for d in range(1, min(len(q), k) + 1):
+                            for places in combinations(range(1, k + 1), d):
+                                event = Event(q, places)
+                                if t in places and order_facts(sigma, gaps, event) is not None:
+                                    scan[event] = reference_bailout(sigma, gaps, event, t, pats)
+                    certified = None not in scan.values()
                     analysis = analyze_deletable(sigma, pats, gaps, rank)
-                    expect = all(o.verdict != "unresolved" for o in analysis.outcomes)
-                    assert analysis.certified == expect, (pats, sigma, rank)
-                    assert analyze_deletable(sigma, pats, gaps, rank, rules).certified == expect, (pats, sigma, rank)
+                    assert analysis.certified == certified, (pats, sigma, rank)
+                    assert analyze_deletable(sigma, pats, gaps, rank, rules).certified == certified, (pats, sigma, rank)
+                    live = {o.event: o for o in analysis.outcomes if o.verdict != "vacuous"}
+                    if certified:
+                        assert set(live) == set(scan), (pats, sigma, rank)
+                    else:
+                        assert set(live) <= set(scan) and analysis.outcomes[-1].verdict == "unresolved"
+                    for o in analysis.outcomes:
+                        facts = order_facts(sigma, gaps, o.event)
+                        if o.verdict == "vacuous":
+                            assert facts is None, (pats, sigma, rank, o.event)
+                            continue
+                        assert o.bailout == scan[o.event], (pats, sigma, rank, o.event)
+                        assert (o.verdict == "bailed-out") == (o.bailout is not None)
+                        assert o.bailout is None or implied(sigma, facts, o.bailout)
                     checked += 1
         assert checked > 7000
 
 
-class TestAnySplitEmbedding:
+def first_table_embedding(above, below, q):
+    # The first node tuple, in the order ``combinations`` lists them, whose
+    # every pair of slots relates in the table as q demands.
+    for nodes in combinations(range(len(above)), len(q)):
+        if all(
+            (above if q[i] < q[j] else below)[nodes[i]] >> nodes[j] & 1 for i, j in combinations(range(len(q)), 2)
+        ):
+            return nodes
+    return None
+
+
+class TestFirstEmbedding:
     SIGMAS = [s for k in range(1, 6) for s in permutations(range(1, k + 1))]
 
-    def test_existence_matches_the_split_by_split_search(self):
-        # The verdict searches each pattern once over every split; the
-        # transcript's ``_bailout`` tries split by split. Both must agree on
-        # whether a bail-out exists for every event the verdict examines:
-        # every avoiding sigma of length <= 5 under its own gaps, every
-        # place, every event of two places or more that ``order_facts``
-        # keeps, for every set. ``_bailout`` tries a set's patterns one by
-        # one, so it finds one for the set exactly when it finds one for
-        # some pattern alone, and both searches read only the event's
-        # relation table: each (table, pattern) is searched once. Per sigma,
-        # the ranks of each (place, pattern) are listed once, and the
-        # distinct tables of the events that each (pattern, gaps) keeps are
-        # derived once.
-        exists, ids = {}, {}
+    def test_matches_an_exhaustive_scan_of_the_table(self):
+        # The pruned search must return the first node tuple that an
+        # exhaustive scan of the relation table accepts, for every event the
+        # walk examines: every avoiding sigma of length <= 5 under its own
+        # gaps, every place, every event of two places or more that
+        # ``_consistent_places`` lists and ``_symbol_facts`` keeps, for every
+        # set, each pattern of the set searched on its table. Each
+        # (table, pattern) is searched once. Per sigma, the places of each
+        # (place, pattern) are listed once, and the distinct tables of the
+        # events that each (pattern, gaps) keeps are derived once.
+        found, ids = {}, {}
         for sigma in self.SIGMAS:
             k = len(sigma)
-            _, up, down = _place_rows(sigma, list(range(1, k + 1)))
-            places = []
-            for t in range(1, k + 1):
-                avail = [p for p in range(1, k + 1) if p != t]
-                places.append((t, avail, _place_rows(sigma, avail)))
+            _, _, up, down = _place_rows(sigma, 0)
+            places = [(t, _place_rows(sigma, t)) for t in range(1, k + 1)]
             listed, tables, kept = {}, {}, {}
             for pats in CORPUS + SINGLETONS + PAIRS:
                 if not avoids_all(sigma, pats):
@@ -330,9 +389,9 @@ class TestAnySplitEmbedding:
                 for q in pats:
                     if (q, mask) not in kept:
                         kept[q, mask] = {}
-                        for t, avail, rows in places:
+                        for t, rows in places:
                             if (t, q) not in listed:
-                                listed[t, q] = list(_consistent_ranks(up, down, sigma, q, t))
+                                listed[t, q] = [[sigma[y] for y in chosen] for chosen in _consistent_places(up, down, q, t)]
                             for ranks in listed[t, q]:
                                 facts = _symbol_facts(k, mask, q, ranks)
                                 if facts is None:
@@ -341,15 +400,14 @@ class TestAnySplitEmbedding:
                                     above, below = _relation_rows(rows, facts)
                                     tables[t, facts] = above, below, ids.setdefault((k, *above, *below), len(ids))
                                 above, below, table = tables[t, facts]
-                                kept[q, mask].setdefault(table, (t, avail, rows, ranks, facts, above, below))
-                    for table, (t, avail, rows, ranks, facts, above, below) in kept[q, mask].items():
+                                kept[q, mask].setdefault(table, (above, below))
+                    for table, (above, below) in kept[q, mask].items():
                         for p in pats:
-                            if (table, p) not in exists:
-                                any_split = _first_embedding(above, below, k - 1, p, None) is not None
-                                split_by_split = _bailout(avail, rows, facts, (p,)) is not None
-                                assert any_split == split_by_split, (p, sigma, t, ranks)
-                                exists[table, p] = any_split
-        assert len(exists) > 20000 and 0 < sum(exists.values()) < len(exists)
+                            if (table, p) not in found:
+                                nodes = _first_embedding(above, below, p)
+                                assert nodes == first_table_embedding(above, below, p), (p, sigma, table)
+                                found[table, p] = nodes is not None
+        assert len(found) > 20000 and 0 < sum(found.values()) < len(found)
 
 
 def reference_single_place_rules(patterns):
@@ -448,6 +506,10 @@ class TestCertifyDeletable:
         live = [o for o in analysis.outcomes if o.verdict != "vacuous"]
         assert len(live) == 6
         assert all(outcome.verdict == "bailed-out" for outcome in live)
+        # Each carries its witness, the single-place events' too.
+        for outcome in live:
+            facts = order_facts((2, 4, 1, 3), GapSet(4, 1 << 4), outcome.event)
+            assert outcome.bailout is not None and implied((2, 4, 1, 3), facts, outcome.bailout)
         shapes = sorted((o.event.pattern, o.event.places) for o in live)
         assert shapes == [
             ((1, 2, 3, 4), (1,)),
@@ -595,6 +657,10 @@ def _mirror(gaps):
     return GapSet(gaps.k, sum(1 << (gaps.k - j) for j in gaps.sorted_list()))
 
 
+def stuck_on_one_place(analysis):
+    return any(o.verdict == "unresolved" and len(o.event.places) == 1 for o in analysis.outcomes)
+
+
 def _one_per_complement_pair(sets):
     kept = []
     for pats in sets:
@@ -634,15 +700,12 @@ class TestComplementEquivariance:
                 gaps, gaps_c = compute_gap_set(sigma, pats), compute_gap_set(sigma_c, flipped)
                 assert gaps_c == _mirror(gaps), sigma
                 for r in range(1, k + 1):
-                    unresolved = single_place_unresolved(sigma, gaps, r, rules)
-                    assert unresolved == single_place_unresolved(sigma_c, gaps_c, k + 1 - r, flipped_rules), (sigma, r)
-                    # The screen is exact (TestSearchAgainstReference), so a
-                    # rank that it rejects on both sides is certified on
-                    # neither; that keeps the test within its time budget.
-                    if not unresolved:
-                        assert certify_deletable(sigma, pats, gaps, r) == certify_deletable(
-                            sigma_c, flipped, gaps_c, k + 1 - r
-                        ), (sigma, r)
+                    analysis = analyze_deletable(sigma, pats, gaps, r, rules)
+                    mirrored = analyze_deletable(sigma_c, flipped, gaps_c, k + 1 - r, flipped_rules)
+                    assert analysis.certified == mirrored.certified, (sigma, r)
+                    # The walk decides the single-place events first, so one
+                    # of them is unresolved on both sides or on neither.
+                    assert stuck_on_one_place(analysis) == stuck_on_one_place(mirrored), (sigma, r)
                     # The exact test: a member that deleting rank r loses
                     # maps to one that deleting rank k + 1 - r loses. Its walk
                     # grows slow past length 4, so the check stops there.

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import deque
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,15 @@ from permscheme.perms import (
     symmetry_closure,
     symmetry_images,
 )
-from permscheme.reasoning import GapSet, analyze_deletable, certify_deletable, compute_gap_set
+from permscheme.reasoning import (
+    Event,
+    GapSet,
+    analyze_deletable,
+    certify_deletable,
+    compute_gap_set,
+    find_bailout,
+    order_facts,
+)
 from permscheme.scheme import (
     ReduEntry,
     Scheme,
@@ -294,36 +303,53 @@ def document_and_log(pats, depth):
     return (found and serialize(found)), [json.dumps(r) for r in log]
 
 
+def every_event_searched(sigma, pats, gaps, rank, rules):
+    # The verdict with every event through the rank's place, single-place
+    # ones and those whose ranks contradict the pattern included, sent to
+    # the bail-out search: no rule, no event skipped.
+    t = sigma.index(rank) + 1
+    k = len(sigma)
+    events = [
+        Event(q, places)
+        for q in pats
+        for d in range(1, min(len(q), k) + 1)
+        for places in combinations(range(1, k + 1), d)
+        if t in places
+    ]
+    return all(order_facts(sigma, gaps, e) is None or find_bailout(sigma, gaps, e, t, pats) for e in events)
+
+
 class TestSinglePlaceScreen:
-    def test_same_bytes_as_certify_deletable_alone(self, monkeypatch):
-        # The verdict decides single-place events by their closed-form rule and
-        # sends only the events that order_facts keeps to the bail-out search.
-        # Both are exact, so the documents and the --explain records are the
-        # same bytes as with the transcript's verdict, which searches for a
-        # bail-out on every event.
+    def test_same_bytes_as_searching_every_event(self, monkeypatch):
+        # The walk decides single-place events by their closed-form rule and
+        # sends only the events whose ranks are in the pattern's order and
+        # that order_facts keeps to the bail-out search. Both are exact, so
+        # the documents and the --explain records are the same bytes as with
+        # a verdict that searches for a bail-out on every event.
         jobs = [(image, 4) for pats in random_pattern_sets(97103, 50) for image in symmetry_closure(pats)]
         jobs += [(image, 5) for pats in SINGLETONS for image in symmetry_closure(pats)]
         screened = [document_and_log(image, depth) for image, depth in jobs]
-        monkeypatch.setattr(
-            "permscheme.scheme.certify_deletable",
-            lambda s, p, g, r, rules: all(o.verdict != "unresolved" for o in analyze_deletable(s, p, g, r).outcomes),
-        )
+        monkeypatch.setattr("permscheme.scheme.certify_deletable", every_event_searched)
         for (image, depth), expected in zip(jobs, screened):
             assert document_and_log(image, depth) == expected, image
 
     def test_search_builds_no_transcript(self, monkeypatch):
-        # The verdict never lists the transcript's events, so a search whose
-        # event listing raises still writes the same documents and logs: two
-        # successes at depth 4 and {1342}'s failure at depth 5.
+        # The verdict records nothing, so a search in which building an
+        # event, a bail-out or an outcome raises still writes the same
+        # documents and logs: two successes at depth 4 and {1342}'s failure
+        # at depth 5.
         jobs = [(PTHREE, 4), (((1, 2, 3, 4),), 4), (((1, 3, 4, 2),), 5)]
         expected = [document_and_log(pats, depth) for pats, depth in jobs]
         assert expected[0][0] and expected[1][0] and expected[2][0] is None
 
-        def listing(*args):
-            raise AssertionError("transcript events listed")
+        def built(*args):
+            raise AssertionError("transcript object built")
 
-        monkeypatch.setattr(reasoning, "_events_at_place", listing)
+        for name in ("Event", "Bailout", "EventOutcome"):
+            monkeypatch.setattr(reasoning, name, built)
         assert [document_and_log(pats, depth) for pats, depth in jobs] == expected
+        with pytest.raises(AssertionError, match="transcript object built"):
+            analyze_deletable((2, 4, 1, 3), PTHREE, GapSet(4, 1 << 4), 2).outcomes
 
 
 class TestOutputBytes:
