@@ -16,13 +16,16 @@ containment is hereditary, so a pruned branch could never recover.
   (``perms.refine``), where each avoider of size k+1 has exactly one
   parent, its first k entries reduced. Each avoider keeps its closed-gap
   mask, whose unset bits are its avoiding refinements, and a child gets
-  its mask from its parent's in one ``perms.tail_gaps`` call, on the
-  patterns' ``perms.tail_plan``: that lists only the occurrences through
-  the child's new last entry, so counting costs far fewer tests than
-  listing.
+  its mask from its parent's in one call of the set's compiled kernel,
+  ``perms.tail_kernel``: one nested loop per free slot of each pattern's
+  ``perms.tail_plan``, its bounds inlined, that lists only the
+  occurrences through the child's new last entry, so counting costs far
+  fewer tests than listing.
 
 The two walks share no containment code with each other, nor with the
-``perms.closed_gaps`` of discovery, so each checks the others.
+``perms.closed_gaps`` of discovery, so each checks the others: the
+compiled kernel is generated code, and the listing walk and discovery
+keep their hand-written interpreters.
 The routines are exact but exponential; they exist to cross-check the
 certified machinery up to n around 10.
 
@@ -53,8 +56,7 @@ from .perms import (
     normalize_patterns,
     refine,
     slot_bounds,
-    tail_gaps,
-    tail_plan,
+    tail_kernel,
 )
 from .reasoning import GapSet, _deletion_counterexample, compute_gap_set
 from .scheme import MODE_EMPIRICAL, Scheme, check_depth, search
@@ -108,27 +110,46 @@ def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
     ``refine(p, g)`` contains a pattern (``perms.closed_gaps``): below
     n - 1 the walk steps into each unset bit, at n - 1 it counts them.
     The root's mask is 1 exactly when the set holds (1,). A child
-    c = ``refine(p, g)`` gets D_g(mask(p)) | T(c), one ``tail_gaps``
-    call, where D_g doubles bit g and T(c) holds the gaps closed by the
-    occurrences of a pattern's head (its first m-1 entries) whose last
-    slot is c's last entry. This is c's mask: an occurrence of a head in c
-    either misses c's last entry, and is then an occurrence in p with its
-    values above g raised by one, so that the gaps it closes are D_g of
-    those it closes in p; or it uses that entry, which can then only fill
-    the head's last slot.
+    c = ``refine(p, g)`` gets D_g(mask(p)) | T(c), where D_g doubles bit
+    g and T(c) holds the gaps closed by the occurrences of a pattern's
+    head (its first m-1 entries) whose last slot is c's last entry. This
+    is c's mask: an occurrence of a head in c either misses c's last
+    entry, and is then an occurrence in p with its values above g raised
+    by one, so that the gaps it closes are D_g of those it closes in p;
+    or it uses that entry, which can then only fill the head's last slot.
 
-    So counting size n makes sum over 1 <= k < n of |Av_k| ``tail_gaps``
-    calls: 1,778 for {1234, 1243, 1324} at n = 8, where the value search
-    of ``iter_avoiders`` makes 30,004 ``ends_with_bounds`` calls. The
-    leaves at size n are counted, never built, and the walk keeps one
-    avoider and one mask per size, so its memory is O(n^2).
+    Both come from one call of ``perms.tail_kernel(patterns)``, fetched
+    once per call of this function and compiled once per set. For
+    {1234} it reads, in outline:
+
+        def tail(c, parent):
+            last = c[-1]
+            k = len(c)
+            full = (2 << k) - 1
+            mask = parent & ((1 << last) - 1) | parent >> (last - 1) << last
+            gaps = (1 << (k + 1)) - (1 << last)
+            if gaps & ~mask:
+                for i0 in range(k - 2):
+                    v0 = c[i0]
+                    if v0 < last:
+                        for i1 in range(i0 + 1, k - 1):
+                            if v0 < c[i1] < last:
+                                mask |= gaps
+                                ...
+            return mask
+
+    So counting size n makes sum over 1 <= k < n of |Av_k| kernel calls:
+    1,778 for {1234, 1243, 1324} at n = 8, where the value search of
+    ``iter_avoiders`` makes 30,004 ``ends_with_bounds`` calls. The leaves
+    at size n are counted, never built, and the walk keeps one avoider
+    and one mask per size, so its memory is O(n^2).
 
     >>> [count_avoiders(n, [(1, 2, 3)]) for n in range(7)]
     [1, 1, 2, 5, 14, 42, 132]
     """
     check_size(n)
     pats = normalize_patterns(patterns)
-    plans = [tail_plan(q) for q in pats]
+    tail = tail_kernel(pats)
     if n == 0:
         return 1
     # path[d] is the avoider of size d on the current branch, masks[d] its
@@ -159,7 +180,7 @@ def count_avoiders(n: int, patterns: Iterable[Perm]) -> int:
         low = gaps & -gaps
         todo[-1] = gaps ^ low
         p = refine(path[-1], low.bit_length() - 1)
-        mask = tail_gaps(p, plans, masks[-1])
+        mask = tail(p, masks[-1])
 
 
 def prefix_class_members(

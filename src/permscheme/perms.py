@@ -16,7 +16,7 @@ import json
 from collections import deque
 from functools import lru_cache
 from math import inf
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Perm = tuple[int, ...]
 PatternSet = tuple[Perm, ...]
@@ -276,7 +276,7 @@ def closed_gaps(p: Sequence[int], plans: Iterable[tuple]) -> int:
 
 @lru_cache(maxsize=1024)
 def tail_plan(q: Perm) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
-    """Where ``tail_gaps`` reads bounds from, for a pattern q of length m.
+    """Where ``tail_kernel`` reads bounds from, for a pattern q of length m.
 
     The last slot of q's head (its first m-1 entries) is pinned to the
     permutation's last entry, so the free slots are the head's others, on
@@ -291,6 +291,29 @@ def tail_plan(q: Perm) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
     (((-3, -1), (-1, -2)), 1, -2, 2)
     >>> tail_plan((1, 2))
     ((), -1, -2, 0)
+
+    The kernel writes one loop per free slot, its bounds inlined; from
+    loop ``fix`` on, it only asks whether the occurrence can be completed.
+    For 1324 both bounds are known once both free slots are filled:
+
+    >>> print(_tail_source(((1, 3, 2, 4),)), end="")
+    def tail(c, parent):
+        last = c[-1]
+        k = len(c)
+        full = (2 << k) - 1
+        mask = parent & ((1 << last) - 1) | parent >> (last - 1) << last
+        for i0 in range(k - 2):
+            v0 = c[i0]
+            if v0 < last:
+                for i1 in range(i0 + 1, k - 1):
+                    v1 = c[i1]
+                    if last < v1:
+                        gaps = (1 << (k + 1)) - (1 << v1)
+                        if gaps & ~mask:
+                            mask |= gaps
+                            if mask == full:
+                                return mask
+        return mask
     """
     head = q[:-1]
     if not head:
@@ -304,9 +327,98 @@ def tail_plan(q: Perm) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
     return slot_bounds(head), lo_at, hi_at, max(lo_at, hi_at, -1) + 1
 
 
-def tail_gaps(c: Sequence[int], plans: Iterable[tuple], parent: int) -> int:
-    """``closed_gaps(c)`` for c = ``refine(p, g)``, from parent =
-    ``closed_gaps(p)``, where the ``tail_plan`` of each pattern is in plans.
+# Nested loops one generated function holds at most: CPython refuses more
+# than 20 in one function, so a pattern with more free slots goes on with
+# its search in a helper function.
+_BLOCKS = 16
+
+
+def _tail_search(j: int, q: Perm, helpers: "list[str]") -> "list[str]":
+    """The lines of ``tail`` that search pattern number j, q, for the
+    occurrences of its head through the last entry. The helper functions
+    they call go to helpers."""
+    bounds, lo_at, hi_at, fix = tail_plan(q)
+    need = len(bounds)
+
+    def name(at: int) -> str:
+        return f"v{at}" if at >= 0 else ("0", "(k + 1)", "last")[at]
+
+    gaps = f"gaps = (1 << {name(hi_at)}) - (1 << {name(lo_at)})"
+    found = ["mask |= gaps", "if mask == full:", "    return mask"]
+
+    def loop(s: int, ind: str, inline: bool) -> "list[str]":
+        # Slot s's indices leave room for the slots after it; a bound of 0
+        # or k + 1 holds for every entry, so it is left out.
+        lo, hi = bounds[s]
+        value = f"c[i{s}]" if inline else f"v{s}"
+        test = " < ".join([name(lo)] * (lo != _NO_LOWER) + [value] + [name(hi)] * (hi != _NO_UPPER))
+        start = f"i{s - 1} + 1, " if s else ""
+        head = [f"{ind}for i{s} in range({start}k - {need - s}):"]
+        return head + [f"{ind}    v{s} = c[i{s}]"] * (not inline) + [f"{ind}    if {test}:"]
+
+    def helper(kind: str, s: int, state: "list[str]", body: "list[str]", end: str) -> str:
+        # A function that goes on from slot s, on the values and the last
+        # index matched so far; returns its call.
+        call = f"_{kind}{j}_{s}({', '.join(['c', 'k', 'last', *state, *(f'v{t}' for t in range(s)), f'i{s - 1}'])})"
+        helpers.extend([f"def {call}:", *body, f"    {end}", ""])
+        return call
+
+    def exists(s: int, ind: str, depth: int, done: "list[str]", leave: "str | None") -> "list[str]":
+        # Whether slots s.. can be filled; done runs at the first fill, and
+        # leave, unless it is None, leaves the loop it runs in.
+        if depth == _BLOCKS:
+            call = helper("x", s, [], exists(s, "    ", 0, ["return True"], None), "return False")
+            return [f"{ind}if {call}:", *(f"{ind}    {x}" for x in done + [leave] * (leave is not None and s > fix))]
+        if s == need - 1:
+            return loop(s, ind, True) + [f"{ind}        {x}" for x in done + [leave] * (leave is not None)]
+        lines = loop(s, ind, False) + exists(s + 1, ind + " " * 8, depth + 1, done, leave)
+        if leave is not None and depth + 1 < _BLOCKS:
+            # The first fill below leaves slot s too.
+            lines += [f"{ind}        else:", f"{ind}            continue", f"{ind}        break"]
+        return lines
+
+    def every(s: int, ind: str, depth: int) -> "list[str]":
+        # Every fill of slots s..fix-1, then whether the rest can be filled
+        # by an occurrence that closes a gap still open.
+        if depth == _BLOCKS:
+            call = helper("e", s, ["full", "mask"], every(s, "    ", 0), "return mask")
+            return [f"{ind}mask = {call}", f"{ind}if mask == full:", f"{ind}    return mask"]
+        inner = ind + " " * 8
+        if s + 1 < fix:
+            return loop(s, ind, False) + every(s + 1, inner, depth + 1)
+        return loop(s, ind, False) + [f"{inner}{gaps}", f"{inner}if gaps & ~mask:"] + rest(inner + "    ", depth + 1)
+
+    def rest(ind: str, depth: int) -> "list[str]":
+        # The free slots from fix on, once the gap span is known.
+        if fix == need:
+            return [ind + x for x in found]
+        return exists(fix, ind, depth, found, "break")
+
+    if not fix:
+        return [f"    {gaps}", "    if gaps & ~mask:"] + rest(" " * 8, 0)
+    return every(0, "    ", 0)
+
+
+def _tail_source(patterns: PatternSet) -> str:
+    """The source of ``tail_kernel(patterns)``, at most ``_BLOCKS`` nested
+    loops to a function."""
+    helpers: "list[str]" = []
+    lines = [
+        "def tail(c, parent):",
+        "    last = c[-1]",
+        "    k = len(c)",
+        "    full = (2 << k) - 1",
+        "    mask = parent & ((1 << last) - 1) | parent >> (last - 1) << last",
+    ]
+    for j, q in enumerate(patterns):
+        if len(q) > 1:  # a point's empty head closes no gap
+            lines += _tail_search(j, q, helpers)
+    return "\n".join(helpers + lines + ["    return mask", ""])
+
+
+def tail_kernel(patterns: Iterable[Sequence[int]]) -> Callable[[Sequence[int], int], int]:
+    """``tail(c, parent)``, compiled for the pattern set: ``closed_gaps(c)``
+    for c = ``refine(p, g)``, from parent = ``closed_gaps(p)``.
 
     An occurrence of a pattern's head in c either misses c's last entry
     or fills the head's last slot with it. One that misses it is an
@@ -314,63 +426,27 @@ def tail_gaps(c: Sequence[int], plans: Iterable[tuple], parent: int) -> int:
     values a < b become a + [a > g] and b + [b > g] (the sentinels 0 and
     len(p) + 1 become 0 and len(c) + 1), and the gaps it closes are a..b-1
     with bit g doubled: all of them together are the parent's mask with
-    bit g doubled. The others are listed here, on the patterns' free slots
-    alone, starting from that mask: a branch that closes no gap still
-    open is left.
+    bit g doubled. The others are listed on the patterns' free slots
+    alone (``tail_plan``), starting from that mask: a branch that closes no
+    gap still open is left, and the kernel returns as soon as every gap
+    is closed.
 
-    >>> bin(tail_gaps((1, 3, 2), [tail_plan((1, 2, 3))], 0b100))
+    >>> tail = tail_kernel([(1, 2, 3)])
+    >>> bin(tail((1, 3, 2), 0b100))
     '0b1100'
+    >>> tail_kernel([(3, 2, 1), (1, 2, 3)]) is tail_kernel([(1, 2, 3), (3, 2, 1)])
+    True
     """
-    g = c[-1] - 1
-    mask = (parent & ((2 << g) - 1)) | (parent >> g << (g + 1))
-    k = len(c)
-    full = (1 << (k + 1)) - 1
-    for bounds, lo_at, hi_at, fix in plans:
-        need = len(bounds)
-        # Free slot s may take indices below stop + s of c[:-1], which
-        # leaves room for the slots after it. row[s] is the value matched
-        # to free slot s, chosen[s] its index in c, and row[-3:] the
-        # sentinels and the last entry; past a completed occurrence, slot
-        # fix-1 moves on, so with fix = 0 one occurrence ends the pattern.
-        stop = k - need
-        row = [0] * need + [0, k + 1, c[-1]]
-        chosen = [0] * need
-        if not fix:
-            gaps = (1 << row[hi_at]) - (1 << row[lo_at])
-            if not gaps & ~mask:
-                continue
-        depth = 0
-        idx = 0
-        while depth >= 0:
-            if depth == need:
-                mask |= gaps
-                if mask == full:
-                    return mask
-                depth = fix - 1
-                if depth >= 0:
-                    idx = chosen[depth] + 1
-                continue
-            lo, hi = bounds[depth]
-            lo = row[lo]
-            hi = row[hi]
-            for idx in range(idx, stop + depth):
-                v = c[idx]
-                if lo < v < hi:
-                    break
-            else:
-                depth -= 1
-                if depth >= 0:
-                    idx = chosen[depth] + 1
-                continue
-            row[depth] = v
-            chosen[depth] = idx
-            depth += 1
-            idx += 1
-            if depth == fix:
-                gaps = (1 << row[hi_at]) - (1 << row[lo_at])
-                if not gaps & ~mask:
-                    depth -= 1
-    return mask
+    return _tail_kernel(normalize_patterns(patterns))
+
+
+@lru_cache(maxsize=1024)
+def _tail_kernel(patterns: PatternSet) -> Callable[[Sequence[int], int], int]:
+    # Keyed by the normalized set, so a set counted again, at another n or
+    # by a later caller, reuses its code without generating it again.
+    namespace: dict = {}
+    exec(compile(_tail_source(patterns), "<tail kernel>", "exec"), namespace)
+    return namespace["tail"]
 
 
 def contains(host: Sequence[int], pattern: Sequence[int]) -> bool:

@@ -73,7 +73,7 @@ mask is computed once per search, however many ask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator
 
@@ -492,7 +492,10 @@ class DeletionAnalysis:
     event it examines with its verdict and first bail-out: every
     single-place event, then the other events whose ranks are in the
     pattern's order, up to and including the first unresolved one. So
-    ``certified`` is True exactly when no outcome is unresolved.
+    ``certified`` is True exactly when no outcome is unresolved. ``rules``
+    are the ``single_place_rules`` the verdict was decided on, kept for
+    that walk; they are derived from the patterns, so they take no part
+    in comparisons.
     """
 
     sigma: Perm
@@ -500,11 +503,12 @@ class DeletionAnalysis:
     gaps: GapSet
     rank: int
     certified: bool
+    rules: list[SinglePlaceRule] = field(compare=False, repr=False)
 
     @cached_property
     def outcomes(self) -> tuple[EventOutcome, ...]:
         outcomes: list[EventOutcome] = []
-        _walk(self.sigma, self.patterns, self.gaps, self.rank, single_place_rules(self.patterns), outcomes)
+        _walk(self.sigma, self.patterns, self.gaps, self.rank, self.rules, outcomes)
         return tuple(outcomes)
 
 
@@ -632,7 +636,7 @@ def analyze_deletable(
         raise ValueError(f"gap set sized for length {gaps.k}, prefix has length {len(sigma)}")
     if rules is None:
         rules = single_place_rules(patterns)
-    return DeletionAnalysis(sigma, patterns, gaps, rank, _walk(sigma, patterns, gaps, rank, rules))
+    return DeletionAnalysis(sigma, patterns, gaps, rank, _walk(sigma, patterns, gaps, rank, rules), rules)
 
 
 def certify_deletable(

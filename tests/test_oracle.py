@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import pytest
 
 from conftest import P12, P123, PAIRS, PBOTH, PTHREE, catalan, naive_contains, order_types, random_pattern_sets
-from permscheme import oracle, reasoning
+from permscheme import oracle, perms, reasoning
 from permscheme.counting import count_class, sequence
 from permscheme.oracle import (
     count_avoiders,
@@ -24,6 +24,7 @@ from permscheme.perms import (
     parse_pattern_set,
     reduce_word,
     slot_bounds,
+    tail_kernel,
 )
 from permscheme.reasoning import GapSet, _deletion_counterexample, compute_gap_set
 from permscheme.scheme import search, search_with_symmetries, serialize
@@ -238,15 +239,34 @@ class TestCount:
     @pytest.mark.parametrize("pats,calls", [(PTHREE, 1778), (((1, 2, 3, 4),), 3409)])
     def test_call_count_closed_form(self, monkeypatch, pats, calls):
         # Each avoider of size 1 <= k < n gets its closed-gap mask from its
-        # parent's in one ``tail_gaps`` call, and the root's needs none: the
-        # walk makes sum over 1 <= k < n of |Av_k| calls, no ``closed_gaps``
-        # call, and no containment test shared with the value search.
+        # parent's in one call of the set's compiled kernel, and the root's
+        # needs none: the walk makes sum over 1 <= k < n of |Av_k| calls,
+        # no ``closed_gaps`` call, and no containment test shared with the
+        # value search. The kernel is cached, so the walk calls the very
+        # function ``tail_kernel`` returns here.
         n = 8
         tails = sum(len(list(iter_avoiders(k, pats))) for k in range(1, n))
         assert tails == calls
-        assert oracle_calls(monkeypatch, "tail_gaps", lambda: count_avoiders(n, pats)) == calls
+        assert code_calls(tail_kernel(pats), lambda: count_avoiders(n, pats)) == calls
         assert oracle_calls(monkeypatch, "ends_with_bounds", lambda: count_avoiders(n, pats)) == 0
         assert code_calls(closed_gaps, lambda: count_avoiders(n, pats)) == 0
+
+    def test_set_compiles_once(self):
+        # A set counted twice, at two sizes and listed in two orders,
+        # generates and compiles its kernel's source once.
+        pats = ((2, 4, 1, 5, 3), (1, 3, 2))
+        perms._tail_kernel.cache_clear()
+        twice = lambda: (count_avoiders(6, pats), count_avoiders(7, pats[::-1]))
+        assert code_calls(perms._tail_source, twice) == 1
+        assert code_calls(perms._tail_source, twice) == 0
+
+    def test_pattern_past_the_nesting_budget(self):
+        # The decreasing pattern of length 25 has 23 free slots, more loops
+        # than one function may nest, so its search goes on in helpers; the
+        # only avoider of 12 of each size is decreasing, and it contains the
+        # pattern from size 25 on.
+        longest = tuple(range(25, 0, -1))
+        assert [count_avoiders(n, [(1, 2), longest]) for n in (24, 25, 40)] == [1, 0, 0]
 
     def test_symmetry_invariance(self):
         from permscheme.perms import complement, inverse, reverse

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PAIRS, PBOTH, SINGLETONS, end_order_types, naive_contains, random_pattern_sets
+from permscheme import perms
 from permscheme.perms import (
     avoids_all,
     check_permutation,
@@ -27,7 +28,7 @@ from permscheme.perms import (
     slot_bounds,
     symmetry_closure,
     symmetry_images,
-    tail_gaps,
+    tail_kernel,
     tail_plan,
 )
 from permscheme.scheme import search_with_symmetries
@@ -174,17 +175,19 @@ class TestClosedGaps:
         assert closed_gaps(p, gaps) == refinement_ends(refinements(p), [slot_bounds(q) for q in pats])
 
 
-def check_grown_masks(pats, parents) -> int:
-    """For every p in parents and every gap g, ``tail_gaps`` on
-    c = ``refine(p, g)`` from p's ``closed_gaps`` mask must be c's
-    ``closed_gaps`` mask. Returns the number of children checked."""
+def check_grown_masks(pats, parents, tail=None) -> int:
+    """For every p in parents and every gap g, the compiled kernel of pats
+    (or tail, when given) on c = ``refine(p, g)`` from p's ``closed_gaps``
+    mask must be c's ``closed_gaps`` mask. Returns the number of children
+    checked."""
     gaps = [gap_plan(q) for q in pats]
-    tails = [tail_plan(q) for q in pats]
+    if tail is None:
+        tail = tail_kernel(pats)
     checked = 0
     for p in parents:
         parent = closed_gaps(p, gaps)
         for g, fine in enumerate(refinements(p)):
-            assert tail_gaps(fine, tails, parent) == closed_gaps(fine, gaps), (p, g, pats)
+            assert tail(fine, parent) == closed_gaps(fine, gaps), (p, g, pats)
             checked += 1
     return checked
 
@@ -198,21 +201,23 @@ class TestTailGaps:
     def test_examples(self):
         # 12 ends at the last entry of 132 with 1 below it, so 123 closes
         # the gaps above 2, whatever the parent's mask.
-        assert tail_gaps((1, 3, 2), [tail_plan((1, 2, 3))], 0b100) == 0b1100
-        assert tail_gaps((1, 3, 2), [tail_plan((1, 2, 3))], 0) == 0b1100
+        tail = tail_kernel([(1, 2, 3)])
+        assert tail((1, 3, 2), 0b100) == 0b1100
+        assert tail((1, 3, 2), 0) == 0b1100
         # The parent 12 closed the gap above 2 for 123. Its child 123 has
         # that bit doubled: both gaps next to the new entry 3 are closed.
-        assert tail_gaps((1, 2, 3), [tail_plan((1, 2, 3))], 0b100) == 0b1100
+        assert tail((1, 2, 3), 0b100) == 0b1100
         # The point pattern's empty head never uses the last entry, and the
         # empty set adds nothing to the parent's mask but bit g doubled.
-        assert tail_gaps((2, 1, 3), [tail_plan((1,))], 0) == 0
-        assert tail_gaps((2, 1, 3), [], 0b101) == 0b1101
+        assert tail_kernel([(1,)])((2, 1, 3), 0) == 0
+        assert tail_kernel([])((2, 1, 3), 0b101) == 0b1101
 
     def test_tail_alone_matches_a_scan(self):
         # From a parent mask of 0, bit j is set when a new last entry in
         # gap j completes a pattern through c's last entry: a scan of the
         # subsequences of refine(c, j) that end at its last two entries.
         singles = [q for m in range(1, 6) for q in permutations(range(1, m + 1))]
+        kernels = {q: tail_kernel([q]) for q in singles}
         for c in every_perm(6):
             if not c:
                 continue
@@ -223,7 +228,7 @@ class TestTailGaps:
                     for sub in combinations(rest, m - 2):
                         through[reduce_word(list(sub) + [last, new])] |= 1 << j
             for q in singles:
-                assert tail_gaps(c, [tail_plan(q)], 0) == through[q], (c, q)
+                assert kernels[q](c, 0) == through[q], (c, q)
 
     def test_single_patterns_exhaustive(self):
         # Every pattern of length 1-5 on its own, at every gap g of every p
@@ -248,6 +253,56 @@ class TestTailGaps:
     @settings(max_examples=300)
     def test_matches_closed_gaps(self, p, pats):
         check_grown_masks(pats, [p])
+
+
+class TestTailKernel:
+    # Sets that mix pattern lengths 1-5, the point pattern, 12, 21 and the
+    # empty set among them, with every fix a ``tail_plan`` can have: 123,
+    # 4321 and 12345 search all their free slots for one occurrence (fix
+    # 0); 132, 2143 and 21543 know their gap span after one slot, 1243 and
+    # 24153 after two, 12354 after three.
+    SETS = [
+        (),
+        ((1,),),
+        ((1, 2),),
+        ((2, 1),),
+        ((1, 2, 3, 4, 5),),
+        ((2, 1, 4, 3),),
+        ((1, 2, 4, 3),),
+        ((2, 4, 1, 5, 3),),
+        ((1, 2, 3, 5, 4),),
+        ((1,), (2, 1, 4, 3)),
+        ((2, 1), (1, 2, 3, 4, 5)),
+        ((1, 2), (2, 1, 5, 4, 3)),
+        ((1, 3, 2), (2, 1, 4, 3), (2, 4, 1, 5, 3)),
+        ((1, 2, 3), (4, 3, 2, 1), (1, 2, 3, 5, 4)),
+        ((1, 2, 4, 3), (2, 1, 5, 4, 3), (3, 1, 2)),
+        ((1, 3, 2, 4), (2, 1, 4, 3), (1, 2, 3, 4, 5), (1, 2, 3, 5, 4)),
+    ]
+
+    def test_every_fix_covered(self):
+        fixes = {(len(q), tail_plan(q)[3]) for pats in self.SETS for q in pats}
+        assert fixes == {(1, 0)} | {(m, fix) for m in range(2, 6) for fix in range(m - 1)}
+
+    @staticmethod
+    def avoiders(pats):
+        return [p for p in every_perm(6) if avoids_all(p, pats)]
+
+    def test_matches_closed_gaps_on_every_avoider(self):
+        # The compiled kernel against ``closed_gaps``, which shares no code
+        # with it, on every refinement of every avoider of length <= 6.
+        for pats in self.SETS:
+            assert check_grown_masks(pats, self.avoiders(pats)) >= 1, pats
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_helpers_past_the_nesting_budget(self, monkeypatch, blocks):
+        # With room for 1-3 nested loops to a function, the longer patterns
+        # go on with their search in helper functions, to the same masks.
+        monkeypatch.setattr(perms, "_BLOCKS", blocks)
+        for pats in self.SETS:
+            namespace: dict = {}
+            exec(compile(perms._tail_source(pats), "<tail kernel>", "exec"), namespace)
+            check_grown_masks(pats, self.avoiders(pats), namespace["tail"])
 
 
 class TestRefinements:

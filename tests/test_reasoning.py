@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import P12, P123, P132, PAIRS, PTHREE, SINGLETONS, random_pattern_sets
 from permscheme.oracle import empirical_deletable, empirical_gap_set, iter_avoiders, prefix_class_members
+from permscheme import reasoning
 from permscheme.perms import avoids_all, complement, normalize_patterns, reduce_word, slot_bounds, symmetry_closure
 from permscheme.reasoning import (
     Bailout,
@@ -350,6 +351,28 @@ class TestVerdictAgainstTranscript:
                         assert o.bailout is None or implied(sigma, facts, o.bailout)
                     checked += 1
         assert checked > 7000
+
+
+    def test_transcript_reuses_the_rules_given(self, monkeypatch):
+        # The analysis keeps the rules its verdict was decided on, so its
+        # transcript derives none; an analysis given none derives them once.
+        # The rules take no part in comparisons or in the repr.
+        sigma, gaps = (2, 4, 1, 3), GapSet(4, 1 << 4)
+        rules = single_place_rules(PTHREE)
+        derived = 0
+        real = reasoning.single_place_rules
+
+        def counted(patterns):
+            nonlocal derived
+            derived += 1
+            return real(patterns)
+
+        monkeypatch.setattr(reasoning, "single_place_rules", counted)
+        given = analyze_deletable(sigma, PTHREE, gaps, 2, rules)
+        assert given.outcomes and derived == 0
+        bare = analyze_deletable(sigma, PTHREE, gaps, 2)
+        assert bare.outcomes == given.outcomes and derived == 1
+        assert bare == given and repr(bare) == repr(given) and "rules" not in repr(given)
 
 
 def first_table_embedding(above, below, q):
